@@ -178,8 +178,6 @@ def cmd_verify(args) -> int:
     for r in reports:
         status = "pass" if r.passed else f"FAIL ({len(r.failures)})"
         print(f"{r.suite:<16} {status:>10}  {r.elapsed_ms} ms")
-    if not args.report:
-        pass
     return 0 if payload["passed"] else 1
 
 

@@ -8,9 +8,14 @@ anchor color r in [1, n]; the cell in row i, column j has color
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
+
+from loopsym.semifield import PolyFraction, SparseLoopPoly, TropNumber
 
 
 def partition(parts) -> tuple[int, ...]:
@@ -51,10 +56,6 @@ def partitions_in_box(rows: int, cols: int):
 def sub_partitions(lam: tuple[int, ...]):
     """All partitions contained in lam."""
     return [mu for mu in partitions_in_box(len(lam), lam[0] if lam else 0) if contains(lam, mu)]
-
-
-def hooks_first_column(lam):  # pragma: no cover - debugging helper
-    return [lam[i] + len(lam) - i - 1 for i in range(len(lam))]
 
 
 @dataclass(frozen=True)
@@ -147,9 +148,6 @@ def _partition_from_conjugate(heights) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # SSYT enumeration
 
-_POLY_CELL_CAP = 24
-
-
 @lru_cache(maxsize=None)
 def ssyt_columns(lam: tuple, mu: tuple, max_entry: int):
     """All semistandard fillings, column by column.
@@ -205,29 +203,124 @@ def ssyt_columns(lam: tuple, mu: tuple, max_entry: int):
     return tuple(results)
 
 
+# ---------------------------------------------------------------------------
+# weight tables and their evaluation
+
+
 @lru_cache(maxsize=None)
 def ssyt_weight_vectors(lam: tuple, mu: tuple, r: int, n: int, max_entry: int):
-    """Weight multiset of each tableau: sorted ((entry, color), mult) tuples."""
+    """Weight table of the colored shape: its distinct tableau weights.
+
+    The weight of a tableau is the sorted tuple of ``((entry, color), mult)``
+    items, one per variable ``x.xc(entry, color)`` that it uses.  The table
+    is a tuple of ``(weight, count)`` pairs, one per distinct weight, where
+    ``count`` is the number of tableaux with that weight; the counts sum to
+    ``len(ssyt_columns(lam, mu, max_entry))``.  Every weight has total
+    multiplicity ``|lam/mu|``.  An empty shape has the single weight ``()``.
+    """
     shape = ColoredSkewShape(lam, mu, r, n)
-    cols = shape.columns()
-    out = []
+    col_colors = [
+        [shape.color(row, c) for row in range(lo + 1, hi + 1)]
+        for c, (lo, hi) in enumerate(shape.columns(), start=1)
+    ]
+    counts: Counter = Counter()
     for filling in ssyt_columns(lam, mu, max_entry):
         weight: dict = {}
-        for c, column in enumerate(filling):
-            lo, _hi = cols[c]
-            for idx, v in enumerate(column):
-                key = (v, shape.color(lo + 1 + idx, c + 1))
+        for colors, column in zip(col_colors, filling):
+            for color, v in zip(colors, column):
+                key = (v, color)
                 weight[key] = weight.get(key, 0) + 1
-        out.append(tuple(sorted(weight.items())))
-    return tuple(out)
+        counts[tuple(sorted(weight.items()))] += 1
+    return tuple(counts.items())
 
 
-def evaluate_weights(weights, x) -> object:
-    """Sum over weight vectors of the product of colored variables."""
+def evaluate_weights(table, x) -> object:
+    """Value at the point x of a weight table from :func:`ssyt_weight_vectors`.
+
+    The value is the sum over the table of ``count * prod x.xc(entry, color)
+    ** mult``; no ring evaluates it one tableau product at a time:
+
+    * rational: with D the lcm of the denominators of the entries of x, each
+      entry is ``a / D`` with an integer ``a``.  Every weight has degree
+      ``|shape|``, so the value is one integer sum of ``count * prod a ** mult``
+      over ``D ** |shape|``;
+    * tropical: the min over the table of ``sum mult * value``;
+    * polynomial: when every entry of x is a single monomial over the
+      denominator 1, as in ``VarMatrix.symbolic`` and its transpose, each
+      weight is one term of the result, written straight into its
+      :class:`SparseLoopPoly`.  Otherwise each weight is a product in the
+      ring, as for any other ring.
+
+    The empty table is the zero of the ring.
+    """
+    if not table:
+        return x.ring.zero
+    if x.ring.name == "rational":
+        return _evaluate_rational(table, x)
+    if x.ring.name == "tropical":
+        return _evaluate_tropical(table, x)
+    if x.ring.name == "polynomial":
+        monomials = _monomial_entries(x)
+        if monomials is not None:
+            return _evaluate_monomials(table, monomials)
+    return _evaluate_products(table, x)
+
+
+def _colored_entries(x) -> dict:
+    """Every entry of x, keyed by (row, color) as in ``x.xc``."""
+    return {(i, c): x.xc(i, c) for i in range(1, x.m + 1) for c in range(1, x.n + 1)}
+
+
+def _evaluate_rational(table, x) -> Fraction:
+    values = _colored_entries(x)
+    D = lcm(*(a.denominator for a in values.values()))
+    ints = {v: a.numerator * (D // a.denominator) for v, a in values.items()}
+    total = 0
+    for weight, count in table:
+        term = count
+        for v, e in weight:
+            term *= ints[v] ** e
+        total += term
+    degree = sum(e for _, e in table[0][0])
+    return Fraction(total, D ** degree)
+
+
+def _evaluate_tropical(table, x) -> TropNumber:
+    values = {v: a.value for v, a in _colored_entries(x).items()}
+    return TropNumber(min(sum(e * values[v] for v, e in weight) for weight, _ in table))
+
+
+def _monomial_entries(x):
+    """(monomial, coefficient) of every entry of x, or None if some entry
+    is not a single monomial over the denominator 1."""
+    out = {}
+    for v, a in _colored_entries(x).items():
+        if not a.is_polynomial or len(a.num.terms) != 1:
+            return None
+        (out[v],) = a.num.terms.items()
+    return out
+
+
+def _evaluate_monomials(table, monomials) -> PolyFraction:
+    terms: dict = {}
+    for weight, count in table:
+        coeff = count
+        exps: dict = {}
+        for v, e in weight:
+            mono, c = monomials[v]
+            coeff *= c ** e
+            for var, k in mono:
+                exps[var] = exps.get(var, 0) + k * e
+        key = tuple(sorted(exps.items()))
+        terms[key] = terms.get(key, 0) + coeff
+    return PolyFraction(SparseLoopPoly(terms))
+
+
+def _evaluate_products(table, x):
     total = x.ring.zero
-    for w in weights:
-        term = x.ring.one
-        for (i, color), e in w:
+    for weight, count in table:
+        term = x.ring.from_int(count)
+        for (i, color), e in weight:
             term = term * x.xc(i, color) ** e
         total = total + term
     return total

@@ -218,9 +218,9 @@ class PolyFraction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: SparseLoopPoly, den: SparseLoopPoly | None = None):
-        if den is None:
-            den = _POLY_ONE
-        if den.is_zero:
+        if den is None or den.terms == _POLY_ONE.terms:
+            den = _POLY_ONE  # a denominator 1 is always this object; see _times
+        elif den.is_zero:
             raise ZeroDivisionError("polynomial fraction with zero denominator")
         if num.is_zero:
             den = _POLY_ONE
@@ -256,7 +256,7 @@ class PolyFraction:
     def __mul__(self, other: "PolyFraction") -> "PolyFraction":
         if self.num.is_zero or other.num.is_zero:
             return PolyFraction(SparseLoopPoly.const(0))
-        return PolyFraction(self.num * other.num, self.den * other.den)
+        return PolyFraction(self.num * other.num, _times(self.den, other.den))
 
     def __truediv__(self, other: "PolyFraction") -> "PolyFraction":
         if other.num.is_zero:
@@ -272,7 +272,7 @@ class PolyFraction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyFraction):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return _times(self.num, other.den) == _times(other.num, self.den)
 
     def __bool__(self) -> bool:
         return not self.num.is_zero
@@ -284,6 +284,15 @@ class PolyFraction:
 
 
 _POLY_ONE = SparseLoopPoly.const(1)
+
+
+def _times(p: SparseLoopPoly, q: SparseLoopPoly) -> SparseLoopPoly:
+    """p * q, without multiplying when a factor is the denominator 1."""
+    if p is _POLY_ONE:
+        return q
+    if q is _POLY_ONE:
+        return p
+    return p * q
 
 
 # ---------------------------------------------------------------------------

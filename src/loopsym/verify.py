@@ -69,11 +69,14 @@ class Check:
         if not ok:
             self.failures.append({"check": label, **{k: repr(v) for k, v in witness.items()}})
 
+    def fail(self, label: str, error: str, **witness) -> None:
+        self.failures.append({"check": label, "error": error, **{k: repr(v) for k, v in witness.items()}})
+
     def run(self, fn, label: str, **witness) -> None:
         try:
             fn()
         except AssertionError as exc:
-            self.failures.append({"check": label, "error": str(exc), **{k: repr(v) for k, v in witness.items()}})
+            self.fail(label, str(exc), **witness)
 
 
 def _point(m: int, n: int, rng) -> VarMatrix:
@@ -89,6 +92,19 @@ def _resample(fn, m: int, n: int, rng):
         except DegeneratePoint:
             continue
     raise DegeneratePoint(f"no usable point after {RESAMPLE_CAP} resamples")
+
+
+def _resample_move(ck: Check, move, rng, label: str, **witness):
+    """(c, move(c)) for the first of RESAMPLE_CAP random c that is not
+    degenerate; None, with a recorded failure, if every draw is."""
+    for _ in range(RESAMPLE_CAP):
+        c = random_rational(rng)
+        try:
+            return c, move(c)
+        except DegeneratePoint:
+            continue
+    ck.fail(label, f"no usable c after {RESAMPLE_CAP} resamples", **witness)
+    return None
 
 
 def _grid(m: int, n: int, lo: int = 2):
@@ -297,13 +313,13 @@ def suite_grsk(m: int, n: int, trials: int, seed: int) -> list:
                 gt.psi_pattern(A, P.m, P.n, P.ring) == P, "psi-phi-roundtrip", m=mm, n=nn, trial=t
             )
             for j in range(1, nn):
-                for _ in range(RESAMPLE_CAP):
-                    c = random_rational(rng)
-                    try:
-                        moved = gt.gt_apply_e(P, j, c)
-                        break
-                    except DegeneratePoint:
-                        continue
+                drawn = _resample_move(
+                    ck, lambda c: gt.gt_apply_e(P, j, c), rng,
+                    "intertwine-columns", m=mm, n=nn, j=j, trial=t,
+                )
+                if drawn is None:
+                    continue
+                c, moved = drawn
                 Pb, Qb = gt.grsk(crystal.apply_e_bar(x, j, c))
                 ck.expect(
                     Qb == Q and Pb == moved,
@@ -313,13 +329,13 @@ def suite_grsk(m: int, n: int, trials: int, seed: int) -> list:
                     moved.shape() == shp, "shape-preserved", m=mm, n=nn, j=j, trial=t
                 )
             for i in range(1, mm):
-                for _ in range(RESAMPLE_CAP):
-                    c = random_rational(rng)
-                    try:
-                        moved = gt.gt_apply_e(Q, i, c)
-                        break
-                    except DegeneratePoint:
-                        continue
+                drawn = _resample_move(
+                    ck, lambda c: gt.gt_apply_e(Q, i, c), rng,
+                    "intertwine-rows", m=mm, n=nn, i=i, trial=t,
+                )
+                if drawn is None:
+                    continue
+                c, moved = drawn
                 Pe, Qe = gt.grsk(crystal.apply_e(x, i, c))
                 ck.expect(
                     Pe == P and Qe == moved,
@@ -787,6 +803,9 @@ SUITES = {
 def run_suite(name: str, m: int, n: int, trials: int, seed: int) -> VerifyReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite: {name}")
+    if m < 2 or n < 2 or trials < 1:
+        # the size grids start at 2, so a smaller bound would check nothing
+        raise ValueError(f"vacuous run: needs m, n >= 2 and trials >= 1, got m={m} n={n} trials={trials}")
     t0 = time.monotonic()
     failures = SUITES[name](m, n, trials, seed)
     elapsed = int((time.monotonic() - t0) * 1000)

@@ -110,3 +110,20 @@ def test_verify_multiple_suites_worker_pool(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(rep.read_text())["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ["--m", "1", "--n", "1"],
+        ["--m", "1", "--n", "4"],
+        ["--m", "4", "--n", "1"],
+        ["--trials", "0"],
+        ["--trials", "-5"],
+    ],
+)
+def test_verify_vacuous_bounds_are_usage_errors(bounds, capsys, monkeypatch):
+    code, out, err = run_cli(["verify", "grsk", *bounds], None, capsys, monkeypatch)
+    assert code == 2
+    assert "vacuous run" in err
+    assert "pass" not in out

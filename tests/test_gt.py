@@ -139,3 +139,17 @@ def test_pattern_json_roundtrip():
     rng = trial_rng(3, 9)
     z = rand_pattern(2, 3, rng)
     assert GTPattern.from_json(z.to_json(), RATIONAL) == z
+
+
+def test_grsk_suite_records_exhausted_resampling(monkeypatch):
+    from loopsym import gt
+    from loopsym.verify import RESAMPLE_CAP, suite_grsk
+
+    def always_degenerate(z, k, c):
+        raise DegeneratePoint("forced")
+
+    monkeypatch.setattr(gt, "gt_apply_e", always_degenerate)
+    failures = suite_grsk(2, 2, 1, 0)
+    assert [f["check"] for f in failures] == ["intertwine-columns", "intertwine-rows"]
+    assert all(f["error"] == f"no usable c after {RESAMPLE_CAP} resamples" for f in failures)
+    assert all(f["trial"] == "0" and f["m"] == f["n"] == "2" for f in failures)
