@@ -19,6 +19,7 @@ from loopsym.partitions import ColoredSkewShape
 from loopsym.points import VarMatrix
 from loopsym.semifield import (
     RATIONAL,
+    TROPICAL,
     SemifieldError,
     format_rational,
     parse_rational,
@@ -110,9 +111,8 @@ def cmd_eval(args) -> int:
         else:
             out["value"] = _value_to_json(energy.energy(x, check=True))
     elif target == "cocharge":
-        ring = RATIONAL if mode == "rational" else None
         if mode == "tropical":
-            z = gt.GTPattern.from_json(data, __import__("loopsym.semifield", fromlist=["TROPICAL"]).TROPICAL)
+            z = gt.GTPattern.from_json(data, TROPICAL)
             out["value"] = comb.trop_cocharge(z)
         else:
             z = gt.GTPattern.from_json(data, RATIONAL)

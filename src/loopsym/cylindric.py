@@ -283,17 +283,74 @@ def partition_from_sources(I, k: int, n: int):
 # identity checks
 
 
+class _PointMemo:
+    """The per-point work of :func:`cyl_jt_check`, shared by every shape
+    checked at one point: the folded matrix, its t-polynomial minor per
+    reduced index pair (I, J), and the outcome of the strip-ladder check per
+    (I, J, k) -- None, or the exception it raised.
+
+    Many shapes share their reduced index data, so each minor and each
+    ladder is computed once per point instead of once per shape.
+
+    The memo is keyed on the point object itself (``memo.x is x``), not on
+    its entries.  ``VarMatrix`` defines ``__eq__`` but no hash, and its
+    ``PolyFraction`` entries are unhashable and compare by cross-multiplying,
+    so keying on entries would cost a comparison on every call.  A point's
+    rows are tuples of immutable values, so the same object always holds the
+    same entries; two equal but distinct points merely recompute.  The memo
+    keeps its point alive, so the identity test cannot match a new object
+    that reuses a freed one's id.
+    """
+
+    __slots__ = ("x", "folded", "minors", "ladders")
+
+    def __init__(self, x: VarMatrix):
+        self.x = x
+        self.folded = folded_matrix(x)
+        self.minors: dict = {}
+        self.ladders: dict = {}
+
+    def minor(self, I, J):
+        poly = self.minors.get((I, J))
+        if poly is None:
+            poly = self.minors[(I, J)] = tpoly_minor(self.folded, I, J)
+        return poly
+
+    def ladder_check(self, I, J, k: int) -> None:
+        key = (I, J, k)
+        if key not in self.ladders:
+            try:
+                _expansion_check(I, J, k, self.x, self.minor(I, J))
+            except Exception as exc:
+                self.ladders[key] = exc
+            else:
+                self.ladders[key] = None
+        exc = self.ladders[key]
+        if exc is not None:
+            # a fresh traceback each time, so re-raising does not grow it
+            raise exc.with_traceback(None)
+
+
+_point_memo: _PointMemo | None = None  # one slot: the last point checked
+
+
 def cyl_jt_check(shape: CylShape, x: VarMatrix) -> None:
     """Both directions of the folded determinant identity for the shape.
 
     Part 1: the tableau sum equals the signed t-coefficient of the reduced
     index minor.  Part 2: the full t-expansion of that minor lists the
     border-strip ladder of the widest shape with the same index data.
+    Part 1 runs for every shape; the folded matrix, the minor and part 2
+    depend only on the point and (I, J, k), and come from a per-point memo
+    (:class:`_PointMemo`), a failed part 2 being raised again for each shape.
     """
+    global _point_memo
     k, n = shape.k, shape.n
     Ihat, Jhat, dstar = cyl_maya(shape.lam, shape.mu, shape.r, k, x.m, n)
-    F = folded_matrix(x)
-    poly = tpoly_minor(F, Ihat, Jhat)
+    memo = _point_memo  # read once: a concurrent caller at worst recomputes
+    if memo is None or memo.x is not x:
+        memo = _point_memo = _PointMemo(x)
+    poly = memo.minor(Ihat, Jhat)
     sign = 1 if ((k - 1) * dstar) % 2 == 0 else -1
     coeff = poly.coeff(dstar)
     want = coeff if sign > 0 else x.ring.zero - coeff
@@ -303,7 +360,7 @@ def cyl_jt_check(shape: CylShape, x: VarMatrix) -> None:
             "cylindric tableau sum disagrees with folded minor coefficient",
             {"shape": shape, "tableaux": direct, "coeff": want, "d": dstar},
         )
-    _expansion_check(Ihat, Jhat, k, x, poly)
+    memo.ladder_check(Ihat, Jhat, k)
 
 
 def _expansion_check(I, J, k: int, x: VarMatrix, poly) -> None:

@@ -196,3 +196,129 @@ def test_bad_parameters_rejected():
         bottom_left_ladder_check(x, 9)
     with pytest.raises(ValueError):
         folded_minor_sum_check(x, 2, 3, 2)
+
+
+def _ladder_key(shape, m):
+    Ihat, Jhat, _ = cyl_maya(shape.lam, shape.mu, shape.r, shape.k, m, shape.n)
+    return Ihat, Jhat, shape.k
+
+
+def test_memoized_ladder_failure_is_reported_for_every_shape(monkeypatch):
+    """A failed strip-ladder check is computed once per point but recorded
+    once for each shape that shares its reduced index data."""
+    from collections import Counter
+
+    from loopsym import cylindric
+    from loopsym.semifield import VerificationFailure
+    from loopsym.verify import cylindric_corpus, suite_cylindric
+
+    m, n = 2, 3
+    keys = Counter(_ladder_key(s, m) for s in cylindric_corpus(n))
+    bad, sharing = keys.most_common(1)[0]
+    assert sharing > 1
+    original = cylindric._expansion_check
+    calls = Counter()
+
+    def faulty(I, J, k, x, poly):
+        calls[(I, J, k, x.m, x.n)] += 1
+        if (I, J, k, x.m, x.n) == bad + (m, n):
+            raise VerificationFailure("injected ladder fault")
+        original(I, J, k, x, poly)
+
+    monkeypatch.setattr(cylindric, "_expansion_check", faulty)
+    failures = suite_cylindric(m, n, 1, 0)
+    assert max(calls.values()) == 1
+    got = [(f["m"], f["n"], f["shape"]) for f in failures if f["check"] == "cyl-jt"]
+    want = [
+        (repr(m), repr(n), repr(s)) for s in cylindric_corpus(n) if _ladder_key(s, m) == bad
+    ]
+    assert got == want and len(got) == sharing
+    assert all(f["error"] == "injected ladder fault" for f in failures)
+    assert len(failures) == len(got)
+
+
+def test_point_memo_matches_fresh_computation(monkeypatch):
+    """Alternating between two equal but distinct points and a third point
+    gives the outcomes of an unmemoized run, and folds once per switch."""
+    from loopsym import cylindric
+    from loopsym.linalg import tpoly_minor
+    from loopsym.schur import folded_matrix
+    from loopsym.semifield import VerificationFailure
+    from loopsym.verify import cylindric_corpus
+
+    rng = trial_rng(6, 5)
+    x1 = VarMatrix.random(3, 3, rng)
+    x2 = VarMatrix(x1.rows, x1.ring)
+    x3 = VarMatrix.random(3, 3, rng)
+    assert x2 is not x1 and x2.rows == x1.rows and x3.rows != x1.rows
+    shapes = cylindric_corpus(3)[::9]
+    original = cylindric._expansion_check
+
+    def point_dependent(I, J, k, x, poly):
+        # fails on some keys, with a message naming the point's minor
+        if (sum(I) + sum(J) + k) % 3 == 0:
+            raise VerificationFailure(f"{I} {J} {k} {poly!r}")
+        original(I, J, k, x, poly)
+
+    monkeypatch.setattr(cylindric, "_expansion_check", point_dependent)
+
+    def outcome(shape, x):
+        try:
+            cyl_jt_check(shape, x)
+        except VerificationFailure as exc:
+            return str(exc)
+        return None
+
+    fresh = {}
+    for name, x in (("x1", x1), ("x3", x3)):
+        for s in shapes:
+            monkeypatch.setattr(cylindric, "_point_memo", None)
+            fresh[name, s] = outcome(s, x)
+    assert any(v is None for v in fresh.values())
+    assert any(v is not None for v in fresh.values())
+    assert any(fresh["x1", s] != fresh["x3", s] for s in shapes)
+
+    folds = []
+
+    def counted_fold(x):
+        folds.append(x)
+        return folded_matrix(x)
+
+    monkeypatch.setattr(cylindric, "folded_matrix", counted_fold)
+    monkeypatch.setattr(cylindric, "_point_memo", None)
+    order = (("x1", x1), ("x3", x3), ("x1", x2), ("x3", x3), ("x1", x1))
+    for name, x in order:
+        for s in shapes:
+            assert outcome(s, x) == fresh[name, s]
+        memo = cylindric._point_memo
+        assert memo.x is x
+        for (I, J), poly in memo.minors.items():
+            assert poly == tpoly_minor(folded_matrix(x), I, J)
+    assert [id(x) for x in folds] == [id(x) for _, x in order]
+
+
+def test_unexpected_exception_is_a_recorded_failure(monkeypatch):
+    """An exception other than a failed identity inside a checked call is a
+    failure with its type and witness; the rest of the run goes on."""
+    from loopsym import cylindric
+    from loopsym.verify import cylindric_corpus, run_suite
+
+    corpus = cylindric_corpus(2)
+    bad = _ladder_key(corpus[0], 2)
+    original = cylindric._expansion_check
+
+    def divide(I, J, k, x, poly):
+        if (I, J, k) == bad:
+            raise ZeroDivisionError("injected")
+        original(I, J, k, x, poly)
+
+    monkeypatch.setattr(cylindric, "_expansion_check", divide)
+    report = run_suite("cylindric", 2, 2, 1, 0)
+    assert not report.passed
+    assert [f["shape"] for f in report.failures] == [
+        repr(s) for s in corpus if _ladder_key(s, 2) == bad
+    ]
+    for f in report.failures:
+        assert f["check"] == "cyl-jt"
+        assert f["error"] == "ZeroDivisionError: injected"
+        assert (f["m"], f["n"]) == ("2", "2")
