@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from loopsym import comb, cylindric, energy, gt, schur
@@ -155,17 +154,7 @@ def _pattern_ints(P) -> dict:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    reports = []
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futs = {
-                name: pool.submit(run_suite, name, args.m, args.n, args.trials, args.seed)
-                for name in names
-            }
-            reports = [futs[name].result() for name in names]
-    else:
-        for name in names:
-            reports.append(run_suite(name, args.m, args.n, args.trials, args.seed))
+    reports = [run_suite(name, args.m, args.n, args.trials, args.seed) for name in names]
     payload = {
         "reports": [r.to_json() for r in reports],
         "passed": all(r.passed for r in reports),
@@ -206,7 +195,6 @@ def main(argv=None) -> int:
     pv.add_argument("--trials", type=int, default=25)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--report", type=str, default=None)
-    pv.add_argument("--jobs", type=int, default=1)
     pv.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)

@@ -89,35 +89,33 @@ def bar_readout(x: VarMatrix, j: int) -> CrystalReadout:
     return product_readout(x.transpose(), j)
 
 
-def _apply_e_columns(cols, prefix, i: int, c, ring: Ring):
-    """Fold the two-factor rule over the column factors, right to left.
-
-    ``prefix[k]`` is the whirl product of the first k columns; the last
-    factor absorbs c/c+, the rest recurse with c+, where
-    c+ = (c*phi(last) + eps(rest)) / (phi(last) + eps(rest)).
-    """
-    if len(cols) == 1:
-        return [basic_e(cols[0], i, c)]
-    last = cols[-1]
-    M = prefix[len(cols) - 1]
-    eps_rest = M.entry(i + 1, i + 1) / M.entry(i + 1, i)
-    phi_last = last[i - 1]
-    cplus = (c * phi_last + eps_rest) / (phi_last + eps_rest)
-    return _apply_e_columns(cols[:-1], prefix, i, cplus, ring) + [basic_e(last, i, c / cplus)]
-
-
 def apply_e(x: VarMatrix, i: int, c) -> VarMatrix:
-    """Geometric crystal operator on rows i, i+1 of the matrix."""
+    """Geometric crystal operator on rows i, i+1 of the matrix.
+
+    The two-factor rule acts on the columns right to left: the last column
+    absorbs c/c+ and the columns before it are acted on by
+    c+ = (c*phi + eps) / (phi + eps), where phi = x_i^k is phi of the last
+    column k and eps is epsilon of the whirl product W_{k-1} of the first
+    k-1 columns, eps = W[i+1, i+1] / W[i+1, i].  A whirl is lower
+    bidiagonal, so those two entries follow the running recurrence
+    D_k = D_{k-1} x_{i+1}^k and S_k = S_{k-1} x_i^k + D_{k-1}, with
+    D_1 = x_{i+1}^1 and S_1 = 1, and no matrix product is formed.
+    """
     if not 1 <= i <= x.m - 1:
         raise ValueError(f"row operator index {i} out of range")
     cols = [x.col(j) for j in range(1, x.n + 1)]
-    prefix = [None] * (x.n + 1)
-    M = whirl(cols[0], x.ring)
-    prefix[1] = M
-    for k in range(2, x.n + 1):
-        M = M * whirl(cols[k - 1], x.ring)
-        prefix[k] = M
-    new_cols = _apply_e_columns(cols, prefix, i, c, x.ring)
+    D, S = cols[0][i], x.ring.one
+    eps = [D / S]  # eps[k - 1] is epsilon of the first k columns
+    for col in cols[1:-1]:
+        D, S = D * col[i], S * col[i - 1] + D
+        eps.append(D / S)
+    new_cols = list(cols)
+    for k in range(len(cols) - 1, 0, -1):
+        phi = cols[k][i - 1]
+        cplus = (c * phi + eps[k - 1]) / (phi + eps[k - 1])
+        new_cols[k] = basic_e(cols[k], i, c / cplus)
+        c = cplus
+    new_cols[0] = basic_e(cols[0], i, c)
     return VarMatrix(list(zip(*new_cols)), x.ring)
 
 

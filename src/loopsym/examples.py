@@ -22,15 +22,11 @@ from loopsym.semifield import (
     random_rational,
     trial_rng,
 )
+from loopsym.verify import Check
 
 
 def run_paper_examples(seed: int) -> list:
-    failures = []
-
-    def expect(ok: bool, label: str, **info):
-        if not ok:
-            failures.append({"check": label, **{k: repr(v) for k, v in info.items()}})
-
+    ck = Check()
     rng = trial_rng(seed, 424242)
 
     # -- the 4 x 4 factorization matrix of a width-2 pattern ------------------
@@ -46,12 +42,12 @@ def run_paper_examples(seed: int) -> list:
         [one, zz(1, 2) / zz(1, 1) + zz(2, 3) / zz(2, 2), zz(1, 3) * zz(2, 3) / (zz(1, 2) * zz(2, 2)), zero],
         [zero, one, zz(1, 3) / zz(1, 2) + zz(2, 4) / zz(2, 3), zz(1, 4) * zz(2, 4) / (zz(1, 3) * zz(2, 3))],
     ]
-    expect(Phi == Matrix(expected, RATIONAL), "width-2-factorization-matrix")
-    expect(
+    ck.expect(Phi == Matrix(expected, RATIONAL), "width-2-factorization-matrix")
+    ck.expect(
         minor(Phi, [3], [2]) == zz(1, 2) / zz(1, 1) + zz(2, 3) / zz(2, 2),
         "flag-minor-entry",
     )
-    expect(gt.psi_pattern(Phi, 2, 4, RATIONAL) == z, "psi-inverts-phi")
+    ck.expect(gt.psi_pattern(Phi, 2, 4, RATIONAL) == z, "psi-inverts-phi")
 
     # -- symbolic 3 x 2 insertion output --------------------------------------
     xs = VarMatrix.symbolic(3, 2)
@@ -64,13 +60,13 @@ def run_paper_examples(seed: int) -> list:
         [e21, v(1, 1) * v(2, 1) * v(1, 2) * v(2, 2) / (v(1, 2) + v(2, 1))],
         [v(1, 1) * v(2, 1) * v(3, 1), v(1, 1) * v(2, 1) * v(3, 1) * v(1, 2) * v(2, 2) * v(3, 2) / e21],
     ]
-    expect(
+    ck.expect(
         all(G.entry(i, j) == want[i - 1][j - 1] for i in (1, 2, 3) for j in (1, 2)),
         "symbolic-insertion-matrix",
     )
     ones = VarMatrix.rationals([[1, 1], [1, 1], [1, 1]])
     Go = gt.glue(*gt.grsk(ones))
-    expect(
+    ck.expect(
         [[Go.entry(i, j) for j in (1, 2)] for i in (1, 2, 3)]
         == [[Fraction(2), Fraction(1)], [Fraction(3), Fraction(1, 2)], [Fraction(1), Fraction(1, 3)]],
         "all-ones-insertion",
@@ -92,7 +88,7 @@ def run_paper_examples(seed: int) -> list:
         + mono([(1, 1), (1, 3), (1, 4), (2, 1), (2, 2), (2, 2)])
         + mono([(1, 1), (1, 4), (2, 1), (2, 2), (2, 2), (2, 3)])
     )
-    expect(val == man, "three-monomial-schur")
+    ck.expect(val == man, "three-monomial-schur")
     E = lambda k, r: schur.loop_e(x24, k, r)
     jt4 = Matrix(
         [
@@ -103,22 +99,22 @@ def run_paper_examples(seed: int) -> list:
         ],
         x24.ring,
     ).det()
-    expect(jt4 == val, "displayed-jacobi-trudi")
-    expect(schur.jacobi_trudi(sh, x24) == val, "jacobi-trudi-route")
+    ck.expect(jt4 == val, "displayed-jacobi-trudi")
+    ck.expect(schur.jacobi_trudi(sh, x24) == val, "jacobi-trudi-route")
 
     # -- generators with three rows and two colors ----------------------------
     x32 = VarMatrix.symbolic(3, 2)
     e22 = schur.loop_e(x32, 2, 2)
-    expect(
+    ck.expect(
         e22 == v(1, 2) * v(2, 2) + v(1, 2) * v(3, 1) + v(2, 1) * v(3, 1),
         "generator-three-terms",
     )
-    expect(schur.barred_h(x32, 2, 3) == e22, "barred-homogeneous-matches")
+    ck.expect(schur.barred_h(x32, 2, 3) == e22, "barred-homogeneous-matches")
 
     # -- periodic matrix of generators, three rows, two colors ----------------
     Mt = schur.unfolded_matrix(x32)
     E32 = lambda k, r: schur.loop_e(x32, k, r)
-    expect(
+    ck.expect(
         Mt.entry(1, 1) == E32(3, 1)
         and Mt.entry(2, 1) == E32(2, 2)
         and Mt.entry(3, 1) == E32(1, 1)
@@ -128,23 +124,23 @@ def run_paper_examples(seed: int) -> list:
         "periodic-entries",
     )
     F32 = schur.folded_matrix(x32)
-    expect(
+    ck.expect(
         F32.entry(1, 2).coeff(1) == E32(2, 1) and F32.entry(1, 2).coeff(2) == x32.ring.one
         and F32.entry(2, 1).coeff(0) == E32(2, 2) and F32.entry(2, 1).coeff(1) == x32.ring.one,
         "folded-entries",
     )
 
     # -- index sets of the sandwich shape -------------------------------------
-    expect(
+    ck.expect(
         schur.maya_sets((4, 4, 4, 1), (2, 2), 6, 5, 4) == ((3, 4, 7, 8), (1, 2, 3, 5)),
         "sandwich-index-sets",
     )
     lam, mu, color, K = schur.q_shape(5, 4, 1, 3)
-    expect(
+    ck.expect(
         (lam, mu, color, K) == ((4, 4, 4, 1), (2, 2), 2, 2), "sandwich-shape-data"
     )
     sh54 = ColoredSkewShape(lam, mu, color, 4)
-    expect(
+    ck.expect(
         all(sh54.color(i, j) == 4 for i, j in sh54.nw_corners())
         and all(sh54.color(i, j) == 1 for i, j in sh54.se_corners())
         and schur.corner_color_ok(sh54, 5),
@@ -154,8 +150,8 @@ def run_paper_examples(seed: int) -> list:
     # -- ten highway paths -----------------------------------------------------
     x53 = VarMatrix.random(5, 3, rng)
     fams = paths._highway_families(3, tuple(range(1, 6)), (5,), (2,))
-    expect(len(fams) == 10, "ten-highway-paths", count=len(fams))
-    expect(
+    ck.expect(len(fams) == 10, "ten-highway-paths", count=len(fams))
+    ck.expect(
         paths.highway_minor(x53, [5], [2]) == schur.loop_e(x53, 2, 2),
         "highway-entry-value",
     )
@@ -164,12 +160,12 @@ def run_paper_examples(seed: int) -> list:
     x33 = VarMatrix.random(3, 3, rng)
     Mb = schur.barred_matrix(x33)
     dm = lambda I, J: minor(Mb, I, J)
-    expect(
+    ck.expect(
         schur.q_invariant(x33, 1, 1)
         == dm([3], [1]) * dm([1, 3], [1, 2]) + dm([3], [2]) * dm([2, 3], [1, 2]),
         "square-q11-minors",
     )
-    expect(
+    ck.expect(
         paths.underway_minor(x33, [2, 3], [1, 2])
         == schur.barred_skew_schur((2, 2), (), 3, x33),
         "underway-rectangle",
@@ -179,15 +175,15 @@ def run_paper_examples(seed: int) -> list:
     _, Q33 = gt.grsk(x33)
     zq = Q33.z
     rq11 = schur.reduced_q_invariant(x33, 1, 1)
-    expect(
+    ck.expect(
         rq11
         == zq(1, 2) / zq(2, 3) + zq(1, 1) / zq(2, 2) + zq(1, 2) / zq(1, 1) + zq(2, 3) / zq(2, 2),
         "laurent-rq11",
     )
     rq12 = schur.reduced_q_invariant(x33, 1, 2)
-    expect(rq12 == zq(2, 2) / zq(3, 3) + zq(1, 3) / zq(1, 2), "laurent-rq12")
+    ck.expect(rq12 == zq(2, 2) / zq(3, 3) + zq(1, 3) / zq(1, 2), "laurent-rq12")
     rq21 = schur.reduced_q_invariant(x33, 2, 1)
-    expect(
+    ck.expect(
         rq21
         == zq(1, 2) * zq(2, 2) / (zq(2, 3) * zq(3, 3))
         + zq(1, 3) / zq(2, 3)
@@ -198,13 +194,13 @@ def run_paper_examples(seed: int) -> list:
 
     # -- central charge on a square point ---------------------------------------
     cc = energy.central_charge(x33, check=True)
-    expect(
+    ck.expect(
         cc
         == zq(1, 2) / zq(1, 1) + zq(1, 3) / zq(1, 2) + zq(2, 3) / zq(2, 2)
         + zq(1, 1) / zq(2, 2) + zq(1, 2) / zq(2, 3) + zq(2, 2) / zq(3, 3) + zq(3, 3),
         "central-charge-laurent",
     )
-    expect(
+    ck.expect(
         cc == rq11 + rq12 + schur.loop_e(x33, 1, 3), "central-charge-invariants"
     )
 
@@ -215,7 +211,7 @@ def run_paper_examples(seed: int) -> list:
     rq12b = schur.reduced_q_invariant(x53b, 1, 2)
     rq22b = schur.reduced_q_invariant(x53b, 2, 2)
     s2, s3 = schur.shape_invariant(x53b, 2), schur.shape_invariant(x53b, 3)
-    expect(val53 == rq12b * rq22b * s3 * s3 - rq12b * s2, "worked-reduced-determinant")
+    ck.expect(val53 == rq12b * rq22b * s3 * s3 - rq12b * s2, "worked-reduced-determinant")
 
     # -- full folded determinant lists elementary symmetric functions -----------
     F53 = schur.folded_matrix(x53b)
@@ -233,7 +229,7 @@ def run_paper_examples(seed: int) -> list:
             total = total + term
         return total
 
-    expect(
+    ck.expect(
         all(poly.coeff(d) == esym(5 - d) for d in range(0, 6)),
         "folded-determinant-elementary",
     )
@@ -241,7 +237,7 @@ def run_paper_examples(seed: int) -> list:
     s1 = schur.shape_invariant(x53b, 1)
     rq41 = schur.reduced_q_invariant(x53b, 4, 1)
     rq22c = schur.reduced_q_invariant(x53b, 2, 2)
-    expect(
+    ck.expect(
         e4 == s2 * rq41 - (s1 * s3 / s2) * rq22c + s1 / s3, "elementary-from-invariants"
     )
 
@@ -249,14 +245,14 @@ def run_paper_examples(seed: int) -> list:
     lad = cylindric.CylShape(5, (5, 5, 5, 5, 2, 1), (2,), 5, 7)
     r1 = cylindric.shape_after_strip(lad)
     r2 = cylindric.shape_after_strip(r1)
-    expect(
+    ck.expect(
         r1.lam == (5, 5, 5, 1) and r2.lam == (5, 4)
         and cylindric.shape_after_strip(r2) is None
         and cylindric.d_max(lad) == 2,
         "strip-ladder",
     )
     Ih, Jh, ds = cylindric.cyl_maya((3, 3, 3, 3, 2, 1), (2,), 4, 3, 7, 5)
-    expect((Ih, Jh, ds) == ((2, 4, 5), (1, 3, 4), 1), "cylinder-index-data")
+    ck.expect((Ih, Jh, ds) == ((2, 4, 5), (1, 3, 4), 1), "cylinder-index-data")
     x75 = VarMatrix.random(7, 5, rng)
     cylindric.cyl_jt_check(cylindric.CylShape(3, (3, 3, 3, 3, 2, 1), (2,), 4, 5), x75)
 
@@ -266,18 +262,18 @@ def run_paper_examples(seed: int) -> list:
     poly47 = tpoly_minor(F47, [1, 2, 3, 5, 6], [1, 2, 3, 5, 7])
     lamJ = cylindric.partition_from_sinks((1, 2, 3, 5, 7), 5, 4, 7)
     muI = cylindric.partition_from_sources((1, 2, 3, 5, 6), 5, 7)
-    expect(
+    ck.expect(
         (lamJ, muI) == ((5, 5, 5, 5, 2, 1), (2,)), "wide-ladder-partitions"
     )
     sh47 = cylindric.CylShape(5, lamJ, muI, 5, 7)
-    expect(
+    ck.expect(
         poly47.coeff(0) == x47.ring.zero
         and cylindric.cyl_schur(sh47, x47) == x47.ring.zero,
         "no-constant-term",
     )
     lad1 = cylindric.shape_after_strip(sh47)
     lad2 = cylindric.shape_after_strip(lad1)
-    expect(
+    ck.expect(
         poly47.coeff(1) == cylindric.cyl_schur(lad1, x47)
         and poly47.coeff(2) == cylindric.cyl_schur(lad2, x47),
         "wide-expansion-terms",
@@ -288,15 +284,15 @@ def run_paper_examples(seed: int) -> list:
     Mb45 = schur.barred_matrix(x45)
     d45 = lambda I, J: minor(Mb45, I, J)
     nu = cylindric.CylShape(4, (4, 4, 4), (), 5, 5)
-    expect(cylindric.cyl_schur(nu, x45) == d45([2, 3, 4], [1, 2, 3]), "rect-ladder-0")
+    ck.expect(cylindric.cyl_schur(nu, x45) == d45([2, 3, 4], [1, 2, 3]), "rect-ladder-0")
     nu1 = cylindric.shape_after_strip(nu)
-    expect(
+    ck.expect(
         cylindric.cyl_schur(nu1, x45) == d45([2, 4], [1, 2]) + d45([3, 4], [1, 3]),
         "rect-ladder-1",
     )
     nu2 = cylindric.shape_after_strip(nu1)
-    expect(cylindric.cyl_schur(nu2, x45) == d45([4], [1]), "rect-ladder-2")
-    expect(
+    ck.expect(cylindric.cyl_schur(nu2, x45) == d45([4], [1]), "rect-ladder-2")
+    ck.expect(
         (nu1.lam, nu2.lam) == ((4, 3), (2,)), "rect-ladder-shapes"
     )
 
@@ -309,12 +305,12 @@ def run_paper_examples(seed: int) -> list:
     )
     D2 = d45([3, 4], [2, 3]) + x45.pi(2) * d45([4], [2])
     D3 = d45([4], [3])
-    expect(D == D1 * D2 * D3, "energy-three-factors")
+    ck.expect(D == D1 * D2 * D3, "energy-three-factors")
 
     # six-row, two-color energy through the reduced determinant
     x62 = VarMatrix.random(6, 2, rng)
     stair = ColoredSkewShape((5, 4, 3, 2, 1), (), 2, 2)
-    expect(
+    ck.expect(
         schur.theorem_det_formula(stair, x62, check=True) == energy.energy(x62, check=True),
         "staircase-reduced-determinant",
     )
@@ -324,8 +320,8 @@ def run_paper_examples(seed: int) -> list:
         4, 4, {k: random_rational(rng) for k in gt.GTPattern.domain(4, 4)}, RATIONAL
     )
     zf = z4.z
-    expect(energy.sigma_k(z4, 2) == zf(2, 2), "factor-two")
-    expect(
+    ck.expect(energy.sigma_k(z4, 2) == zf(2, 2), "factor-two")
+    ck.expect(
         energy.sigma_k(z4, 3)
         == (zf(2, 3) * zf(3, 3) ** 2 / zf(2, 2)) * (zf(2, 2) / zf(3, 3) + zf(1, 3) / zf(1, 2)),
         "factor-three",
@@ -339,7 +335,7 @@ def run_paper_examples(seed: int) -> list:
         + zf(1, 4) * zf(2, 4) * zf(3, 3) / (zf(1, 3) * zf(2, 3) * zf(4, 4))
         + zf(1, 4) ** 2 * zf(2, 4) / (zf(1, 3) ** 2 * zf(2, 3))
     )
-    expect(energy.sigma_k(z4, 4) == pref * inner, "factor-four")
+    ck.expect(energy.sigma_k(z4, 4) == pref * inner, "factor-four")
 
     # triangular-array weight table (k = 4); the fifth value matches the
     # factor-four display rather than the misprinted table entry
@@ -356,23 +352,23 @@ def run_paper_examples(seed: int) -> list:
         ],
         key=str,
     )
-    expect(weights == table, "triangular-weight-table")
+    ck.expect(weights == table, "triangular-weight-table")
 
     # -- worked insertion example ----------------------------------------------------
     a = [[1, 4], [2, 1], [1, 0]]
     P, Q = comb.rsk(a)
-    expect(
+    ck.expect(
         P == ((1, 1, 1, 1, 2, 2), (2, 2, 2)) and Q == ((1, 1, 1, 1, 1, 2), (2, 2, 3)),
         "worked-insertion",
     )
     G = gt.glue(comb.gt_of_tableau(P, 2, 3), comb.gt_of_tableau(Q, 3, 2))
-    expect(
+    ck.expect(
         [[G.entry(i, j).value for j in (1, 2)] for i in (1, 2, 3)]
         == [[2, 5], [3, 6], [4, 6]],
         "worked-glued-matrix",
     )
     tP, tQ = comb.trop_grsk(a)
-    expect(
+    ck.expect(
         tP == comb.gt_of_tableau(P, 2, 3) and tQ == comb.gt_of_tableau(Q, 3, 2),
         "worked-minplus-insertion",
     )
@@ -384,11 +380,11 @@ def run_paper_examples(seed: int) -> list:
 
     z44 = gt.GTPattern(4, 4, {k: TropNumber(vv) for k, vv in pat.items()}, TROPICAL)
     T = comb.tableau_of_gt(z44)
-    expect(
+    ck.expect(
         T == ((1, 1, 1, 2, 2, 2, 4, 4), (2, 3, 3, 3, 4), (3, 4, 4)),
         "dictionary-tableau",
     )
-    expect(comb.gt_of_tableau(T, 4, 4) == z44, "dictionary-roundtrip")
+    ck.expect(comb.gt_of_tableau(T, 4, 4) == z44, "dictionary-roundtrip")
 
     # -- complementary families figure ---------------------------------------------------
     fam = paths.HighwayFamily(
@@ -406,21 +402,21 @@ def run_paper_examples(seed: int) -> list:
     )
     comp = paths.UnderwayComplement(fam, row_lo=-3, row_hi=16)
     x74 = VarMatrix.random(7, 4, rng)
-    expect(fam.weight(x74) == comp.weight(x74), "complement-weight")
+    ck.expect(fam.weight(x74) == comp.weight(x74), "complement-weight")
     a_par, b_par = (0, 3, 3), (3, 1, 2)
     got = []
     for k, boundary in ((1, 4), (2, 8)):
         cr = set(comp.crossings(boundary))
         X = cr - set(range(1, 4 - a_par[k] + 1)) - set(range(7 - (4 - b_par[k - 1]) + 1, 8))
         got.append(tuple(sorted(X)))
-    expect(got == [(3, 6), (2, 4)], "complement-crossings", got=got)
+    ck.expect(got == [(3, 6), (2, 4)], "complement-crossings", got=got)
 
     # -- special cylindric families --------------------------------------------------------
     x43 = VarMatrix.random(4, 3, rng)
     col = cylindric.CylShape(1, (1, 1), (), 2, 3)
-    expect(cylindric.cyl_schur(col, x43) == schur.loop_e(x43, 2, 2), "one-column-cylindric")
+    ck.expect(cylindric.cyl_schur(col, x43) == schur.loop_e(x43, 2, 2), "one-column-cylindric")
     tau = cylindric.CylShape(2, (2, 2, 1), (), 1, 3)
-    expect(
+    ck.expect(
         cylindric.cyl_schur(tau, x43) == energy.tau_lp(x43, 5, 1), "capped-sequence-cylindric"
     )
     full = cylindric.CylShape(3, (3, 3), (), 3, 3)
@@ -436,12 +432,12 @@ def run_paper_examples(seed: int) -> list:
             total = total + term
         return total
 
-    expect(
+    ck.expect(
         cylindric.cyl_schur(full, x43) == esym2(2, [x43.pi(i) for i in (1, 2, 3, 4)]),
         "constant-rows-cylindric",
     )
     mu_I = cylindric.partition_from_sources((2, 3), 2, 3)
     lam_J = cylindric.partition_from_sinks((1, 2), 2, 4, 3)
-    expect(mu_I == (2,) and lam_J == (2, 2, 2, 2), "window-partitions")
+    ck.expect(mu_I == (2,) and lam_J == (2, 2, 2, 2), "window-partitions")
 
-    return failures
+    return ck.failures

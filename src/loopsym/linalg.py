@@ -9,14 +9,7 @@ exact.  Minors of matrices over the min-plus domain raise
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from loopsym.semifield import (
-    DegeneratePoint,
-    Ring,
-    SemifieldError,
-    VerificationFailure,
-)
+from loopsym.semifield import DegeneratePoint, Ring, SemifieldError
 
 
 class MinorShapeError(SemifieldError):
@@ -24,13 +17,6 @@ class MinorShapeError(SemifieldError):
 
     def __init__(self):
         super().__init__("minor-shape: |I| != |J|")
-
-
-class BandOverflow(SemifieldError):
-    """A periodic-matrix access fell outside the stored block band."""
-
-    def __init__(self):
-        super().__init__("increase-D: entry outside the stored band")
 
 
 class Matrix:
@@ -275,14 +261,12 @@ class PeriodicMatrix:
 
     ``blocks[d]`` holds the entries ``A[i + d*n, j]`` for ``i, j`` in
     ``[1, n]``; periodicity supplies every other entry.  Entries above the
-    main block diagonal are zero.  When ``band_complete`` is false, access
-    below the stored band raises :class:`BandOverflow` instead of assuming
-    zeros.
+    main block diagonal, and entries below the last stored block, are zero.
     """
 
-    __slots__ = ("n", "blocks", "band_complete", "ring")
+    __slots__ = ("n", "blocks", "ring")
 
-    def __init__(self, n: int, blocks, band_complete: bool = True):
+    def __init__(self, n: int, blocks):
         self.n = n
         self.blocks = tuple(blocks)
         if not self.blocks:
@@ -290,7 +274,6 @@ class PeriodicMatrix:
         for b in self.blocks:
             if b.nrows != n or b.ncols != n:
                 raise ValueError("blocks must be n x n")
-        self.band_complete = band_complete
         self.ring = self.blocks[0].ring
 
     def entry(self, i: int, j: int):
@@ -298,12 +281,8 @@ class PeriodicMatrix:
         j0 = j - s * self.n
         i0 = i - s * self.n
         d = (i0 - 1) // self.n
-        if d < 0:
+        if d < 0 or d >= len(self.blocks):
             return self.ring.zero
-        if d >= len(self.blocks):
-            if self.band_complete:
-                return self.ring.zero
-            raise BandOverflow()
         return self.blocks[d].entry(i0 - d * self.n, j0)
 
     def window(self, I, J) -> Matrix:
@@ -318,10 +297,6 @@ class PeriodicMatrix:
         return self.window(sorted(I), sorted(J)).det()
 
 
-def build_periodic(n: int, blocks, band_complete: bool = True) -> PeriodicMatrix:
-    return PeriodicMatrix(n, blocks, band_complete)
-
-
 def fold(P: PeriodicMatrix) -> Matrix:
     """Fold an n-periodic matrix into the n x n matrix of polynomials in t."""
     tring = tpoly_ring(P.ring)
@@ -331,18 +306,6 @@ def fold(P: PeriodicMatrix) -> Matrix:
         for i in range(1, n + 1)
     ]
     return Matrix(rows, tring)
-
-
-def unfold(F: Matrix, depth: int) -> PeriodicMatrix:
-    """Inverse of :func:`fold` up to the requested number of blocks."""
-    n = F.nrows
-    base = F.entry(1, 1).ring
-    blocks = []
-    for d in range(depth + 1):
-        blocks.append(
-            Matrix([[F.entry(i, j).coeff(d) for j in range(1, n + 1)] for i in range(1, n + 1)], base)
-        )
-    return PeriodicMatrix(n, blocks)
 
 
 def tpoly_minor(F: Matrix, I, J) -> TPoly:
@@ -355,57 +318,8 @@ def tpoly_minor(F: Matrix, I, J) -> TPoly:
     return F.submatrix(sorted(I), sorted(J)).det()
 
 
-def tpoly_minor_coeff(F: Matrix, I, J, d: int):
-    """Coefficient of t^d in the minor of a folded matrix."""
-    return tpoly_minor(F, I, J).coeff(d)
-
-
 # ---------------------------------------------------------------------------
-# block-determinant expansion and the anti-diagonalizing pair U, V
-
-
-def block_det_expand(A: Matrix, B: Matrix, C: Matrix, p: int, q: int):
-    """Expansion of det [[B, 0], [C, A]] through the connecting block C.
-
-    A is (p+1) x p, B is q x (q+1), C is (p+1) x (q+1); the value returned
-    is  sum_{a,b} (-1)^(q+a+b) C_ab det(A with row a removed)
-    det(B with column b removed),  and it is checked against the direct
-    determinant of the assembled (p+q+1) x (p+q+1) matrix.
-    """
-    ring = C.ring
-    if A.nrows != p + 1 or A.ncols != p:
-        raise ValueError("block dimension mismatch")
-    if q and (B.nrows != q or B.ncols != q + 1):
-        raise ValueError("block dimension mismatch")
-    if C.nrows != p + 1 or C.ncols != q + 1:
-        raise ValueError("block dimension mismatch")
-    total = ring.zero
-    rowsA = list(range(1, p + 2))
-    colsB = list(range(1, q + 2))
-    for a in range(1, p + 2):
-        detA = minor(A, [r for r in rowsA if r != a], range(1, p + 1))
-        if detA == ring.zero:
-            continue
-        for b in range(1, q + 2):
-            cab = C.entry(a, b)
-            if cab == ring.zero:
-                continue
-            detB = minor(B, range(1, q + 1), [c for c in colsB if c != b])
-            term = cab * detA * detB
-            total = total + term if (q + a + b) % 2 == 0 else total - term
-    size = p + q + 1
-    assembled = [
-        [B.entry(i, j) if j <= q + 1 else ring.zero for j in range(1, size + 1)]
-        for i in range(1, q + 1)
-    ]
-    for i in range(1, p + 2):
-        assembled.append(
-            [C.entry(i, j) for j in range(1, q + 2)] + [A.entry(i, j) for j in range(1, p + 1)]
-        )
-    direct = Matrix(assembled, ring).det()
-    if direct != total:
-        raise VerificationFailure("block determinant expansion mismatch", (total, direct))
-    return total
+# the anti-diagonalizing pair U, V
 
 
 def _uv_entry_u(N: Matrix, i: int, j: int, n: int):

@@ -12,7 +12,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import lcm
 
 from loopsym.semifield import PolyFraction, SparseLoopPoly, TropNumber

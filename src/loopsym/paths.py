@@ -1,6 +1,6 @@
 """Lattice-path models: the infinite strip network behind the periodic
-matrix of generators, its one-band reversal, its cylinder quotient, and the
-layered network of a bidiagonal factorization.
+matrix of generators, its one-band reversal, and the layered network of a
+bidiagonal factorization.
 
 Each minor-style operation is computed as a sum over non-intersecting path
 families (a semiring sum of products, hence valid in min-plus mode as
@@ -241,89 +241,6 @@ def gamma_minor(z, I, J):
         return z.z(i, s) / z.z(i, s - 1)
 
     return _evaluate(fams, keyval, z.ring)
-
-
-# ---------------------------------------------------------------------------
-# cylinder families
-
-
-@lru_cache(maxsize=None)
-def _cyl_families(nmod: int, cols: tuple, I: tuple, J: tuple, d: int):
-    """Edge-disjoint highway families on the cylinder with total winding d.
-
-    Sources and sinks are rows mod n; the source at ascending position s
-    connects to the sink at position (s - d) mod k and winds
-    ceil((d - s)/k) times.  Edge keys are tracked mod n.
-    """
-    k = len(I)
-    if k == 0:
-        return ((),) if d == 0 else ()
-    ncols = len(cols)
-    results = []
-    occupied: list[set] = []
-    weights: list[list] = []
-
-    def path_options(a: int):
-        w = (d - a + k - 1) // k if d > a else 0
-        sink = J[(a - d) % k] - w * nmod
-        rises = I[a] - sink
-        if rises < 0 or rises > ncols:
-            return
-        for rise_cols in combinations(range(ncols), rises):
-            rows = [I[a]]
-            for t in range(ncols):
-                rows.append(rows[-1] - (1 if t in rise_cols else 0))
-            edges = set()
-            wkeys = []
-            ok = True
-            for t in range(ncols + 1):
-                key = ("h", rows[t] % nmod, t)
-                if key in edges:
-                    ok = False
-                    break
-                edges.add(key)
-            if not ok:
-                continue
-            for t in range(ncols):
-                if t in rise_cols:
-                    edges.add(("v", rows[t] % nmod, t))
-                else:
-                    wkeys.append((cols[t], ((rows[t] - 1) % nmod) + 1))
-            yield edges, wkeys
-
-    def rec(a: int):
-        if a == k:
-            fam = []
-            for w in weights:
-                fam.extend(w)
-            results.append(tuple(fam))
-            return
-        for edges, wkeys in path_options(a):
-            if any(edges & prev for prev in occupied):
-                continue
-            occupied.append(edges)
-            weights.append(wkeys)
-            rec(a + 1)
-            occupied.pop()
-            weights.pop()
-
-    rec(0)
-    return tuple(results)
-
-
-def cyl_family_sum(x: VarMatrix, I, J, d: int, cols=None):
-    """Sum over edge-disjoint cylinder families of total winding d."""
-    I, J = tuple(sorted(I)), tuple(sorted(J))
-    if len(I) != len(J):
-        raise ValueError("cylinder sum needs |I| == |J|")
-    if d < 0:
-        raise ValueError("winding must be nonnegative")
-    if cols is None:
-        cols = tuple(range(1, x.m + 1))
-    else:
-        cols = tuple(cols)
-    fams = _cyl_families(x.n, cols, I, J, d)
-    return _evaluate(fams, lambda key: x.x(key[0], key[1]), x.ring)
 
 
 # ---------------------------------------------------------------------------

@@ -97,13 +97,6 @@ class VarMatrix:
             rows[i - 1] = list(r)
         return VarMatrix(rows, self.ring)
 
-    def with_cols(self, updates: dict) -> "VarMatrix":
-        rows = [list(r) for r in self.rows]
-        for j, c in updates.items():
-            for i in range(self.m):
-                rows[i][j - 1] = c[i]
-        return VarMatrix(rows, self.ring)
-
     # -- misc ----------------------------------------------------------------
 
     def __eq__(self, other) -> bool:

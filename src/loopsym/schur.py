@@ -81,10 +81,6 @@ def loop_h(x: VarMatrix, k: int, r: int):
     return total
 
 
-def barred_e(x: VarMatrix, k: int, r: int):
-    return loop_e(x.transpose(), k, r)
-
-
 def barred_h(x: VarMatrix, k: int, r: int):
     return loop_h(x.transpose(), k, r)
 
@@ -185,10 +181,6 @@ def maya_sets(lam, mu, r: int, m: int, n: int, ell: int | None = None):
     return I, J
 
 
-def _conj_at(c, a):
-    return c[a - 1] if a <= len(c) else 0
-
-
 def n_final(I, n: int) -> bool:
     """Every block [dn+1, dn+n] meets I in a final interval."""
     S = set(I)
@@ -214,12 +206,6 @@ def corner_color_ok(shape: ColoredSkewShape, m: int) -> bool:
     return all(shape.color(i, j) == n for i, j in shape.nw_corners()) and all(
         shape.color(i, j) == m_color for i, j in shape.se_corners()
     )
-
-
-def periodic_skew_minor(x: VarMatrix, lam, mu, r: int):
-    """The skew Schur value as a minor of the unfolded matrix."""
-    I, J = maya_sets(lam, mu, r, x.m, x.n)
-    return unfolded_matrix(x).minor(I, J)
 
 
 # ---------------------------------------------------------------------------

@@ -99,17 +99,25 @@ def test_verify_unknown_suite_is_usage_error(capsys, monkeypatch):
     assert exc.value.code == 2
 
 
-def test_verify_multiple_suites_worker_pool(tmp_path, capsys, monkeypatch):
+def test_verify_report_file(tmp_path, capsys, monkeypatch):
     rep = tmp_path / "r.json"
     code, out, _ = run_cli(
         [
             "verify", "r-matrix", "--m", "2", "--n", "2",
-            "--trials", "2", "--seed", "1", "--jobs", "2", "--report", str(rep),
+            "--trials", "2", "--seed", "1", "--report", str(rep),
         ],
         None, capsys, monkeypatch,
     )
     assert code == 0
-    assert json.loads(rep.read_text())["passed"] is True
+    payload = json.loads(rep.read_text())
+    assert payload["passed"] is True and payload["seed"] == 1
+    assert [r["suite"] for r in payload["reports"]] == ["r-matrix"]
+
+
+def test_verify_jobs_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "r-matrix", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,14 @@ from loopsym.crystal import (
 )
 from loopsym.linalg import Matrix
 from loopsym.points import VarMatrix
-from loopsym.semifield import RATIONAL, random_rational, trial_rng
+from loopsym.semifield import (
+    POLYNOMIAL,
+    RATIONAL,
+    TROPICAL,
+    TropNumber,
+    random_rational,
+    trial_rng,
+)
 
 
 def test_whirl_shape():
@@ -137,6 +144,47 @@ def test_apply_e_bar_commutes_and_touches_two_columns():
     for i in range(1, 3):
         assert apply_e_bar(apply_e(x, i, c1), 2, c2) == apply_e(apply_e_bar(x, 2, c2), i, c1)
         assert bar_readout(apply_e(x, i, c1), 2).eps == bar_readout(x, 2).eps
+
+
+def test_apply_e_subtraction_free_axioms():
+    """apply_e at tropical points (m, n <= 4) and symbolic points (m, n <= 3):
+    axioms 1, 2 and 3b, the identity at c = 1, and commuting with apply_e_bar."""
+    rng = trial_rng(2, 11)
+    points = [
+        (
+            VarMatrix.tropical([[rng.randint(-4, 6) for _ in range(n)] for _ in range(m)]),
+            TropNumber(rng.randint(-3, 3)),
+            TropNumber(rng.randint(-3, 3)),
+        )
+        for m in range(2, 5)
+        for n in range(1, 5)
+    ]
+    points += [
+        (VarMatrix.symbolic(m, n), POLYNOMIAL.from_int(2), POLYNOMIAL.from_int(3))
+        for m in range(2, 4)
+        for n in range(1, 4)
+    ]
+    for x, c1, c2 in points:
+        m, n, one = x.m, x.n, x.ring.one
+        for i in range(1, m):
+            ro = product_readout(x, i)
+            assert ro.phi / ro.eps == ro.gamma[i - 1] / ro.gamma[i]
+            assert apply_e(x, i, one) == x
+            ro2 = product_readout(apply_e(x, i, c1), i)
+            assert ro2.eps == ro.eps / c1 and ro2.phi == c1 * ro.phi
+            assert ro2.gamma[i - 1] == c1 * ro.gamma[i - 1] and ro2.gamma[i] == ro.gamma[i] / c1
+            assert all(ro2.gamma[a] == ro.gamma[a] for a in range(m) if a not in (i - 1, i))
+        # quotients of polynomials are not reduced: at the 3 x 3 symbolic
+        # point one composite below costs half a minute or more
+        if x.ring is POLYNOMIAL and m * n == 9:
+            continue
+        for i in range(1, m):
+            for j in range(1, n):
+                assert apply_e_bar(apply_e(x, i, c1), j, c2) == apply_e(apply_e_bar(x, j, c2), i, c1)
+        for i in range(1, m - 1):
+            lhs = apply_e(apply_e(apply_e(x, i + 1, c2), i, c1 * c2), i + 1, c1)
+            rhs = apply_e(apply_e(apply_e(x, i, c1), i + 1, c1 * c2), i, c2)
+            assert lhs == rhs
 
 
 def test_r_matrix_swaps_singletons():

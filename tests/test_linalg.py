@@ -6,20 +6,15 @@ from itertools import permutations
 import pytest
 
 from loopsym.linalg import (
-    BandOverflow,
     Matrix,
     MinorShapeError,
     PeriodicMatrix,
     TPoly,
-    block_det_expand,
-    build_periodic,
     build_UV,
     flag_minor,
     fold,
     minor,
     tpoly_minor,
-    tpoly_minor_coeff,
-    unfold,
 )
 from loopsym.points import VarMatrix
 from loopsym.semifield import (
@@ -92,24 +87,16 @@ def test_build_periodic_entries_and_translation():
     rng = trial_rng(1, 2)
     n = 2
     blocks = [Matrix(rand_matrix(n, rng), RATIONAL) for _ in range(3)]
-    P = build_periodic(n, blocks)
+    P = PeriodicMatrix(n, blocks)
     for _ in range(50):
         i = rng.randint(-6, 12)
         j = rng.randint(-6, 12)
         assert P.entry(i + n, j + n) == P.entry(i, j)
+    # above the main block diagonal and below the last stored block: zero
+    assert P.entry(1, 3) == Fraction(0) and P.entry(7, 1) == Fraction(0)
     zeroblk = Matrix([[Fraction(0)] * n for _ in range(n)], RATIONAL)
-    Z = build_periodic(n, [zeroblk])
+    Z = PeriodicMatrix(n, [zeroblk])
     assert all(Z.entry(i, j) == Fraction(0) for i in range(-3, 7) for j in range(-3, 7))
-
-
-def test_band_overflow():
-    rng = trial_rng(1, 3)
-    blocks = [Matrix(rand_matrix(2, rng), RATIONAL)]
-    P = build_periodic(2, blocks, band_complete=False)
-    with pytest.raises(BandOverflow):
-        P.entry(5, 1)
-    Q = build_periodic(2, blocks, band_complete=True)
-    assert Q.entry(5, 1) == Fraction(0)
 
 
 def test_periodic_minor_triangular_and_translation():
@@ -132,11 +119,12 @@ def test_fold_unfold_roundtrip():
     rng = trial_rng(1, 5)
     n = 3
     blocks = [Matrix(rand_matrix(n, rng), RATIONAL) for _ in range(3)]
-    P = build_periodic(n, blocks)
-    F = fold(P)
-    P2 = unfold(F, 2)
+    F = fold(PeriodicMatrix(n, blocks))
     assert all(
-        P.entry(i, j) == P2.entry(i, j) for i in range(1, 3 * n + 1) for j in range(1, n + 1)
+        F.entry(i, j).coeff(d) == blocks[d].entry(i, j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        for d in range(3)
     )
 
 
@@ -184,43 +172,8 @@ def test_tpoly_minor_coeff_vs_expansion_oracle():
     want = tpoly_det_oracle(tring_rows)
     got = tpoly_minor(F, range(1, n + 1), range(1, n + 1))
     assert got == want
-    for d in range(5):
-        assert tpoly_minor_coeff(F, range(1, n + 1), range(1, n + 1), d) == want.coeff(d)
-    assert tpoly_minor_coeff(F, [1, 2], [2, 3], 0) == tpoly_minor(F, [1, 2], [2, 3]).coeff(0)
-
-
-def test_block_det_expand_trivial_and_random():
-    rng = trial_rng(1, 8)
-    # p = q = 0: the value is the single entry of C
-    c11 = random_rational(rng)
-    A = Matrix([[]], RATIONAL)
-    B = Matrix([], RATIONAL)
-    C = Matrix([[c11]], RATIONAL)
-    assert block_det_expand(A, B, C, 0, 0) == c11
-    # p = q = 1 equals a direct 3 x 3 determinant (checked internally)
-    A = Matrix([[random_rational(rng)] for _ in range(2)], RATIONAL)
-    B = Matrix([[random_rational(rng), random_rational(rng)]], RATIONAL)
-    C = Matrix([[random_rational(rng), random_rational(rng)] for _ in range(2)], RATIONAL)
-    block_det_expand(A, B, C, 1, 1)
-
-
-def test_block_det_expand_reproduces_q_invariant():
-    from loopsym.schur import q_invariant, unfolded_matrix, window_matrix
-
-    rng = trial_rng(1, 9)
-    x = VarMatrix.random(3, 3, rng)
-    M = window_matrix(x)
-    M1 = unfolded_matrix(x).blocks[1]
-    # the (1,1) invariant sits at window position (i, j) = (1, 2): p = n - i,
-    # q = j - 1, with A, B bottom-left justified in the window and C in the
-    # first lower block
-    i, j = 1, 2
-    p, q = 3 - i, j - 1
-    A = M.submatrix(range(i, 4), range(1, 3 - i + 1))
-    B = M.submatrix(range(3 - j + 2, 4), range(1, j + 1))
-    C = M1.submatrix(range(i, 4), range(1, j + 1))
-    val = block_det_expand(A, B, C, p, q)
-    assert val == q_invariant(x, 1, 1)
+    sub = [row[1:] for row in tring_rows[:2]]
+    assert tpoly_minor(F, [1, 2], [2, 3]) == tpoly_det_oracle(sub)
 
 
 def test_build_uv_identity_on_antidiagonal():

@@ -4,12 +4,11 @@ import math
 from fractions import Fraction
 
 from loopsym.gt import GTPattern, grsk, phi_matrix
-from loopsym.linalg import minor, tpoly_minor
+from loopsym.linalg import minor
 from loopsym.paths import (
     HighwayFamily,
     UnderwayComplement,
     _highway_families,
-    cyl_family_sum,
     gamma_minor,
     highway_minor,
     underway_minor,
@@ -18,7 +17,6 @@ from loopsym.points import VarMatrix
 from loopsym.schur import (
     barred_matrix,
     barred_skew_schur,
-    folded_matrix,
     loop_e,
     unfolded_matrix,
 )
@@ -107,33 +105,6 @@ def test_gamma_triangular_and_random():
             I = sorted(rng.sample(range(1, n + 1), k))
             J = sorted(rng.sample(range(1, n + 1), k))
             assert gamma_minor(z, I, J) == minor(Phi, I, J)
-
-
-def test_cylinder_zero_winding_is_one_band():
-    rng = trial_rng(5, 6)
-    x = VarMatrix.random(3, 3, rng)
-    for _ in range(10):
-        k = rng.randint(1, 3)
-        I = sorted(rng.sample(range(1, 4), k))
-        J = sorted(rng.sample(range(1, 4), k))
-        assert cyl_family_sum(x, I, J, 0) == highway_minor(x, I, J)
-
-
-def test_cylinder_matches_signed_coefficients():
-    rng = trial_rng(5, 7)
-    for m, n in [(3, 2), (4, 3), (5, 3)]:
-        x = VarMatrix.random(m, n, rng)
-        F = folded_matrix(x)
-        for _ in range(20):
-            k = rng.randint(1, n)
-            I = sorted(rng.sample(range(1, n + 1), k))
-            J = sorted(rng.sample(range(1, n + 1), k))
-            poly = tpoly_minor(F, I, J)
-            for d in range(3):
-                want = poly.coeff(d)
-                if ((k - 1) * d) % 2 == 1:
-                    want = -want
-                assert cyl_family_sum(x, I, J, d) == want
 
 
 def test_complement_of_empty_family_covers_window():
