@@ -2,7 +2,10 @@
 reproducible verification runs with machine-readable reports.
 
 Exit codes: 0 all checks passed / evaluation done, 1 at least one identity
-failed, 2 usage error.
+failed, 2 usage error.  ``eval`` validates its JSON before evaluating: JSON
+objects where objects are expected, a non-empty rectangular matrix, sizes of
+at least 1, integers where integers are expected, and well-formed positive
+rationals (min-plus values are integers of either sign).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from loopsym.semifield import (
     RATIONAL,
     TROPICAL,
     SemifieldError,
+    TropNumber,
     format_rational,
     parse_rational,
 )
@@ -40,11 +44,62 @@ EVAL_TARGETS = (
 )
 
 
-def _matrix_from_json(data: dict, mode: str) -> VarMatrix:
-    rows = data["entries"]
+def _object(data, what: str = "input") -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return data
+
+
+def _int(v, what: str, lo: int | None = None) -> int:
+    """A JSON integer (or integer string), at least ``lo`` when given."""
+    try:
+        n = int(str(v))
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {v!r}") from None
+    if lo is not None and n < lo:
+        raise ValueError(f"{what} must be at least {lo}, got {n}")
+    return n
+
+
+def _parts(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"{what} must be a list of integers, got {v!r}")
+    return [_int(p, what) for p in v]
+
+
+def _value(v, mode: str, what: str):
+    """A min-plus integer of either sign, or a positive rational."""
     if mode == "tropical":
-        return VarMatrix.tropical([[int(v) for v in row] for row in rows])
-    return VarMatrix.rationals([[parse_rational(str(v)) for v in row] for row in rows])
+        return TropNumber(_int(v, what))
+    q = parse_rational(str(v))
+    if q <= 0:
+        raise ValueError(f"{what} must be a positive rational, got {v!r}")
+    return q
+
+
+def _matrix_from_json(data, mode: str) -> VarMatrix:
+    rows = _object(data, "point")["entries"]
+    if not (
+        isinstance(rows, list)
+        and rows
+        and all(isinstance(row, list) and row for row in rows)
+        and len({len(row) for row in rows}) == 1
+    ):
+        raise ValueError("entries must be a non-empty list of equal-length non-empty rows")
+    ring = TROPICAL if mode == "tropical" else RATIONAL
+    return VarMatrix([[_value(v, mode, "entry") for v in row] for row in rows], ring)
+
+
+def _pattern_from_json(data, mode: str) -> gt.GTPattern:
+    for key in ("m", "n"):
+        _int(data[key], key, 1)
+    _object(data["entries"], "pattern entries")
+    if mode == "tropical":
+        return gt.GTPattern.from_json(data, TROPICAL)
+    z = gt.GTPattern.from_json(data, RATIONAL)
+    if any(v <= 0 for v in z.entries.values()):
+        raise ValueError("pattern entries must be positive rationals")
+    return z
 
 
 def _matrix_to_json(M) -> list:
@@ -69,7 +124,7 @@ def _varmatrix_to_json(x: VarMatrix) -> list:
 
 
 def cmd_eval(args) -> int:
-    data = json.loads(args.input.read())
+    data = _object(json.loads(args.input.read()))
     mode = args.mode
     target = args.target
     out: dict = {"target": target, "mode": mode}
@@ -83,8 +138,9 @@ def cmd_eval(args) -> int:
         out["Q"] = Q.to_json() if mode != "tropical" else _pattern_ints(Q)
         out["glued"] = _matrix_to_json(gt.glue(P, Q))
     elif target == "loop-schur":
-        m, n = int(data["m"]), int(data["n"])
-        shape = ColoredSkewShape(data["lambda"], data.get("mu", []), int(data["r"]), n)
+        m, n = _int(data["m"], "m", 1), _int(data["n"], "n", 1)
+        lam, mu = _parts(data["lambda"], "lambda"), _parts(data.get("mu", []), "mu")
+        shape = ColoredSkewShape(lam, mu, _int(data["r"], "r"), n)
         if mode == "polynomial":
             val = schur.ssyt_sum(shape, VarMatrix.symbolic(m, n))
             out["value"] = repr(val)
@@ -93,12 +149,16 @@ def cmd_eval(args) -> int:
             x = _matrix_from_json(data["x"], mode)
             out["value"] = _value_to_json(schur.ssyt_sum(shape, x))
     elif target == "cyl-schur":
-        n = int(data["n"])
+        n = _int(data["n"], "n", 1)
         shape = cylindric.CylShape(
-            int(data["k"]), data["lambda"], data.get("mu", []), int(data["r"]), n
+            _int(data["k"], "k", 1),
+            _parts(data["lambda"], "lambda"),
+            _parts(data.get("mu", []), "mu"),
+            _int(data["r"], "r"),
+            n,
         )
         if mode == "polynomial":
-            val = cylindric.cyl_schur(shape, VarMatrix.symbolic(int(data["m"]), n))
+            val = cylindric.cyl_schur(shape, VarMatrix.symbolic(_int(data["m"], "m", 1), n))
             out["value"] = repr(val)
         else:
             x = _matrix_from_json(data["x"], mode)
@@ -108,34 +168,32 @@ def cmd_eval(args) -> int:
         if mode == "tropical":
             out["value"] = comb.trop_energy([[v.value for v in row] for row in x.rows])
         else:
-            out["value"] = _value_to_json(energy.energy(x, check=True))
+            out["value"] = _value_to_json(energy.energy(x))
     elif target == "cocharge":
+        z = _pattern_from_json(data, mode)
         if mode == "tropical":
-            z = gt.GTPattern.from_json(data, TROPICAL)
             out["value"] = comb.trop_cocharge(z)
         else:
-            z = gt.GTPattern.from_json(data, RATIONAL)
             out["value"] = _value_to_json(energy.geometric_cocharge(z))
     elif target == "central-charge":
         x = _matrix_from_json(data, mode)
-        out["value"] = _value_to_json(energy.central_charge(x, check=True))
+        out["value"] = _value_to_json(energy.central_charge(x))
     elif target == "q-invariant":
         x = _matrix_from_json(data["x"], mode)
-        out["value"] = _value_to_json(schur.q_invariant(x, int(data["i"]), int(data["j"])))
-        out["reduced"] = _value_to_json(
-            schur.reduced_q_invariant(x, int(data["i"]), int(data["j"]))
-        )
+        i, j = _int(data["i"], "i"), _int(data["j"], "j")
+        out["value"] = _value_to_json(schur.q_invariant(x, i, j))
+        out["reduced"] = _value_to_json(schur.reduced_q_invariant(x, i, j))
     elif target == "shape-invariant":
         x = _matrix_from_json(data["x"], mode)
-        out["value"] = _value_to_json(schur.shape_invariant(x, int(data["i"])))
+        out["value"] = _value_to_json(schur.shape_invariant(x, _int(data["i"], "i")))
     elif target in ("R", "e", "ebar"):
         x = _matrix_from_json(data["x"], mode)
         if target == "R":
-            y = row_r(x, int(data["i"]))
+            y = row_r(x, _int(data["i"], "i"))
         elif target == "e":
-            y = apply_e(x, int(data["i"]), parse_rational(str(data["c"])))
+            y = apply_e(x, _int(data["i"], "i"), _value(data["c"], mode, "c"))
         else:
-            y = apply_e_bar(x, int(data["j"]), parse_rational(str(data["c"])))
+            y = apply_e_bar(x, _int(data["j"], "j"), _value(data["c"], mode, "c"))
         out["result"] = _varmatrix_to_json(y)
     else:
         raise SystemExit(2)

@@ -215,17 +215,13 @@ def cocharge(tab) -> int:
 # min-plus bridges
 
 
-def trop_point(a) -> VarMatrix:
-    return VarMatrix.tropical(a)
-
-
 def trop_grsk(a) -> tuple[GTPattern, GTPattern]:
     """Min-plus evaluation of the insertion/recording minor ratios.
 
     All minors are bottom-left justified flag minors of row-prefix whirl
     products, evaluated as min-plus highway sums.
     """
-    x = trop_point(a)
+    x = VarMatrix.tropical(a)
     m, n = x.m, x.n
     p_entries = {}
     for i, j in GTPattern.domain(m, n):
@@ -235,25 +231,24 @@ def trop_grsk(a) -> tuple[GTPattern, GTPattern]:
     P = GTPattern(m, n, p_entries, TROPICAL)
     q_entries = {}
     for jp, ip in GTPattern.domain(n, m):
-        cols = range(1, ip + 1)
-        num = highway_minor(x, range(jp, n + 1), range(1, n - jp + 2), cols=cols)
-        den = highway_minor(x, range(jp + 1, n + 1), range(1, n - jp + 1), cols=cols)
+        prefix = VarMatrix(x.rows[:ip], TROPICAL)
+        num = highway_minor(prefix, range(jp, n + 1), range(1, n - jp + 2))
+        den = highway_minor(prefix, range(jp + 1, n + 1), range(1, n - jp + 1))
         q_entries[(jp, ip)] = num / den
     Q = GTPattern(n, m, q_entries, TROPICAL)
     return P, Q
 
 
-def trop_energy(a, check: bool = True) -> int:
+def trop_energy(a) -> int:
     """Min-plus energy of an integer matrix, by the staircase tableau sum
-    (cross-checked against the min-plus product formula)."""
+    cross-checked against the min-plus product formula."""
     from loopsym.energy import energy_product, energy_tableaux
 
-    x = trop_point(a)
+    x = VarMatrix.tropical(a)
     val = energy_tableaux(x)
-    if check:
-        other = energy_product(x)
-        if val != other:
-            raise AssertionError(f"min-plus energy routes disagree: {val} vs {other}")
+    other = energy_product(x)
+    if val != other:
+        raise AssertionError(f"min-plus energy routes disagree: {val} vs {other}")
     return val.value
 
 

@@ -434,16 +434,19 @@ def folded_minor_sum_check(x: VarMatrix, i: int, a: int | None = None, b: int | 
         raise ValueError("folded sum-of-minors parameters out of range")
     k = n - i + 1
     span = b - a + 1
+    # rows a..b of x as a point of their own: x.xc(v + a - 1, r) equals
+    # y.xc(v, r - (a - 1)), so the ladder is anchored at n, not n + a - 1
+    y = VarMatrix(x.rows[a - 1 : b], x.ring)
     for d in range(0, span - 2 * i + 3):
         lam = partition([k] * (span - i + 1))
-        shape = CylShape(k, lam, (), n + a - 1, n)
+        shape = CylShape(k, lam, (), n, n)
         cur, defined = shape, True
         for _ in range(d):
             cur = shape_after_strip(cur)
             if cur is None:
                 defined = False
                 break
-        lhs = _restricted_cyl_schur(cur, x, a, b) if defined else x.ring.zero
+        lhs = cyl_schur(cur, y) if defined else x.ring.zero
         total = x.ring.zero
         for X in combinations(range(a + i - 1, b - i + 2), span - 2 * i + 2 - d):
             A = sorted(set(X) | set(range(b - i + 2, b + 1)))
@@ -455,14 +458,3 @@ def folded_minor_sum_check(x: VarMatrix, i: int, a: int | None = None, b: int | 
                 {"i": i, "a": a, "b": b, "d": d, "lhs": lhs, "rhs": total},
             )
 
-
-def _restricted_cyl_schur(shape: CylShape, x: VarMatrix, a: int, b: int):
-    """Cylindric tableau sum with entries restricted to rows a..b of x."""
-    total = x.ring.zero
-    span = b - a + 1
-    for values in _cyl_fillings(shape.k, shape.lam, shape.mu, shape.n, span):
-        term = x.ring.one
-        for (i, j), v in values.items():
-            term = term * x.xc(v + a - 1, shape.color(i, j))
-        total = total + term
-    return total

@@ -106,16 +106,15 @@ def energy_sigma_product(x: VarMatrix):
     return total
 
 
-def energy(x: VarMatrix, check: bool = True):
-    """Geometric energy; optionally cross-checked against the product forms."""
+def energy(x: VarMatrix):
+    """Geometric energy, cross-checked against the product forms."""
     val = energy_tableaux(x)
-    if check:
-        prod = energy_product(x)
-        sig = energy_sigma_product(x)
-        if val != prod or val != sig:
-            raise VerificationFailure(
-                "energy routes disagree", {"tableaux": val, "minors": prod, "sigma": sig}
-            )
+    prod = energy_product(x)
+    sig = energy_sigma_product(x)
+    if val != prod or val != sig:
+        raise VerificationFailure(
+            "energy routes disagree", {"tableaux": val, "minors": prod, "sigma": sig}
+        )
     return val
 
 
@@ -184,14 +183,15 @@ def central_charge_qinv(x: VarMatrix):
     return total
 
 
-def central_charge(x: VarMatrix, check: bool = True):
+def central_charge(x: VarMatrix):
+    """Central charge by decorated rectangles, cross-checked against the
+    Q-invariant form."""
     val = central_charge_decoration(x)
-    if check:
-        other = central_charge_qinv(x)
-        if val != other:
-            raise VerificationFailure(
-                "central charge routes disagree", {"decoration": val, "invariants": other}
-            )
+    other = central_charge_qinv(x)
+    if val != other:
+        raise VerificationFailure(
+            "central charge routes disagree", {"decoration": val, "invariants": other}
+        )
     return val
 
 

@@ -149,7 +149,7 @@ def run_paper_examples(seed: int) -> list:
 
     # -- ten highway paths -----------------------------------------------------
     x53 = VarMatrix.random(5, 3, rng)
-    fams = paths._highway_families(3, tuple(range(1, 6)), (5,), (2,))
+    fams = paths._families(5, (5,), (2,))
     ck.expect(len(fams) == 10, "ten-highway-paths", count=len(fams))
     ck.expect(
         paths.highway_minor(x53, [5], [2]) == schur.loop_e(x53, 2, 2),
@@ -193,7 +193,7 @@ def run_paper_examples(seed: int) -> list:
     )
 
     # -- central charge on a square point ---------------------------------------
-    cc = energy.central_charge(x33, check=True)
+    cc = energy.central_charge(x33)
     ck.expect(
         cc
         == zq(1, 2) / zq(1, 1) + zq(1, 3) / zq(1, 2) + zq(2, 3) / zq(2, 2)
@@ -207,7 +207,7 @@ def run_paper_examples(seed: int) -> list:
     # -- worked reduced determinant (five rows, three colors) -------------------
     x53b = VarMatrix.random(5, 3, rng)
     shape53 = ColoredSkewShape((4, 3, 3, 1), (2,), 2, 3)
-    val53 = schur.theorem_det_formula(shape53, x53b, check=True)
+    val53 = schur.theorem_det_formula(shape53, x53b)
     rq12b = schur.reduced_q_invariant(x53b, 1, 2)
     rq22b = schur.reduced_q_invariant(x53b, 2, 2)
     s2, s3 = schur.shape_invariant(x53b, 2), schur.shape_invariant(x53b, 3)
@@ -297,7 +297,7 @@ def run_paper_examples(seed: int) -> list:
     )
 
     # -- energy product display ---------------------------------------------------
-    D = energy.energy(x45, check=True)
+    D = energy.energy(x45)
     D1 = (
         d45([2, 3, 4], [1, 2, 3])
         + x45.pi(1) * (d45([2, 4], [1, 2]) + d45([3, 4], [1, 3]))
@@ -311,7 +311,7 @@ def run_paper_examples(seed: int) -> list:
     x62 = VarMatrix.random(6, 2, rng)
     stair = ColoredSkewShape((5, 4, 3, 2, 1), (), 2, 2)
     ck.expect(
-        schur.theorem_det_formula(stair, x62, check=True) == energy.energy(x62, check=True),
+        schur.theorem_det_formula(stair, x62) == energy.energy(x62),
         "staircase-reduced-determinant",
     )
 

@@ -75,6 +75,7 @@ class GTPattern:
         entries = {}
         for key, val in data["entries"].items():
             i, j = (int(t) for t in key.split(","))
+            val = str(val)
             entries[(i, j)] = parse_rational(val) if ring.name == "rational" else ring.from_int(int(val))
         return cls(int(data["m"]), int(data["n"]), entries, ring)
 

@@ -184,10 +184,6 @@ class TPoly:
         self.coeffs = tuple(cs)
         self.ring = ring
 
-    @classmethod
-    def const(cls, v, ring: Ring) -> "TPoly":
-        return cls([v], ring)
-
     def coeff(self, d: int):
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else self.ring.zero
 

@@ -2,10 +2,11 @@
 matrix of generators, its one-band reversal, and the layered network of a
 bidiagonal factorization.
 
-Each minor-style operation is computed as a sum over non-intersecting path
-families (a semiring sum of products, hence valid in min-plus mode as
-well).  Families are enumerated once per index data and cached as weight
-descriptors; evaluation plugs in the active variable values.
+Each of the three is a product of bidiagonal layers, and each minor-style
+operation is a sum over non-intersecting path families in it (a semiring
+sum of products, hence valid in min-plus mode as well).  One enumerator
+lists the families once per index data as weight keys ``(layer, strand)``;
+each minor maps the keys to the active variable values.
 
 Conventions for the strip network: rows are integers increasing downward,
 interior columns are 1..m left to right; the vertex in row r, column c
@@ -21,226 +22,95 @@ down through.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 from loopsym.points import VarMatrix
 from loopsym.semifield import Ring
 
 
-def _evaluate(families, keyval, ring: Ring):
+@lru_cache(maxsize=None)
+def _families(layers: int, I: tuple, J: tuple, floor: tuple | None = None) -> tuple:
+    """Weight keys of every non-intersecting family of paths I[a] -> J[a]
+    through ``layers`` bidiagonal layers.
+
+    At layer t a path on strand s either steps straight, recording the weight
+    key (t, s), or slides to strand s - 1.  With a ``floor``, a strand below
+    ``floor[t]`` steps straight with weight 1 and a slide must land on a
+    strand >= ``floor[t]``.  A family is non-intersecting when each path's
+    strand profile strictly exceeds the previous path's at every layer
+    boundary.  A family is the tuple of its paths' keys, path after path.
+    """
+    if not I:
+        return ((),)
+    families: list[tuple] = []
+    keys: list[tuple] = []
+
+    def walk(a: int, t: int, s: int, profile: list, below: tuple | None):
+        # path a stands on strand s at layer boundary t; below is path a - 1
+        if not 0 <= s - J[a] <= layers - t or (below is not None and s <= below[t]):
+            return
+        profile.append(s)
+        if t == layers:
+            if a + 1 == len(I):
+                families.append(tuple(keys))
+            else:
+                walk(a + 1, 0, I[a + 1], [], tuple(profile))
+        elif floor is not None and s < floor[t]:
+            walk(a, t + 1, s, profile, below)
+        else:
+            keys.append((t, s))
+            walk(a, t + 1, s, profile, below)
+            keys.pop()
+            if floor is None or s - 1 >= floor[t]:
+                walk(a, t + 1, s - 1, profile, below)
+        profile.pop()
+
+    walk(0, 0, I[0], [], None)
+    return tuple(families)
+
+
+def _evaluate(layers: int, I, J, keyval, ring: Ring, floor: tuple | None = None):
+    """Semiring sum over the families I -> J of the products of
+    ``keyval(t, s)`` over their weight keys."""
+    I, J = tuple(sorted(I)), tuple(sorted(J))
+    if len(I) != len(J):
+        raise ValueError("path-family minor needs |I| == |J|")
     total = ring.zero
-    for fam in families:
+    for fam in _families(layers, I, J, floor):
         term = ring.one
         for key in fam:
-            term = term * keyval(key)
+            term = term * keyval(*key)
         total = total + term
     return total
 
 
-# ---------------------------------------------------------------------------
-# highway families in the strip
-
-
-@lru_cache(maxsize=None)
-def _highway_families(nmod: int, cols: tuple, I: tuple, J: tuple):
-    """Weight descriptors of all non-intersecting highway families I -> J.
-
-    A family is a tuple of (column, color) weight keys; paths are kept
-    edge-disjoint by forcing the row profiles of consecutive paths to stay
-    strictly ordered at every column boundary.
-    """
-    k = len(I)
-    if k == 0:
-        return ((),)
-    ncols = len(cols)
-    results = []
-    profiles: list[tuple] = []
-    weights: list[list] = []
-
-    def path_options(a: int):
-        rises = I[a] - J[a]
-        if rises < 0 or rises > ncols:
-            return
-        for rise_cols in combinations(range(ncols), rises):
-            rows = [I[a]]
-            for t in range(ncols):
-                rows.append(rows[-1] - (1 if t in rise_cols else 0))
-            yield tuple(rows), rise_cols
-
-    def rec(a: int):
-        if a == k:
-            fam = []
-            for w in weights:
-                fam.extend(w)
-            results.append(tuple(fam))
-            return
-        for rows, rise_cols in path_options(a):
-            if a > 0 and any(rows[t] <= profiles[a - 1][t] for t in range(ncols + 1)):
-                continue
-            w = [
-                (cols[t], ((rows[t] - 1) % nmod) + 1)
-                for t in range(ncols)
-                if t not in rise_cols
-            ]
-            profiles.append(rows)
-            weights.append(w)
-            rec(a + 1)
-            profiles.pop()
-            weights.pop()
-
-    rec(0)
-    return tuple(results)
-
-
-def highway_minor(x: VarMatrix, I, J, cols=None):
-    """Sum over non-intersecting highway families from sources I to sinks J."""
-    I, J = tuple(sorted(I)), tuple(sorted(J))
-    if len(I) != len(J):
-        raise ValueError("highway minor needs |I| == |J|")
-    if cols is None:
-        cols = tuple(range(1, x.m + 1))
-    else:
-        cols = tuple(cols)
-    fams = _highway_families(x.n, cols, I, J)
-    return _evaluate(fams, lambda key: x.x(key[0], key[1]), x.ring)
-
-
-# ---------------------------------------------------------------------------
-# underway families in the one-band reversal
-
-
-@lru_cache(maxsize=None)
-def _underway_families(n: int, cols: tuple, A: tuple, B: tuple):
-    """Weight descriptors of non-intersecting underway families A -> B.
-
-    Sources and sinks are column labels (top and bottom of the band); a
-    path from a to b <= a turns left in ``a - b`` distinct rows of 1..n.
-    Weight keys are (column, row) pairs at the straight-down crossings.
-    """
-    k = len(A)
-    if k == 0:
-        return ((),)
-    results = []
-    profiles: list[tuple] = []
-    weights: list[list] = []
-
-    def path_options(a: int):
-        moves = A[a] - B[a]
-        if moves < 0 or moves > n:
-            return
-        for move_rows in combinations(range(n), moves):
-            colseq = [A[a]]
-            for t in range(n):
-                colseq.append(colseq[-1] - (1 if t in move_rows else 0))
-            yield tuple(colseq), move_rows
-
-    def rec(a: int):
-        if a == k:
-            fam = []
-            for w in weights:
-                fam.extend(w)
-            results.append(tuple(fam))
-            return
-        for colseq, move_rows in path_options(a):
-            if a > 0 and any(colseq[t] <= profiles[a - 1][t] for t in range(n + 1)):
-                continue
-            w = [(colseq[t], t + 1) for t in range(n) if t not in move_rows]
-            profiles.append(colseq)
-            weights.append(w)
-            rec(a + 1)
-            profiles.pop()
-            weights.pop()
-
-    rec(0)
-    return tuple(results)
+def highway_minor(x: VarMatrix, I, J):
+    """Sum over non-intersecting highway families from source rows I to sink
+    rows J; layer t is column t + 1 and a straight step on row s takes the
+    entry of column t + 1 in the color of s."""
+    n = x.n
+    return _evaluate(x.m, I, J, lambda t, s: x.x(t + 1, (s - 1) % n + 1), x.ring)
 
 
 def underway_minor(x: VarMatrix, A, B):
-    """Sum over non-intersecting underway families between column sets."""
-    A, B = tuple(sorted(A)), tuple(sorted(B))
-    if len(A) != len(B):
-        raise ValueError("underway minor needs |A| == |B|")
-    fams = _underway_families(x.n, tuple(range(1, x.m + 1)), A, B)
-    return _evaluate(fams, lambda key: x.x(key[0], key[1]), x.ring)
-
-
-# ---------------------------------------------------------------------------
-# layered families of a bidiagonal factorization
-
-
-@lru_cache(maxsize=None)
-def _layered_families(size: int, depth: int, I: tuple, J: tuple):
-    """Vertex-disjoint families in the layered graph of a product of
-    bidiagonal factors; layer t applies the factor with first active strand
-    depth - t + 1.  Weight keys are (factor index, strand) straight steps.
-    """
-    k = len(I)
-    if k == 0:
-        return ((),)
-    results = []
-    profiles: list[tuple] = []
-    weights: list[list] = []
-
-    def path_options(a: int):
-        def rec_path(t: int, s: int, acc_rows, acc_w):
-            if t == depth:
-                if s == J[a]:
-                    yield tuple(acc_rows), list(acc_w)
-                return
-            factor = depth - t
-            # straight step; weight is trivial below the active range
-            acc_rows.append(s)
-            if s >= factor:
-                acc_w.append((factor, s))
-                yield from rec_path(t + 1, s, acc_rows, acc_w)
-                acc_w.pop()
-            else:
-                yield from rec_path(t + 1, s, acc_rows, acc_w)
-            acc_rows.pop()
-            # slide step down one strand
-            if s - 1 >= factor:
-                acc_rows.append(s)
-                yield from rec_path(t + 1, s - 1, acc_rows, acc_w)
-                acc_rows.pop()
-
-        yield from rec_path(0, I[a], [], [])
-
-    def rec(a: int):
-        if a == k:
-            fam = []
-            for w in weights:
-                fam.extend(w)
-            results.append(tuple(fam))
-            return
-        for rows, w in path_options(a):
-            full = rows + (J[a],)
-            if a > 0 and any(full[t] <= profiles[a - 1][t] for t in range(depth + 1)):
-                continue
-            profiles.append(full)
-            weights.append(list(w))
-            rec(a + 1)
-            profiles.pop()
-            weights.pop()
-
-    rec(0)
-    return tuple(results)
+    """Sum over non-intersecting underway families between column sets;
+    layer t is row t + 1 and a straight step on column s takes x_s^{t+1}."""
+    return _evaluate(x.n, A, B, lambda t, s: x.x(s, t + 1), x.ring)
 
 
 def gamma_minor(z, I, J):
     """Minor of the bidiagonal factorization matrix of a pattern, as a
-    subtraction-free sum over its layered network."""
-    I, J = tuple(sorted(I)), tuple(sorted(J))
-    if len(I) != len(J):
-        raise ValueError("layered minor needs |I| == |J|")
-    fams = _layered_families(z.n, z.width, I, J)
+    subtraction-free sum over its layered network; layer t applies the
+    factor i = width - t, whose first active strand is i."""
+    depth = z.width
 
-    def keyval(key):
-        i, s = key
+    def keyval(t: int, s: int):
+        i = depth - t
         if s == i:
             return z.z(i, i)
         return z.z(i, s) / z.z(i, s - 1)
 
-    return _evaluate(fams, keyval, z.ring)
+    floor = tuple(depth - t for t in range(depth))
+    return _evaluate(depth, I, J, keyval, z.ring, floor)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,11 @@
 """The m-by-n array of variable values that every evaluation runs over.
 
 A :class:`VarMatrix` holds entries ``x_i^j`` (row ``i`` in ``[1, m]``,
-column ``j`` in ``[1, n]``) in one of the three value domains.  Colored
-accessors translate between the natural entry grid and the color
-superscript convention used by the loop symmetric functions:
-
-* ``xc(i, r)`` is the row variable of color ``r`` (mod n): the entry
-  ``x_i^j`` with ``j = r - i + 1`` mod n;
-* ``xbar(c, j)`` is the column variable of color ``c`` (mod m): the entry
-  ``x_i^j`` with ``i = c - j + 1`` mod m.
+column ``j`` in ``[1, n]``) in one of the three value domains.  The colored
+accessor ``xc(i, r)`` translates between the natural entry grid and the
+color superscript convention used by the loop symmetric functions: it is
+the row variable of color ``r`` (mod n), the entry ``x_i^j`` with
+``j = r - i + 1`` mod n.
 """
 
 from __future__ import annotations
@@ -69,10 +66,6 @@ class VarMatrix:
     def xc(self, i: int, r: int):
         """Row variable of row i and color r (superscript mod n)."""
         return self.rows[i - 1][(r - i) % self.n]
-
-    def xbar(self, c: int, j: int):
-        """Column variable of column j and color c (subscript mod m)."""
-        return self.rows[(c - j) % self.m][j - 1]
 
     def pi(self, i: int):
         """Product of all entries in row i."""

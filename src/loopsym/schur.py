@@ -141,13 +141,11 @@ def default_band_depth(m: int, n: int) -> int:
     return ceil((m + n - 1) / n) + 1
 
 
-def unfolded_matrix(x: VarMatrix, depth: int | None = None) -> PeriodicMatrix:
+def unfolded_matrix(x: VarMatrix) -> PeriodicMatrix:
     """The n-periodic matrix with entry (i, j) = E_{m+j-i} of color i."""
     n = x.n
-    if depth is None:
-        depth = default_band_depth(x.m, n)
     blocks = []
-    for d in range(depth + 1):
+    for d in range(default_band_depth(x.m, n) + 1):
         rows = [
             [loop_e(x, x.m + j - i - n * d, i) for j in range(1, n + 1)]
             for i in range(1, n + 1)
@@ -273,13 +271,11 @@ def _reduced_entry(x: VarMatrix, k: int, i: int):
     return reduced_q_invariant(x, k, i)
 
 
-def reduced_unfolded_matrix(x: VarMatrix, depth: int | None = None) -> PeriodicMatrix:
+def reduced_unfolded_matrix(x: VarMatrix) -> PeriodicMatrix:
     """Periodic matrix with the signed shape-invariant block on top and
     reduced Q-invariants below; shares all corner minors with the plain one."""
     x.ring.require_subtraction("reduced periodic matrix")
     m, n, ring = x.m, x.n, x.ring
-    if depth is None:
-        depth = default_band_depth(m, n)
     top = [[ring.zero] * n for _ in range(n)]
     for i in range(1, n + 1):
         if i <= m:
@@ -290,7 +286,7 @@ def reduced_unfolded_matrix(x: VarMatrix, depth: int | None = None) -> PeriodicM
         if 1 <= i - m <= n:
             top[i - 1][i - m - 1] = ring.one
     blocks = [Matrix(top, ring)]
-    for d in range(1, depth + 1):
+    for d in range(1, default_band_depth(m, n) + 1):
         rows = [
             [_reduced_entry(x, m + j - i - n * d, i) for j in range(1, n + 1)]
             for i in range(1, n + 1)
@@ -303,21 +299,20 @@ def reduced_folded_matrix(x: VarMatrix) -> Matrix:
     return fold(reduced_unfolded_matrix(x))
 
 
-def theorem_det_formula(shape: ColoredSkewShape, x: VarMatrix, check: bool = True):
+def theorem_det_formula(shape: ColoredSkewShape, x: VarMatrix):
     """Skew Schur value of a corner-color shape as a minor of the reduced
-    periodic matrix; optionally re-checked against the tableau sum."""
+    periodic matrix, re-checked against the tableau sum."""
     norm = shape.normalize_empty_columns()
     if not corner_color_ok(norm, x.m):
         raise NotPseudoEnergy()
     I, J = maya_sets(norm.lam, norm.mu, norm.r, x.m, x.n)
     val = reduced_unfolded_matrix(x).minor(I, J)
-    if check:
-        direct = ssyt_sum(norm, x)
-        if val != direct:
-            raise VerificationFailure(
-                "reduced determinant disagrees with tableau sum",
-                {"shape": shape, "det": val, "tableaux": direct},
-            )
+    direct = ssyt_sum(norm, x)
+    if val != direct:
+        raise VerificationFailure(
+            "reduced determinant disagrees with tableau sum",
+            {"shape": shape, "det": val, "tableaux": direct},
+        )
     return val
 
 

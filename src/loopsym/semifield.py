@@ -318,8 +318,6 @@ RATIONAL = Ring("rational", Fraction(0), Fraction(1), Fraction, True)
 TROPICAL = Ring("tropical", TROP_INF, TropNumber(0), TropNumber, False)
 POLYNOMIAL = Ring("polynomial", PolyFraction.const(0), PolyFraction.const(1), PolyFraction.const, True)
 
-RINGS = {r.name: r for r in (RATIONAL, TROPICAL, POLYNOMIAL)}
-
 
 # ---------------------------------------------------------------------------
 # serialization of rationals and deterministic sampling
@@ -330,7 +328,11 @@ def format_rational(v: Fraction) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
+    """"p", "p/q" or a decimal; ValueError when malformed, q = 0 included."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def trial_rng(seed: int, trial: int) -> random.Random:

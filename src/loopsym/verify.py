@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from loopsym import comb, crystal, cylindric, energy, gt, schur
-from loopsym.linalg import Matrix, minor
+from loopsym.linalg import Matrix, PeriodicMatrix, minor
 from loopsym.partitions import (
     ColoredSkewShape,
     contains,
@@ -82,10 +82,6 @@ class Check:
             self.fail(label, str(exc), **witness)
         except Exception as exc:
             self.fail(label, f"{type(exc).__name__}: {exc}", **witness)
-
-
-def _point(m: int, n: int, rng) -> VarMatrix:
-    return VarMatrix.random(m, n, rng)
 
 
 def _resample_move(ck: Check, move, rng, label: str, **witness):
@@ -160,7 +156,7 @@ def suite_crystal_axioms(m: int, n: int, trials: int, seed: int) -> list:
     for mm, nn in _grid(m, n):
         for t in range(trials):
             rng = trial_rng(seed, t)
-            x = _point(mm, nn, rng)
+            x = VarMatrix.random(mm, nn, rng)
             for i in range(1, mm):
                 ro = crystal.product_readout(x, i)
                 ck.expect(
@@ -219,23 +215,16 @@ def suite_crystal_axioms(m: int, n: int, trials: int, seed: int) -> list:
                 c = random_rational(rng)
                 ro = crystal.bar_readout(x, j)
                 y = crystal.apply_e_bar(x, j, c)
-                L = _periodic_elementary(3 * nn, nn, j, (c - one) * ro.phi)
-                R = _periodic_elementary(3 * nn, nn, j, (one / c - one) * ro.eps)
+                L = PeriodicMatrix(nn, [Matrix.elementary(nn, j, (c - one) * ro.phi, RATIONAL)])
+                R = PeriodicMatrix(
+                    nn, [Matrix.elementary(nn, j, (one / c - one) * ro.eps, RATIONAL)]
+                )
                 ck.expect(
                     schur.unfolded_matrix(y).window(mid, mid)
-                    == L.submatrix(mid, span) * window * R.submatrix(span, mid),
+                    == L.window(mid, span) * window * R.window(span, mid),
                     "periodic-unipotent-window", m=mm, n=nn, j=j, trial=t,
                 )
     return ck.failures
-
-
-def _periodic_elementary(size: int, n: int, j: int, a) -> Matrix:
-    rows = [[Fraction(1) if r == c else Fraction(0) for c in range(size)] for r in range(size)]
-    for d in range(size // n):
-        r = d * n + j
-        if r < size:
-            rows[r - 1][r] = a
-    return Matrix(rows, RATIONAL)
 
 
 def suite_r_matrix(m: int, n: int, trials: int, seed: int) -> list:
@@ -243,7 +232,7 @@ def suite_r_matrix(m: int, n: int, trials: int, seed: int) -> list:
     for mm, nn in _grid(m, n):
         for t in range(trials):
             rng = trial_rng(seed, t)
-            x = _point(mm, nn, rng)
+            x = VarMatrix.random(mm, nn, rng)
             for i in range(1, mm):
                 ck.expect(
                     crystal.row_r(x, i) == crystal.weyl_reflection(x, i),
@@ -284,7 +273,7 @@ def suite_grsk(m: int, n: int, trials: int, seed: int) -> list:
     for mm, nn in _grid(m, n):
         for t in range(trials):
             rng = trial_rng(seed, t)
-            x = _point(mm, nn, rng)
+            x = VarMatrix.random(mm, nn, rng)
             P, Q = gt.grsk(x)
             P2, Q2 = gt.grsk_transposed(x)
             ck.expect(P == P2 and Q == Q2, "row-column-routes", m=mm, n=nn, trial=t)
@@ -340,7 +329,7 @@ def suite_jacobi_trudi(m: int, n: int, trials: int, seed: int) -> list:
     for mm, nn in _grid(m, n):
         xs = VarMatrix.symbolic(mm, nn)
         rng = trial_rng(seed, mm * 101 + nn)
-        xr = _point(mm, nn, rng)
+        xr = VarMatrix.random(mm, nn, rng)
         Mt = schur.unfolded_matrix(xr)
         for shape in skew_corpus(nn):
             direct = schur.ssyt_sum(shape, xs)
@@ -364,7 +353,7 @@ def suite_pseudo_energy(m: int, n: int, trials: int, seed: int) -> list:
     for mm, nn in _grid(m, n):
         corpus = corner_corpus(mm, nn)
         rng = trial_rng(seed, mm * 311 + nn)
-        x = _point(mm, nn, rng)
+        x = VarMatrix.random(mm, nn, rng)
         base = {id(s): schur.ssyt_sum(s, x) for s in corpus}
         for j in range(1, nn):
             for _ in range(ncs):
@@ -401,10 +390,10 @@ def suite_det_formula(m: int, n: int, trials: int, seed: int) -> list:
     ck = Check()
     for mm, nn in _grid(m, n):
         rng = trial_rng(seed, mm * 17 + nn)
-        x = _point(mm, nn, rng)
+        x = VarMatrix.random(mm, nn, rng)
         for shape in corner_corpus(mm, nn):
             ck.run(
-                lambda s=shape: schur.theorem_det_formula(s, x, check=True),
+                lambda s=shape: schur.theorem_det_formula(s, x),
                 "reduced-determinant", m=mm, n=nn, shape=shape,
             )
         # the reduced periodic matrix is the two-sided dressing of the plain one
@@ -412,8 +401,8 @@ def suite_det_formula(m: int, n: int, trials: int, seed: int) -> list:
         Mt = schur.unfolded_matrix(x)
         Mp = schur.reduced_unfolded_matrix(x)
         span = list(range(1, 3 * nn + 1))
-        Ub = _unfold_unitriangular(U, 3)
-        Vb = _unfold_unitriangular(V, 3)
+        Ub = PeriodicMatrix(nn, [U]).window(span, span)
+        Vb = PeriodicMatrix(nn, [V]).window(span, span)
         lhs = Mp.window(span, span)
         rhs = Ub * Mt.window(span, span) * Vb
         ck.expect(
@@ -426,9 +415,9 @@ def suite_det_formula(m: int, n: int, trials: int, seed: int) -> list:
         )
     # the worked 4 x 4 reduced determinant
     rng = trial_rng(seed, 999)
-    x = _point(5, 3, rng)
+    x = VarMatrix.random(5, 3, rng)
     shape = ColoredSkewShape((4, 3, 3, 1), (2,), 2, 3)
-    val = schur.theorem_det_formula(shape, x, check=True)
+    val = schur.theorem_det_formula(shape, x)
     rq12 = schur.reduced_q_invariant(x, 1, 2)
     rq22 = schur.reduced_q_invariant(x, 2, 2)
     s2, s3 = schur.shape_invariant(x, 2), schur.shape_invariant(x, 3)
@@ -436,22 +425,11 @@ def suite_det_formula(m: int, n: int, trials: int, seed: int) -> list:
     return ck.failures
 
 
-def _unfold_unitriangular(U: Matrix, copies: int) -> Matrix:
-    n = U.nrows
-    size = copies * n
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for d in range(copies):
-        for i in range(n):
-            for j in range(n):
-                rows[d * n + i][d * n + j] = U.entry(i + 1, j + 1)
-    return Matrix(rows, RATIONAL)
-
-
 def suite_sum_of_minors(m: int, n: int, trials: int, seed: int) -> list:
     ck = Check()
     for mm, nn in _grid(m, n):
         rng = trial_rng(seed, mm * 53 + nn)
-        x = _point(mm, nn, rng)
+        x = VarMatrix.random(mm, nn, rng)
         Mt = schur.unfolded_matrix(x)
         Mb = schur.barred_matrix(x)
         memo: dict = {}
@@ -465,7 +443,7 @@ def suite_sum_of_minors(m: int, n: int, trials: int, seed: int) -> list:
                     ck.expect(err is None, "unfolded-sum", m=mm, n=nn, a=avec, b=bvec, detail=err)
     # the worked square Q-invariant decompositions
     rng = trial_rng(seed, 9999)
-    x = _point(3, 3, rng)
+    x = VarMatrix.random(3, 3, rng)
     Mb = schur.barred_matrix(x)
 
     def dm(I, J):
@@ -568,7 +546,7 @@ def suite_cylindric(m: int, n: int, trials: int, seed: int) -> list:
     }
     for mm, nn in _grid(m, n):
         rng = trial_rng(seed, mm * 71 + nn)
-        x = _point(mm, nn, rng)
+        x = VarMatrix.random(mm, nn, rng)
         for shape, dmax_ok, comp in shape_facts[nn]:
             ck.run(lambda s=shape: cylindric.cyl_jt_check(s, x), "cyl-jt", m=mm, n=nn, shape=shape)
             ck.expect(dmax_ok, "dmax-diagonal", m=mm, n=nn, shape=shape)
@@ -599,7 +577,7 @@ def suite_folded(m: int, n: int, trials: int, seed: int) -> list:
     ck = Check()
     for mm, nn in _grid(m, n):
         rng = trial_rng(seed, mm * 91 + nn)
-        x = _point(mm, nn, rng)
+        x = VarMatrix.random(mm, nn, rng)
         for i in range(1, min(mm, nn) + 2):
             ck.run(lambda i=i: cylindric.bottom_left_ladder_check(x, i, reduced=False), "folded-ladder", m=mm, n=nn, i=i)
             ck.run(lambda i=i: cylindric.bottom_left_ladder_check(x, i, reduced=True), "folded-ladder-reduced", m=mm, n=nn, i=i)
@@ -618,7 +596,7 @@ def suite_decoration(m: int, n: int, trials: int, seed: int) -> list:
     for mm, nn in _grid(m, n):
         for t in range(trials):
             rng = trial_rng(seed, t)
-            x = _point(mm, nn, rng)
+            x = VarMatrix.random(mm, nn, rng)
             P, Q = gt.grsk(x)
             ck.expect(
                 gt.decoration_gt(P) == gt.decoration_gt_minors(P),
@@ -649,7 +627,7 @@ def suite_central_charge(m: int, n: int, trials: int, seed: int) -> list:
     for mm, nn in _grid(m, n):
         for t in range(trials):
             rng = trial_rng(seed, t)
-            x = _point(mm, nn, rng)
+            x = VarMatrix.random(mm, nn, rng)
             a = energy.central_charge_decoration(x)
             b = energy.central_charge_qinv(x)
             ck.expect(a == b, "two-routes", m=mm, n=nn, trial=t)
@@ -678,7 +656,7 @@ def suite_energy(m: int, n: int, trials: int, seed: int) -> list:
     for mm, nn in _grid(m, n):
         for t in range(trials):
             rng = trial_rng(seed, t)
-            x = _point(mm, nn, rng)
+            x = VarMatrix.random(mm, nn, rng)
             d1 = energy.energy_tableaux(x)
             d2 = energy.energy_product(x)
             d3 = energy.energy_sigma_product(x)
@@ -767,7 +745,7 @@ def suite_tropical(m: int, n: int, trials: int, seed: int) -> list:
         a.sort(key=sum)
         Pp, Qp = comb.burge(a)
         ck.expect(
-            comb.trop_energy(a, check=True) == comb.cocharge(Qp),
+            comb.trop_energy(a) == comb.cocharge(Qp),
             "energy-tropicalizes-to-cocharge", a=a,
         )
         done += 1

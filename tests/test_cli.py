@@ -135,3 +135,46 @@ def test_verify_vacuous_bounds_are_usage_errors(bounds, capsys, monkeypatch):
     assert code == 2
     assert "vacuous run" in err
     assert "pass" not in out
+
+
+POINT = {"entries": [["1", "2"], ["3", "4"]]}
+
+
+@pytest.mark.parametrize(
+    "target, mode, data, message",
+    [
+        ("energy", "rational", {"entries": []}, "non-empty"),
+        ("energy", "rational", {"entries": [[]]}, "non-empty"),
+        ("energy", "rational", {"entries": [1, 2]}, "non-empty"),
+        ("grsk", "rational", [[1, 2], [3, 4]], "JSON object"),
+        ("energy", "rational", {"entries": [["1/0", "1"], ["1", "1"]]}, "zero denominator"),
+        ("e", "rational", {"i": 1, "c": "0", "x": POINT}, "positive"),
+        ("ebar", "rational", {"j": 1, "c": "0", "x": POINT}, "positive"),
+        ("cocharge", "rational", {"m": 2, "n": 2, "entries": {"1,1": "1", "1,2": "0", "2,2": "1"}}, "positive"),
+        ("cocharge", "rational", {"m": 2, "n": 2, "entries": [1, 2]}, "JSON object"),
+        ("cocharge", "rational", {"m": 0, "n": 2, "entries": {}}, "at least 1"),
+        ("loop-schur", "polynomial", {"lambda": [2], "r": 1, "m": 2, "n": 0}, "at least 1"),
+        ("loop-schur", "rational", {"lambda": None, "r": 1, "m": 1, "n": 2, "x": POINT}, "list of integers"),
+        ("cyl-schur", "rational", {"k": 0, "lambda": [], "r": 1, "n": 2, "x": POINT}, "at least 1"),
+        ("grsk", "rational", {"entries": [[0, 1], [1, 1]]}, "positive"),
+        ("energy", "rational", {"entries": [["1", "-2"], ["1", "1"]]}, "positive"),
+        ("energy", "tropical", {"entries": [[1.5, 2], [1, 1]]}, "integer"),
+    ],
+)
+def test_eval_bad_input_is_usage_error(target, mode, data, message, capsys, monkeypatch):
+    code, out, err = run_cli(["eval", target, "--mode", mode], json.dumps(data), capsys, monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert message in err and len(err.strip().splitlines()) == 1
+
+
+def test_eval_tropical_e_reads_c_as_an_integer(capsys, monkeypatch):
+    from loopsym.crystal import apply_e
+    from loopsym.points import VarMatrix
+    from loopsym.semifield import TropNumber
+
+    data = {"i": 1, "c": -2, "x": {"entries": [[1, 2], [3, -4]]}}
+    code, out, _ = run_cli(["eval", "e", "--mode", "tropical"], json.dumps(data), capsys, monkeypatch)
+    assert code == 0
+    want = apply_e(VarMatrix.tropical([[1, 2], [3, -4]]), 1, TropNumber(-2))
+    assert json.loads(out)["result"] == [[v.value for v in row] for row in want.rows]

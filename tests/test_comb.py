@@ -133,7 +133,7 @@ def test_trop_energy_matches_burge_cocharge():
         a = [[rng.randint(0, 4) for _ in range(n)] for _ in range(m)]
         a.sort(key=sum)  # batch sizes weakly decreasing: recording content is a partition
         _, Qp = burge(a)
-        assert trop_energy(a, check=True) == cocharge(Qp)
+        assert trop_energy(a) == cocharge(Qp)
         done += 1
 
 

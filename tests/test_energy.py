@@ -55,7 +55,7 @@ def test_energy_routes_and_determinant_oracle():
     rng = trial_rng(7, 1)
     for m, n in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (3, 4)]:
         x = VarMatrix.random(m, n, rng)
-        d = energy(x, check=True)
+        d = energy(x)
         assert d == jacobi_trudi(ColoredSkewShape(staircase(m, n), (), n, n), x)
 
 
@@ -101,13 +101,13 @@ def test_sigma_product_factors():
     prod = x.ring.one
     for f in factors:
         prod = prod * f
-    assert energy(x, check=True) == prod == energy_sigma_product(x)
+    assert energy(x) == prod == energy_sigma_product(x)
 
 
 def test_central_charge_routes_and_tiny_case():
     rng = trial_rng(7, 5)
     x21 = VarMatrix.random(2, 1, rng)
-    assert central_charge(x21, check=True) == reduced_q_invariant(x21, 1, 1)
+    assert central_charge(x21) == reduced_q_invariant(x21, 1, 1)
     for m, n in [(2, 2), (3, 3), (4, 3), (3, 4)]:
         x = VarMatrix.random(m, n, rng)
         assert central_charge_decoration(x) == central_charge_qinv(x)
@@ -121,7 +121,7 @@ def test_central_charge_square_example():
         + reduced_q_invariant(x, 1, 2)
         + loop_e(x, 1, 3)
     )
-    assert central_charge(x, check=True) == want
+    assert central_charge(x) == want
 
 
 def test_central_charge_invariance():

@@ -212,7 +212,7 @@ def test_theorem_det_formula_checks_and_errors():
     rng = trial_rng(4, 11)
     x = VarMatrix.random(5, 3, rng)
     s = ColoredSkewShape((4, 3, 3, 1), (2,), 2, 3)
-    val = theorem_det_formula(s, x, check=True)
+    val = theorem_det_formula(s, x)
     rq12 = reduced_q_invariant(x, 1, 2)
     rq22 = reduced_q_invariant(x, 2, 2)
     s2, s3 = shape_invariant(x, 2), shape_invariant(x, 3)
@@ -231,7 +231,7 @@ def test_every_q_invariant_reproduces_through_the_theorem():
                     continue
                 lam, mu, color, _ = q_shape(m, n, i, j)
                 s = ColoredSkewShape(lam, mu, color, n)
-                assert theorem_det_formula(s, x, check=True) == q_invariant(x, i, j)
+                assert theorem_det_formula(s, x) == q_invariant(x, i, j)
 
 
 def test_barred_world_is_the_transpose():
