@@ -5,7 +5,9 @@ Exit codes: 0 all checks passed / evaluation done, 1 at least one identity
 failed, 2 usage error.  ``eval`` validates its JSON before evaluating: JSON
 objects where objects are expected, a non-empty rectangular matrix, sizes of
 at least 1, integers where integers are expected, and well-formed positive
-rationals (min-plus values are integers of either sign).
+rationals (min-plus values are integers of either sign).  ``--mode
+polynomial`` is a usage error for every target but ``loop-schur`` and
+``cyl-schur``, the only ones with a symbolic route.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ EVAL_TARGETS = (
     "e",
     "ebar",
 )
+POLYNOMIAL_TARGETS = ("loop-schur", "cyl-schur")  # the targets with a symbolic route
 
 
 def _object(data, what: str = "input") -> dict:
@@ -124,9 +127,11 @@ def _varmatrix_to_json(x: VarMatrix) -> list:
 
 
 def cmd_eval(args) -> int:
-    data = _object(json.loads(args.input.read()))
     mode = args.mode
     target = args.target
+    if mode == "polynomial" and target not in POLYNOMIAL_TARGETS:
+        raise ValueError(f"target {target} has no polynomial mode")
+    data = _object(json.loads(args.input.read()))
     out: dict = {"target": target, "mode": mode}
     if target == "grsk":
         x = _matrix_from_json(data, mode)

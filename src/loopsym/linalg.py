@@ -1,10 +1,18 @@
 """Dense matrices over a semifield, exact determinants and minors, and the
 n-periodic / folded matrix machinery.
 
-Determinants use fraction-free Bareiss elimination for sizes above four and
-cofactor (Laplace) expansion with column-subset memoization below; both are
-exact.  Minors of matrices over the min-plus domain raise
-:class:`NeedsSubtraction`.
+All cofactor expansion goes through one memoized Laplace routine,
+:func:`_det_laplace`.  It expands along the first row of a matrix given by
+an entry function on row and column labels, and stores every
+sub-determinant in a cache the caller owns, keyed on its labels.
+:meth:`Matrix.det` runs it with a fresh cache up to size four;
+:meth:`PeriodicMatrix.minor` runs it at every size with one cache per
+matrix, so minors that share sub-minors compute them once; the
+Jacobi-Trudi determinants in :mod:`loopsym.schur` run it with a cache per
+point.  Fraction-free Bareiss elimination still runs in :meth:`Matrix.det`
+above size four, which covers the larger windows, t-polynomial minors and
+oracles.  Both are exact.  Minors of matrices over the min-plus domain
+raise :class:`NeedsSubtraction`.
 """
 
 from __future__ import annotations
@@ -79,7 +87,9 @@ class Matrix:
         if self.nrows == 0:
             return self.ring.one
         if self.nrows <= 4:
-            return _det_laplace(self.rows, self.ring)
+            rows = self.rows
+            labels = tuple(range(self.nrows))
+            return _det_laplace(labels, self.ring, labels, lambda i, j: rows[i][j], {})
         return _det_bareiss(self.rows, self.ring)
 
     def __eq__(self, other) -> bool:
@@ -98,32 +108,43 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}, {self.ring.name})"
 
 
-def _det_laplace(rows, ring: Ring):
-    """Cofactor expansion along first rows, memoized on the column subset."""
-    n = len(rows)
-    cache: dict = {}
+def _det_laplace(R: tuple, ring: Ring, C: tuple, entry, cache: dict):
+    """Determinant of the matrix ``entry(R[i], C[j])`` by cofactor expansion
+    along first rows.
 
-    def rec(r: int, cols: tuple):
-        if r == n:
-            return ring.one
-        key = cols
-        if key in cache:
-            return cache[key]
-        acc = ring.zero
+    R and C are the row and column labels, in order.  The minor on rows
+    ``R[k:]`` and the remaining columns ``cols`` is stored in ``cache`` under
+    ``(R[k:], cols)``, so a cache shared by several determinants over the
+    same entry function serves every sub-determinant they have in common.
+    The labels of the rows come first and the ring second, as the rows and
+    the ring of :func:`_det_bareiss` do: ``bench/tracer.py`` reads the size
+    and the ring of both routines from those two positions.
+    """
+    n = len(R)
+    zero, one = ring.zero, ring.one
+
+    def rec(k: int, cols: tuple):
+        if k == n:
+            return one
+        key = (R[k:], cols)
+        acc = cache.get(key)
+        if acc is not None:
+            return acc
+        row = R[k]
+        acc = zero
         sign = 1
         for idx, c in enumerate(cols):
-            e = rows[r][c]
-            if e == ring.zero:
+            e = entry(row, c)
+            if e == zero:
                 sign = -sign
                 continue
-            sub = rec(r + 1, cols[:idx] + cols[idx + 1 :])
-            term = e * sub
+            term = e * rec(k + 1, cols[:idx] + cols[idx + 1 :])
             acc = acc + term if sign > 0 else acc - term
             sign = -sign
         cache[key] = acc
         return acc
 
-    return rec(0, tuple(range(n)))
+    return rec(0, C)
 
 
 def _det_bareiss(rows, ring: Ring):
@@ -258,9 +279,15 @@ class PeriodicMatrix:
     ``blocks[d]`` holds the entries ``A[i + d*n, j]`` for ``i, j`` in
     ``[1, n]``; periodicity supplies every other entry.  Entries above the
     main block diagonal, and entries below the last stored block, are zero.
+
+    Minors are memoized per matrix: ``_minors`` holds every minor and
+    sub-minor computed so far, keyed on its literal sorted row and column
+    indices.  Index sets that differ by a translation stay distinct keys,
+    so a translated minor is computed afresh and comparing it with the
+    original still checks periodicity.
     """
 
-    __slots__ = ("n", "blocks", "ring")
+    __slots__ = ("n", "blocks", "ring", "_minors")
 
     def __init__(self, n: int, blocks):
         self.n = n
@@ -271,6 +298,7 @@ class PeriodicMatrix:
             if b.nrows != n or b.ncols != n:
                 raise ValueError("blocks must be n x n")
         self.ring = self.blocks[0].ring
+        self._minors: dict = {}
 
     def entry(self, i: int, j: int):
         s = (j - 1) // self.n
@@ -290,7 +318,8 @@ class PeriodicMatrix:
             raise MinorShapeError()
         if not I:
             return self.ring.one
-        return self.window(sorted(I), sorted(J)).det()
+        self.ring.require_subtraction()
+        return _det_laplace(tuple(sorted(I)), self.ring, tuple(sorted(J)), self.entry, self._minors)
 
 
 def fold(P: PeriodicMatrix) -> Matrix:

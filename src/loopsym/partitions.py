@@ -207,8 +207,9 @@ def ssyt_columns(lam: tuple, mu: tuple, max_entry: int):
 
 
 @lru_cache(maxsize=None)
-def ssyt_weight_vectors(lam: tuple, mu: tuple, r: int, n: int, max_entry: int):
-    """Weight table of the colored shape: its distinct tableau weights.
+def ssyt_weight_vectors(lam: tuple, mu: tuple, n: int, max_entry: int):
+    """Weight table of the skew shape lam/mu with colors mod n: its distinct
+    tableau weights, with the cells colored as at anchor color 1.
 
     The weight of a tableau is the sorted tuple of ``((entry, color), mult)``
     items, one per variable ``x.xc(entry, color)`` that it uses.  The table
@@ -216,8 +217,14 @@ def ssyt_weight_vectors(lam: tuple, mu: tuple, r: int, n: int, max_entry: int):
     ``count`` is the number of tableaux with that weight; the counts sum to
     ``len(ssyt_columns(lam, mu, max_entry))``.  Every weight has total
     multiplicity ``|lam/mu|``.  An empty shape has the single weight ``()``.
+
+    The table holds no anchor color.  Cell (i, j) has color
+    ``color(i, j) = r + i - j - 1 mod n`` (in ``[1, n]``), so the table at
+    anchor r is the table at anchor 1 with every color c shifted to
+    ``c + r - 1 mod n``; :func:`evaluate_weights` applies that shift, and
+    one table serves all n colors of a shape.
     """
-    shape = ColoredSkewShape(lam, mu, r, n)
+    shape = ColoredSkewShape(lam, mu, 1, n)
     col_colors = [
         [shape.color(row, c) for row in range(lo + 1, hi + 1)]
         for c, (lo, hi) in enumerate(shape.columns(), start=1)
@@ -233,11 +240,17 @@ def ssyt_weight_vectors(lam: tuple, mu: tuple, r: int, n: int, max_entry: int):
     return tuple(counts.items())
 
 
-def evaluate_weights(table, x) -> object:
-    """Value at the point x of a weight table from :func:`ssyt_weight_vectors`.
+def evaluate_weights(table, x, r: int) -> object:
+    """Value at the point x, for anchor color r, of a weight table from
+    :func:`ssyt_weight_vectors`.
 
-    The value is the sum over the table of ``count * prod x.xc(entry, color)
-    ** mult``; no ring evaluates it one tableau product at a time:
+    The table is colored at anchor 1.  Cell (i, j) of the shape has color
+    ``color(i, j) = r + i - j - 1 mod n``, so at anchor r a table key
+    ``(entry, c)`` stands for the variable ``x.xc(entry, c + r - 1)``.  The
+    shift is applied once, to the m * n entries of x, never to the table.
+
+    The value is the sum over the table of ``count * prod x.xc(entry,
+    c + r - 1) ** mult``; no ring evaluates it one tableau product at a time:
 
     * rational: with D the lcm of the denominators of the entries of x, each
       entry is ``a / D`` with an integer ``a``.  Every weight has degree
@@ -255,23 +268,24 @@ def evaluate_weights(table, x) -> object:
     if not table:
         return x.ring.zero
     if x.ring.name == "rational":
-        return _evaluate_rational(table, x)
+        return _evaluate_rational(table, x, r)
     if x.ring.name == "tropical":
-        return _evaluate_tropical(table, x)
+        return _evaluate_tropical(table, x, r)
     if x.ring.name == "polynomial":
-        monomials = _monomial_entries(x)
+        monomials = _monomial_entries(x, r)
         if monomials is not None:
             return _evaluate_monomials(table, monomials)
-    return _evaluate_products(table, x)
+    return _evaluate_products(table, x, r)
 
 
-def _colored_entries(x) -> dict:
-    """Every entry of x, keyed by (row, color) as in ``x.xc``."""
-    return {(i, c): x.xc(i, c) for i in range(1, x.m + 1) for c in range(1, x.n + 1)}
+def _colored_entries(x, r: int) -> dict:
+    """Every entry of x, keyed by (row, color) as in ``x.xc`` at anchor
+    color 1, with the value that the key takes at anchor color r."""
+    return {(i, c): x.xc(i, c + r - 1) for i in range(1, x.m + 1) for c in range(1, x.n + 1)}
 
 
-def _evaluate_rational(table, x) -> Fraction:
-    values = _colored_entries(x)
+def _evaluate_rational(table, x, r: int) -> Fraction:
+    values = _colored_entries(x, r)
     D = lcm(*(a.denominator for a in values.values()))
     ints = {v: a.numerator * (D // a.denominator) for v, a in values.items()}
     total = 0
@@ -284,16 +298,17 @@ def _evaluate_rational(table, x) -> Fraction:
     return Fraction(total, D ** degree)
 
 
-def _evaluate_tropical(table, x) -> TropNumber:
-    values = {v: a.value for v, a in _colored_entries(x).items()}
+def _evaluate_tropical(table, x, r: int) -> TropNumber:
+    values = {v: a.value for v, a in _colored_entries(x, r).items()}
     return TropNumber(min(sum(e * values[v] for v, e in weight) for weight, _ in table))
 
 
-def _monomial_entries(x):
-    """(monomial, coefficient) of every entry of x, or None if some entry
-    is not a single monomial over the denominator 1."""
+def _monomial_entries(x, r: int):
+    """(monomial, coefficient) of every entry of x, keyed as in
+    :func:`_colored_entries`, or None if some entry is not a single monomial
+    over the denominator 1."""
     out = {}
-    for v, a in _colored_entries(x).items():
+    for v, a in _colored_entries(x, r).items():
         if not a.is_polynomial or len(a.num.terms) != 1:
             return None
         (out[v],) = a.num.terms.items()
@@ -315,11 +330,11 @@ def _evaluate_monomials(table, monomials) -> PolyFraction:
     return PolyFraction(SparseLoopPoly(terms))
 
 
-def _evaluate_products(table, x):
+def _evaluate_products(table, x, r: int):
     total = x.ring.zero
     for weight, count in table:
         term = x.ring.from_int(count)
         for (i, color), e in weight:
-            term = term * x.xc(i, color) ** e
+            term = term * x.xc(i, color + r - 1) ** e
         total = total + term
     return total

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import ceil
 
 from loopsym.crystal import col_whirl_matrix, row_whirl_matrix
-from loopsym.linalg import Matrix, PeriodicMatrix, build_UV, fold
+from loopsym.linalg import Matrix, PeriodicMatrix, _det_laplace, build_UV, fold
 from loopsym.partitions import (
     ColoredSkewShape,
     conjugate,
@@ -95,8 +95,8 @@ def ssyt_sum(shape: ColoredSkewShape, x: VarMatrix):
         raise ValueError("color modulus of shape and point disagree")
     if x.ring.name == "polynomial" and shape.size > POLY_CELL_CAP:
         raise ValueError(f"symbolic tableau sum capped at {POLY_CELL_CAP} cells")
-    weights = ssyt_weight_vectors(shape.lam, shape.mu, shape.r, shape.n, x.m)
-    return evaluate_weights(weights, x)
+    weights = ssyt_weight_vectors(shape.lam, shape.mu, shape.n, x.m)
+    return evaluate_weights(weights, x, shape.r)
 
 
 def barred_skew_schur(lam, mu, r: int, x: VarMatrix):
@@ -104,23 +104,70 @@ def barred_skew_schur(lam, mu, r: int, x: VarMatrix):
     return ssyt_sum(ColoredSkewShape(lam, mu, r, x.m), x.transpose())
 
 
+class _GeneratorMemo:
+    """The per-point determinant work of :func:`jacobi_trudi`, shared by
+    every shape evaluated at one point.
+
+    Every Jacobi-Trudi entry is a loop elementary generator, so each shape's
+    determinant is a minor of one generator matrix per point and anchor
+    color.  ``generators`` holds each generator once, keyed on (degree,
+    color mod n); ``minors`` holds one sub-minor cache per anchor color r,
+    keyed on row and column labels as in :func:`loopsym.linalg._det_laplace`.
+    Only the determinant route uses this memo; the tableau route of
+    :func:`ssyt_sum` shares nothing with it.
+
+    The memo is keyed on the point object itself (``memo.x is x``), not on
+    its entries.  ``VarMatrix`` defines ``__eq__`` but no hash, and its
+    ``PolyFraction`` entries are unhashable and compare by cross-multiplying,
+    so keying on entries would cost a comparison on every call.  A point's
+    rows are tuples of immutable values, so the same object always holds the
+    same entries; two equal but distinct points merely recompute.  The memo
+    keeps its point alive, so the identity test cannot match a new object
+    that reuses a freed one's id.
+    """
+
+    __slots__ = ("x", "generators", "minors")
+
+    def __init__(self, x: VarMatrix):
+        self.x = x
+        self.generators: dict = {}
+        self.minors: dict = {}
+
+
+_generator_memo: _GeneratorMemo | None = None  # one slot: the last point
+
+
 def jacobi_trudi(shape: ColoredSkewShape, x: VarMatrix):
-    """Determinant route to the skew Schur function."""
+    """Determinant route to the skew Schur function.
+
+    With alpha_i = lam'_i - i and beta_j = mu'_j - j (i, j counted from 0),
+    entry (i, j) is ``loop_e(x, alpha_i - beta_j, r + beta_j)``.  The
+    generators and the sub-minors come from a per-point memo
+    (:class:`_GeneratorMemo`).
+    """
+    global _generator_memo
     x.ring.require_subtraction("Jacobi-Trudi determinant")
     lamc = conjugate(shape.lam)
     muc = conjugate(shape.mu)
     ell = len(lamc)
-    muc = muc + (0,) * (ell - len(muc))
     if ell == 0:
         return x.ring.one
-    rows = [
-        [
-            loop_e(x, lamc[i] - muc[j] + j - i, shape.r + muc[j] - j)
-            for j in range(ell)
-        ]
-        for i in range(ell)
-    ]
-    return Matrix(rows, x.ring).det()
+    muc = muc + (0,) * (ell - len(muc))
+    memo = _generator_memo  # read once: a concurrent caller at worst recomputes
+    if memo is None or memo.x is not x:
+        memo = _generator_memo = _GeneratorMemo(x)
+    generators, n, r = memo.generators, x.n, shape.r
+
+    def entry(a: int, b: int):
+        key = (a - b, (r + b) % n)
+        e = generators.get(key)
+        if e is None:
+            e = generators[key] = loop_e(x, a - b, r + b)
+        return e
+
+    alphas = tuple(lamc[i] - i for i in range(ell))
+    betas = tuple(muc[j] - j for j in range(ell))
+    return _det_laplace(alphas, x.ring, betas, entry, memo.minors.setdefault(r, {}))
 
 
 # ---------------------------------------------------------------------------

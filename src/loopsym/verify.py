@@ -336,12 +336,13 @@ def suite_jacobi_trudi(m: int, n: int, trials: int, seed: int) -> list:
             det = schur.jacobi_trudi(shape, xs)
             ck.expect(det == direct, "jt-symbolic", m=mm, n=nn, shape=shape)
             I, J = schur.maya_sets(shape.lam, shape.mu, shape.r, mm, nn)
+            minor_IJ = Mt.minor(I, J)
             ck.expect(
-                Mt.minor(I, J) == schur.ssyt_sum(shape, xr),
+                minor_IJ == schur.ssyt_sum(shape, xr),
                 "periodic-minor", m=mm, n=nn, shape=shape,
             )
             ck.expect(
-                Mt.minor([i + nn for i in I], [j + nn for j in J]) == Mt.minor(I, J),
+                Mt.minor([i + nn for i in I], [j + nn for j in J]) == minor_IJ,
                 "minor-translation", m=mm, n=nn, shape=shape,
             )
     return ck.failures

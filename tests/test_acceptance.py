@@ -1,6 +1,21 @@
 """Acceptance gate: every verification suite at its stated desk-scale
 bounds, exact (zero-tolerance) equality throughout.
 
+At m = n = 4 each suite runs every (m, n) with 2 <= m, n <= 4, and draws:
+
+* crystal-axioms, r-matrix, grsk, decoration, central-charge, energy: 25
+  random rational points per (m, n), one per trial;
+* cocharge: 25 random patterns per size 2..5;
+* jacobi-trudi: the symbolic point, and one random rational point per
+  (m, n) for the periodic minors;
+* pseudo-energy, det-formula, sum-of-minors, cylindric, folded: one random
+  rational point per (m, n), whatever the trial count (pseudo-energy moves
+  it by random column operators; det-formula and sum-of-minors add one
+  worked point);
+* tropical: 200 + 100 + 100 random integer matrices, whatever the trial
+  count;
+* paper-examples: the fixed worked-example corpus.
+
 Each criterion prints one line; the suite fails if any criterion reports a
 failure.  Budgets are generous on commodity hardware; the timings printed
 let a reviewer confirm them.

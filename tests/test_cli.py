@@ -178,3 +178,40 @@ def test_eval_tropical_e_reads_c_as_an_integer(capsys, monkeypatch):
     assert code == 0
     want = apply_e(VarMatrix.tropical([[1, 2], [3, -4]]), 1, TropNumber(-2))
     assert json.loads(out)["result"] == [[v.value for v in row] for row in want.rows]
+
+
+NO_POLYNOMIAL_ROUTE = [
+    ("grsk", POINT),
+    ("energy", POINT),
+    ("cocharge", {"m": 2, "n": 2, "entries": {"1,1": "1", "1,2": "2", "2,2": "3"}}),
+    ("central-charge", POINT),
+    ("q-invariant", {"x": POINT, "i": 1, "j": 1}),
+    ("shape-invariant", {"x": POINT, "i": 1}),
+    ("R", {"x": POINT, "i": 1}),
+    ("e", {"x": POINT, "i": 1, "c": "2"}),
+    ("ebar", {"x": POINT, "j": 1, "c": "2"}),
+]
+
+
+@pytest.mark.parametrize("target, data", NO_POLYNOMIAL_ROUTE, ids=[t for t, _ in NO_POLYNOMIAL_ROUTE])
+def test_eval_polynomial_mode_without_a_route_is_usage_error(target, data, capsys, monkeypatch):
+    code, out, err = run_cli(["eval", target], json.dumps(data), capsys, monkeypatch)
+    assert code == 0  # the input itself is valid
+    code, out, err = run_cli(["eval", target, "--mode", "polynomial"], json.dumps(data), capsys, monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "polynomial" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "target, data",
+    [
+        ("loop-schur", {"lambda": [2, 1], "r": 1, "m": 2, "n": 2}),
+        ("cyl-schur", {"k": 1, "lambda": [1, 1], "r": 1, "m": 2, "n": 2}),
+    ],
+)
+def test_eval_polynomial_mode_with_a_route_still_evaluates(target, data, capsys, monkeypatch):
+    code, out, err = run_cli(["eval", target, "--mode", "polynomial"], json.dumps(data), capsys, monkeypatch)
+    assert code == 0, err
+    assert json.loads(out)["mode"] == "polynomial"

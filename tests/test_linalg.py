@@ -115,6 +115,57 @@ def test_periodic_minor_triangular_and_translation():
     assert Mt.minor(I, J) == Mt.minor([i + 2 for i in I], [j + 2 for j in J])
 
 
+def random_index_pairs(rng, m, span):
+    """Random (I, J) of every size 1..12 inside [1, span], in random order:
+    half with J = I shifted down by 0..m (along the band of the generator
+    matrix), half with J drawn freely."""
+    pairs = []
+    for k in range(1, 13):
+        for t in range(8):
+            I = rng.sample(range(1, span + 1), k)
+            if t % 2 == 0:
+                d = rng.randint(0, m)
+                J = [i - d for i in I]
+            else:
+                J = rng.sample(range(1, span + 1), k)
+            pairs.append((I, J))
+    return pairs
+
+
+def test_periodic_minor_memo_matches_window_det():
+    from loopsym.schur import unfolded_matrix
+
+    rng = trial_rng(1, 7)
+    n, m = 4, 4
+    generic = PeriodicMatrix(3, [Matrix(rand_matrix(3, rng), RATIONAL) for _ in range(3)])
+    for P in (unfolded_matrix(VarMatrix.random(m, n, rng)), generic):
+        for I, J in random_index_pairs(rng, m, 4 * P.n):
+            value = P.window(sorted(I), sorted(J)).det()
+            assert P.minor(I, J) == value, (I, J)
+            for t in (1, -1, 2):
+                I2, J2 = [i + t * P.n for i in I], [j + t * P.n for j in J]
+                assert P.minor(I2, J2) == P.window(sorted(I2), sorted(J2)).det() == value, (I2, J2)
+
+
+def test_jacobi_trudi_suite_catches_a_broken_translate(monkeypatch):
+    """One entry with a row index above n loses periodicity; the periodic
+    minors must see it, so their memo may not identify translated index sets."""
+    from loopsym.verify import suite_jacobi_trudi
+
+    n = 2
+    entry = PeriodicMatrix.entry
+
+    def broken(self, i, j):
+        value = entry(self, i, j)
+        return value + self.ring.one if (i, j) == (n + 1, n + 1) else value
+
+    assert suite_jacobi_trudi(2, n, 1, 0) == []
+    monkeypatch.setattr(PeriodicMatrix, "entry", broken)
+    failures = suite_jacobi_trudi(2, n, 1, 0)
+    assert any(f["check"] == "minor-translation" for f in failures)
+    assert {f["check"] for f in failures} <= {"periodic-minor", "minor-translation"}
+
+
 def test_fold_unfold_roundtrip():
     rng = trial_rng(1, 5)
     n = 3

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from loopsym.crystal import apply_e_bar
-from loopsym.partitions import ColoredSkewShape, partitions_in_box, sub_partitions
+from loopsym.linalg import Matrix
+from loopsym.partitions import ColoredSkewShape, conjugate, partitions_in_box, sub_partitions
 from loopsym.points import VarMatrix
 from loopsym.schur import (
     NotPseudoEnergy,
@@ -31,7 +32,8 @@ from loopsym.schur import (
     unfolded_matrix,
     window_matrix,
 )
-from loopsym.semifield import NeedsSubtraction, random_rational, trial_rng
+from loopsym.semifield import POLYNOMIAL, RATIONAL, NeedsSubtraction, random_rational, trial_rng
+from loopsym.verify import skew_corpus
 
 
 def test_single_color_is_classical():
@@ -110,6 +112,46 @@ def test_jacobi_trudi_matches_tableaux_rationally():
                     s = ColoredSkewShape(lam, mu, r, n)
                     assert jacobi_trudi(s, x) == ssyt_sum(s, x)
                     assert Mt.minor(*maya_sets(lam, mu, r, m, n)) == ssyt_sum(s, x)
+
+
+def fresh_jacobi_trudi(shape, x):
+    """The Jacobi-Trudi matrix built cell by cell and expanded by
+    ``Matrix.det``, with no memo."""
+    lamc, muc = conjugate(shape.lam), conjugate(shape.mu)
+    ell = len(lamc)
+    muc = muc + (0,) * (ell - len(muc))
+    rows = [
+        [loop_e(x, lamc[i] - muc[j] + j - i, shape.r + muc[j] - j) for j in range(ell)]
+        for i in range(ell)
+    ]
+    return Matrix(rows, x.ring).det()
+
+
+def check_against_fresh_determinants(a, a_again, b):
+    """jacobi_trudi over the whole corpus at a, at an equal but distinct
+    a_again, at b, then at a again; each value must be the fresh determinant
+    at that point, so the per-point memo never serves another point."""
+    corpus = skew_corpus(a.n)
+    want_a = [fresh_jacobi_trudi(shape, a) for shape in corpus]
+    want_b = [fresh_jacobi_trudi(shape, b) for shape in corpus]
+    for point, want in ((a, want_a), (a_again, want_a), (b, want_b), (a, want_a)):
+        for shape, value in zip(corpus, want):
+            assert jacobi_trudi(shape, point) == value, (point, shape)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
+def test_jacobi_trudi_matches_fresh_determinant_rationally(m, n):
+    rng = trial_rng(6, 101 * m + n)
+    a = VarMatrix.random(m, n, rng)
+    b = VarMatrix.random(m, n, rng)
+    check_against_fresh_determinants(a, VarMatrix(a.rows, RATIONAL), b)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 4) for n in range(1, 4)])
+def test_jacobi_trudi_matches_fresh_determinant_symbolically(m, n):
+    a = VarMatrix.symbolic(m, n)
+    b = VarMatrix([[v * v for v in row] for row in a.rows], POLYNOMIAL)
+    check_against_fresh_determinants(a, VarMatrix.symbolic(m, n), b)
 
 
 def test_maya_sets_worked_example():
