@@ -5,9 +5,10 @@ Exit codes: 0 all checks passed / evaluation done, 1 at least one identity
 failed, 2 usage error.  ``eval`` validates its JSON before evaluating: JSON
 objects where objects are expected, a non-empty rectangular matrix, sizes of
 at least 1, integers where integers are expected, and well-formed positive
-rationals (min-plus values are integers of either sign).  ``--mode
-polynomial`` is a usage error for every target but ``loop-schur`` and
-``cyl-schur``, the only ones with a symbolic route.
+rationals (min-plus values are integers of either sign); a missing or
+unreadable ``--input`` file is a usage error too.  ``--mode polynomial`` is
+a usage error for every target but ``loop-schur`` and ``cyl-schur``, the
+only ones with a symbolic route.
 """
 
 from __future__ import annotations
@@ -126,12 +127,23 @@ def _varmatrix_to_json(x: VarMatrix) -> list:
     return [[_value_to_json(x.x(i, j)) for j in range(1, x.n + 1)] for i in range(1, x.m + 1)]
 
 
+def _read_input(path: str) -> str:
+    """The text of the input file, or of stdin for ``-``; stdin stays open."""
+    if path == "-":
+        return sys.stdin.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read input {path}: {exc.strerror}") from None
+
+
 def cmd_eval(args) -> int:
     mode = args.mode
     target = args.target
     if mode == "polynomial" and target not in POLYNOMIAL_TARGETS:
         raise ValueError(f"target {target} has no polynomial mode")
-    data = _object(json.loads(args.input.read()))
+    data = _object(json.loads(_read_input(args.input)))
     out: dict = {"target": target, "mode": mode}
     if target == "grsk":
         x = _matrix_from_json(data, mode)
@@ -243,12 +255,7 @@ def main(argv=None) -> int:
     pe = sub.add_parser("eval", help="evaluate one quantity from JSON input")
     pe.add_argument("target", choices=EVAL_TARGETS)
     pe.add_argument("--mode", choices=("rational", "tropical", "polynomial"), default="rational")
-    pe.add_argument(
-        "--input",
-        type=argparse.FileType("r"),
-        default="-",
-        help="JSON input (default: stdin)",
-    )
+    pe.add_argument("--input", default="-", help="JSON input file (default: stdin)")
     pe.set_defaults(fn=cmd_eval)
 
     pv = sub.add_parser("verify", help="run verification suites")

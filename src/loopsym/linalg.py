@@ -1,23 +1,39 @@
 """Dense matrices over a semifield, exact determinants and minors, and the
 n-periodic / folded matrix machinery.
 
+Products skip zeros.  :meth:`Matrix.__mul__` forms each row of the result
+only from the nonzero entries of the left row times the nonzero entries of
+the matching rows of the right factor, and an entry with no such term is
+the ring's zero.  That is exact in every domain, because the zero absorbs
+under multiplication and is neutral under addition: ``Fraction(0)``, the
+min-plus ``TROP_INF`` and a ``PolyFraction`` with zero numerator are all
+falsy, so truthiness is the zero test.  A ``TPoly`` defines no truth value
+and is never skipped, which is merely slower.  Whirls, bidiagonal factors
+and elementary matrices are ordinary dense matrices; only their zeros cost
+nothing.
+
 All cofactor expansion goes through one memoized Laplace routine,
 :func:`_det_laplace`.  It expands along the first row of a matrix given by
 an entry function on row and column labels, and stores every
 sub-determinant in a cache the caller owns, keyed on its labels.
-:meth:`Matrix.det` runs it with a fresh cache up to size four;
-:meth:`PeriodicMatrix.minor` runs it at every size with one cache per
-matrix, so minors that share sub-minors compute them once; the
-Jacobi-Trudi determinants in :mod:`loopsym.schur` run it with a cache per
-point.  Fraction-free Bareiss elimination still runs in :meth:`Matrix.det`
-above size four, which covers the larger windows, t-polynomial minors and
-oracles.  Both are exact.  Minors of matrices over the min-plus domain
+:func:`minor` up to size four and :meth:`Matrix.det` up to size four run
+it on a cache kept with the matrix (``Matrix._minors``, made on first use)
+and keyed on the literal 1-based labels, so every flag minor, Q-invariant
+minor and barred minor of one matrix shares its sub-minors and repeats
+with the others.  :meth:`PeriodicMatrix.minor` runs it at every size with
+one cache per matrix; the Jacobi-Trudi determinants in :mod:`loopsym.schur`
+run it with a cache per point.  Fraction-free Bareiss elimination, not
+memoized, still runs in :meth:`Matrix.det` above size four: the larger
+minors (through ``submatrix(...).det()``), windows, t-polynomial minors
+and oracles.  Both are exact.  Minors of matrices over the min-plus domain
 raise :class:`NeedsSubtraction`.
 """
 
 from __future__ import annotations
 
 from loopsym.semifield import DegeneratePoint, Ring, SemifieldError
+
+_LAPLACE_MAX = 4  # larger determinants run Bareiss elimination
 
 
 class MinorShapeError(SemifieldError):
@@ -28,9 +44,13 @@ class MinorShapeError(SemifieldError):
 
 
 class Matrix:
-    """Immutable rectangular matrix over a ring of semifield values."""
+    """Immutable rectangular matrix over a ring of semifield values.
 
-    __slots__ = ("rows", "nrows", "ncols", "ring")
+    ``_minors``, the sub-minor cache of :func:`minor` and :meth:`det`, is
+    created on first use, so a matrix that is only multiplied carries none.
+    """
+
+    __slots__ = ("rows", "nrows", "ncols", "ring", "_minors")
 
     def __init__(self, rows, ring: Ring):
         self.rows = tuple(tuple(r) for r in rows)
@@ -57,18 +77,23 @@ class Matrix:
         return self.rows[i - 1][j - 1]
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """Matrix product over the nonzero entries only (see the module
+        docstring for why that is exact in every semifield)."""
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
         zero = self.ring.zero
+        support = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = zero
-                for k in range(self.ncols):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
+        for row in self.rows:
+            acc = [None] * other.ncols
+            for a, terms in zip(row, support):
+                if not a:
+                    continue
+                for j, b in terms:
+                    t = a * b
+                    s = acc[j]
+                    acc[j] = t if s is None else s + t
+            out.append([zero if v is None else v for v in acc])
         return Matrix(out, self.ring)
 
     def transpose(self) -> "Matrix":
@@ -86,11 +111,17 @@ class Matrix:
         self.ring.require_subtraction()
         if self.nrows == 0:
             return self.ring.one
-        if self.nrows <= 4:
-            rows = self.rows
-            labels = tuple(range(self.nrows))
-            return _det_laplace(labels, self.ring, labels, lambda i, j: rows[i][j], {})
+        if self.nrows <= _LAPLACE_MAX:
+            labels = tuple(range(1, self.nrows + 1))
+            return _det_laplace(labels, self.ring, labels, self.entry, self._minor_cache())
         return _det_bareiss(self.rows, self.ring)
+
+    def _minor_cache(self) -> dict:
+        try:
+            return self._minors
+        except AttributeError:
+            self._minors = {}
+            return self._minors
 
     def __eq__(self, other) -> bool:
         return (
@@ -173,15 +204,21 @@ def _det_bareiss(rows, ring: Ring):
 
 
 def minor(A: Matrix, I, J):
-    """Determinant of the submatrix with rows I and columns J (1-based)."""
-    I, J = tuple(I), tuple(J)
+    """Determinant of the submatrix with rows I and columns J (1-based).
+
+    Up to size four it shares one cache with every other minor of A.
+    """
+    I, J = tuple(sorted(I)), tuple(sorted(J))
     if len(I) != len(J):
         raise MinorShapeError()
     if not I:
         return A.ring.one
-    if max(I) > A.nrows or max(J) > A.ncols or min(I) < 1 or min(J) < 1:
+    if I[0] < 1 or J[0] < 1 or I[-1] > A.nrows or J[-1] > A.ncols:
         raise IndexError("minor indices out of bounds")
-    return A.submatrix(sorted(I), sorted(J)).det()
+    if len(I) > _LAPLACE_MAX:
+        return A.submatrix(I, J).det()
+    A.ring.require_subtraction()
+    return _det_laplace(I, A.ring, J, A.entry, A._minor_cache())
 
 
 def flag_minor(A: Matrix, I):

@@ -433,14 +433,13 @@ def suite_sum_of_minors(m: int, n: int, trials: int, seed: int) -> list:
         x = VarMatrix.random(mm, nn, rng)
         Mt = schur.unfolded_matrix(x)
         Mb = schur.barred_matrix(x)
-        memo: dict = {}
         lo = max(0, nn - mm)
         for d in range(0, 3):
             for avec in product(range(lo, nn + 1), repeat=d + 1):
                 for bvec in product(range(lo, nn + 1), repeat=d + 1):
                     if sum(avec) != sum(bvec):
                         continue
-                    err = _check_minor_sum(x, Mt, Mb, avec, bvec, memo)
+                    err = _check_minor_sum(x, Mt, Mb, avec, bvec)
                     ck.expect(err is None, "unfolded-sum", m=mm, n=nn, a=avec, b=bvec, detail=err)
     # the worked square Q-invariant decompositions
     rng = trial_rng(seed, 9999)
@@ -471,7 +470,7 @@ def suite_sum_of_minors(m: int, n: int, trials: int, seed: int) -> list:
     return ck.failures
 
 
-def _check_minor_sum(x, Mt, Mb, avec, bvec, memo):
+def _check_minor_sum(x, Mt, Mb, avec, bvec):
     """One instance of the band decomposition of an unfolded minor.
 
     The k-th crossing set has the forced size
@@ -520,10 +519,7 @@ def _check_minor_sum(x, Mt, Mb, avec, bvec, memo):
             if len(rows) != len(cols) or (rows and (rows[0] < 1 or rows[-1] > m)):
                 ok = False
                 break
-            key = (rows, cols)
-            if key not in memo:
-                memo[key] = minor(Mb, rows, cols)
-            term = term * memo[key]
+            term = term * minor(Mb, rows, cols)
         if ok:
             total = total + term
     if lhs != total:

@@ -1,12 +1,22 @@
 """Command-line harness: evaluation targets, verification runs, exit codes."""
 
+import contextlib
+import gc
 import io
 import json
+import math
 import sys
+import warnings
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loopsym.cli import main
+from loopsym import schur
+from loopsym.cli import EVAL_TARGETS, POLYNOMIAL_TARGETS, main
+from loopsym.points import VarMatrix
+from loopsym.verify import cylindric_corpus, skew_corpus
 
 
 def run_cli(argv, stdin_data=None, capsys=None, monkeypatch=None):
@@ -215,3 +225,144 @@ def test_eval_polynomial_mode_with_a_route_still_evaluates(target, data, capsys,
     code, out, err = run_cli(["eval", target, "--mode", "polynomial"], json.dumps(data), capsys, monkeypatch)
     assert code == 0, err
     assert json.loads(out)["mode"] == "polynomial"
+
+
+def test_eval_input_file_matches_stdin_and_is_closed(tmp_path, capsys, monkeypatch):
+    data = json.dumps({"entries": [["1", "2"], ["3", "4"]]})
+    path = tmp_path / "point.json"
+    path.write_text(data)
+    code, want, _ = run_cli(["eval", "energy"], data, capsys, monkeypatch)
+    assert code == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code, out, err = run_cli(["eval", "energy", "--input", str(path)], None, capsys, monkeypatch)
+        gc.collect()
+    assert (code, out, err) == (0, want, "")
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_eval_missing_input_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(["eval", "energy", "--input", str(missing)], None, capsys, monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and str(missing) in err
+    assert len(err.strip().splitlines()) == 1
+
+
+# -- fuzzing every (target, mode) pair ----------------------------------------
+
+EVAL_PAIRS = [(target, "rational") for target in EVAL_TARGETS] + [
+    (target, "tropical") for target in ("grsk", "loop-schur", "cyl-schur", "energy", "cocharge")
+] + [(target, "polynomial") for target in POLYNOMIAL_TARGETS]
+
+JUNK = st.sampled_from([None, True, 1.5, "", "x", "1/0", "0", "-1", -1, 0, 4, [], {}, [[]]])
+
+
+@st.composite
+def eval_inputs(draw, target, mode):
+    """An in-domain input of at most 3 x 3, then perhaps one field dropped,
+    or one field or matrix entry replaced by a value of the wrong kind or out
+    of range."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if mode == "tropical":
+        value = st.integers(-3, 5)
+    else:
+        value = st.sampled_from(["1", "2", "1/2", "3/2", "7/3"])
+    point = {"entries": draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=m, max_size=m))}
+    if target in ("grsk", "energy", "central-charge"):
+        data = point
+    elif target == "cocharge":
+        cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        data = {"m": max(m, n), "n": n, "entries": {f"{i},{j}": draw(value) for i, j in cells}}
+    elif target == "loop-schur":
+        shape = draw(st.sampled_from(skew_corpus(n)))
+        data = {"m": m, "n": n, "lambda": list(shape.lam), "mu": list(shape.mu), "r": shape.r}
+    elif target == "cyl-schur":
+        shape = draw(st.sampled_from(cylindric_corpus(n, max_cells=6)))
+        data = {"m": m, "n": n, "k": shape.k, "lambda": list(shape.lam), "mu": list(shape.mu), "r": shape.r}
+    else:
+        data = {"i": draw(st.integers(1, 2)), "j": draw(st.integers(1, 2)), "c": draw(value)}
+    if mode != "polynomial" and target not in ("grsk", "energy", "central-charge", "cocharge"):
+        data["x"] = point
+    change = draw(st.sampled_from(["none", "none", "drop", "junk", "junk", "cell"]))
+    if change == "cell":
+        point["entries"][draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] = draw(JUNK)
+    elif change != "none":
+        key = draw(st.sampled_from(sorted(data)))
+        if change == "drop":
+            del data[key]
+        else:
+            data[key] = draw(JUNK)
+    return data
+
+
+def run_quiet(argv, text):
+    """main(argv) with stdin, stdout and stderr on strings; the capsys and
+    monkeypatch fixtures of run_cli are not reset between hypothesis examples."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("target, mode", EVAL_PAIRS, ids=[f"{t}-{m}" for t, m in EVAL_PAIRS])
+def test_eval_fuzz_exits_0_or_2_with_one_line(target, mode):
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=eval_inputs(target, mode))
+    def check(data):
+        code, out, err = run_quiet(["eval", target, "--mode", mode], json.dumps(data))
+        assert code in (0, 2), (code, err)
+        if code == 0:
+            assert json.loads(out)["target"] == target and err == ""
+        else:
+            assert out == "" and len(err.strip().splitlines()) == 1, err
+
+    check()
+
+
+def evaluate(p, values):
+    """A polynomial's value at a rational point, term by term."""
+    total = Fraction(0)
+    for key, c in p.terms.items():
+        term = Fraction(c)
+        for v, e in key:
+            term *= values[v] ** e
+        total += term
+    return total
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(1, 3), n=st.integers(1, 3), data=st.data())
+def test_loop_schur_modes_are_mutual_oracles(m, n, data):
+    """The tropical value is trop_min of the polynomial value, and the
+    rational value is the polynomial value evaluated at the same point."""
+    shape = data.draw(st.sampled_from(skew_corpus(n)))
+    base = {"m": m, "n": n, "lambda": list(shape.lam), "mu": list(shape.mu), "r": shape.r}
+    grid = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    ints = {v: data.draw(st.integers(-4, 6)) for v in grid}
+    rats = {v: Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))) for v in grid}
+
+    def point(values, text):
+        return {"entries": [[text(values[i, j]) for j in range(1, n + 1)] for i in range(1, m + 1)]}
+
+    poly = schur.ssyt_sum(shape, VarMatrix.symbolic(m, n))
+    code, out, _ = run_quiet(["eval", "loop-schur", "--mode", "polynomial"], json.dumps(base))
+    assert code == 0 and json.loads(out)["value"] == repr(poly)
+
+    code, out, _ = run_quiet(
+        ["eval", "loop-schur", "--mode", "tropical"], json.dumps({**base, "x": point(ints, int)})
+    )
+    want = poly.num.trop_min(ints) - poly.den.trop_min(ints)
+    assert code == 0 and json.loads(out)["value"] == (None if want == math.inf else want)
+
+    code, out, _ = run_quiet(
+        ["eval", "loop-schur", "--mode", "rational"], json.dumps({**base, "x": point(rats, str)})
+    )
+    want = evaluate(poly.num, rats) / evaluate(poly.den, rats)
+    assert code == 0 and Fraction(json.loads(out)["value"]) == want

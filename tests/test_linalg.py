@@ -1,7 +1,7 @@
 """Exact dense/periodic matrix operations against brute-force oracles."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -15,13 +15,17 @@ from loopsym.linalg import (
     fold,
     minor,
     tpoly_minor,
+    tpoly_ring,
 )
+from loopsym.crystal import whirl
 from loopsym.points import VarMatrix
 from loopsym.semifield import (
+    POLYNOMIAL,
     RATIONAL,
     TROPICAL,
     DegeneratePoint,
     NeedsSubtraction,
+    PolyFraction,
     TropNumber,
     random_rational,
     trial_rng,
@@ -81,6 +85,119 @@ def test_tropical_minor_raises():
     T = Matrix([[TropNumber(1), TropNumber(2)], [TropNumber(0), TropNumber(5)]], TROPICAL)
     with pytest.raises(NeedsSubtraction):
         T.det()
+    for I, J in (([1], [2]), ([1, 2], [1, 2])):
+        with pytest.raises(NeedsSubtraction):
+            minor(T, I, J)
+    with pytest.raises(NeedsSubtraction):
+        flag_minor(T, [2])
+    T5 = Matrix([[TropNumber(i * j) for j in range(5)] for i in range(5)], TROPICAL)
+    with pytest.raises(NeedsSubtraction):
+        minor(T5, range(1, 6), range(1, 6))
+
+
+def index_pairs(k):
+    """Every (I, J) of equal sizes 1..k inside 1..k."""
+    return [
+        (I, J)
+        for size in range(1, k + 1)
+        for I in combinations(range(1, k + 1), size)
+        for J in combinations(range(1, k + 1), size)
+    ]
+
+
+def test_minor_matches_fresh_submatrix_det_for_every_index_pair():
+    rng = trial_rng(1, 8)
+    for k in (4, 5):
+        rows = rand_matrix(k, rng)
+        for _ in range(k):
+            rows[rng.randrange(k)][rng.randrange(k)] = Fraction(0)
+        A = Matrix(rows, RATIONAL)
+        for I, J in index_pairs(k):
+            want = A.submatrix(I, J).det()
+            assert minor(A, I[::-1], J) == want, (I, J)
+            assert minor(A, I, J) == want, (I, J)
+
+
+def test_minor_memo_never_crosses_matrices():
+    """Two matrices with equal entries and one with different entries,
+    asked for the same minors in turn, each against its own cofactor
+    oracle."""
+    rng = trial_rng(1, 9)
+    rows, other = rand_matrix(4, rng), rand_matrix(4, rng)
+    A, A2, B = Matrix(rows, RATIONAL), Matrix(rows, RATIONAL), Matrix(other, RATIONAL)
+    pairs = index_pairs(4)
+    rng.shuffle(pairs)
+    for I, J in pairs:
+        for M, src in ((A, rows), (B, other), (A2, rows)):
+            sub = [[src[i - 1][j - 1] for j in J] for i in I]
+            assert minor(M, I, J) == det_cofactor(sub), (I, J)
+    for M, src in ((A, rows), (B, other), (A2, rows)):
+        assert M.det() == det_cofactor(src)
+
+
+def dense_product(A, B):
+    """Independent oracle: the dense triple loop, every sum started at zero."""
+    rows = []
+    for i in range(A.nrows):
+        row = []
+        for j in range(B.ncols):
+            acc = A.ring.zero
+            for k in range(A.ncols):
+                acc = acc + A.rows[i][k] * B.rows[k][j]
+            row.append(acc)
+        rows.append(row)
+    return Matrix(rows, A.ring)
+
+
+def phi_factor(ratios, n, ring):
+    """A factor of gt.phi_matrix: 1s on the diagonal above row n - len + 1,
+    the ratios on the diagonal from there, and 1s below it."""
+    i = n - len(ratios) + 1
+    rows = [[ring.zero] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        rows[k - 1][k - 1] = ring.one if k < i else ratios[k - i]
+        if i <= k < n:
+            rows[k][k - 1] = ring.one
+    return Matrix(rows, ring)
+
+
+def product_factors(k, ring, value, rng):
+    """k x k factors of every kind a product in loopsym multiplies."""
+    vec = [value() for _ in range(k)]
+    sparse = [[value() if rng.random() < 0.5 else ring.zero for _ in range(k)] for _ in range(k)]
+    return [
+        Matrix(sparse, ring),
+        Matrix([[value() for _ in range(k)] for _ in range(k)], ring),
+        Matrix([[ring.zero] * k for _ in range(k)], ring),
+        whirl(vec, ring),
+        phi_factor(vec[rng.randrange(k):], k, ring),
+        Matrix.elementary(k, rng.randint(1, k - 1), value(), ring) if k > 1 else Matrix.identity(1, ring),
+    ]
+
+
+def point_values(rng):
+    """(ring, nonzero value maker, largest size) for each domain."""
+    tring = tpoly_ring(RATIONAL)
+    return [
+        (RATIONAL, lambda: random_rational(rng), 4),
+        (TROPICAL, lambda: TropNumber(rng.randint(-5, 5)), 4),
+        (POLYNOMIAL, lambda: PolyFraction.variable(rng.randint(1, 3), rng.randint(1, 3)), 3),
+        (tring, lambda: TPoly([random_rational(rng) for _ in range(rng.randint(1, 2))], RATIONAL), 3),
+    ]
+
+
+def test_product_matches_dense_oracle():
+    rng = trial_rng(1, 10)
+    for ring, value, top in point_values(rng):
+        for k in range(1, top + 1):
+            factors = product_factors(k, ring, value, rng)
+            for A in factors:
+                for B in factors:
+                    assert A * B == dense_product(A, B), (ring.name, k)
+        wide = Matrix([[value() if rng.random() < 0.5 else ring.zero for _ in range(3)] for _ in range(2)], ring)
+        tall = Matrix([[value() if rng.random() < 0.5 else ring.zero for _ in range(2)] for _ in range(3)], ring)
+        assert wide * tall == dense_product(wide, tall)
+        assert tall * wide == dense_product(tall, wide)
 
 
 def test_build_periodic_entries_and_translation():
@@ -217,8 +334,6 @@ def test_tpoly_minor_coeff_vs_expansion_oracle():
         [TPoly([random_rational(rng) for _ in range(rng.randint(1, 3))], RATIONAL) for _ in range(n)]
         for _ in range(n)
     ]
-    from loopsym.linalg import tpoly_ring
-
     F = Matrix(tring_rows, tpoly_ring(RATIONAL))
     want = tpoly_det_oracle(tring_rows)
     got = tpoly_minor(F, range(1, n + 1), range(1, n + 1))
