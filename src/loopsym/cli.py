@@ -6,9 +6,10 @@ failed, 2 usage error.  ``eval`` validates its JSON before evaluating: JSON
 objects where objects are expected, a non-empty rectangular matrix, sizes of
 at least 1, integers where integers are expected, and well-formed positive
 rationals (min-plus values are integers of either sign); a missing or
-unreadable ``--input`` file is a usage error too.  ``--mode polynomial`` is
-a usage error for every target but ``loop-schur`` and ``cyl-schur``, the
-only ones with a symbolic route.
+unreadable ``--input`` file is a usage error too, and so are a missing
+field (the message names it) and a ``cocharge`` pattern with m < n.
+``--mode polynomial`` is a usage error for every target but ``loop-schur``
+and ``cyl-schur``, the only ones with a symbolic route.
 """
 
 from __future__ import annotations
@@ -46,6 +47,13 @@ EVAL_TARGETS = (
     "ebar",
 )
 POLYNOMIAL_TARGETS = ("loop-schur", "cyl-schur")  # the targets with a symbolic route
+
+
+class _Fields(dict):
+    """A JSON object whose missing field is a usage error that names it."""
+
+    def __missing__(self, key):
+        raise ValueError(f"missing field {key!r}")
 
 
 def _object(data, what: str = "input") -> dict:
@@ -95,8 +103,10 @@ def _matrix_from_json(data, mode: str) -> VarMatrix:
 
 
 def _pattern_from_json(data, mode: str) -> gt.GTPattern:
-    for key in ("m", "n"):
-        _int(data[key], key, 1)
+    """A cocharge pattern; cocharge reads row k for every k <= n, so m >= n."""
+    m, n = (_int(data[key], key, 1) for key in ("m", "n"))
+    if m < n:
+        raise ValueError(f"cocharge needs m >= n, got m={m} n={n}")
     _object(data["entries"], "pattern entries")
     if mode == "tropical":
         return gt.GTPattern.from_json(data, TROPICAL)
@@ -143,7 +153,7 @@ def cmd_eval(args) -> int:
     target = args.target
     if mode == "polynomial" and target not in POLYNOMIAL_TARGETS:
         raise ValueError(f"target {target} has no polynomial mode")
-    data = _object(json.loads(_read_input(args.input)))
+    data = _object(json.loads(_read_input(args.input), object_hook=_Fields))
     out: dict = {"target": target, "mode": mode}
     if target == "grsk":
         x = _matrix_from_json(data, mode)

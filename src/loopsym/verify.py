@@ -1,18 +1,32 @@
 """Named verification suites with reproducible seeds and machine-readable
 reports.
 
-Every suite draws its sample points from a per-trial PRNG derived from
-(seed, trial index), checks a family of exact identities at desk-scale
-bounds, and reports each failure with a witness sufficient to replay it.
-Where a random parameter c makes a move degenerate (a vanishing minor),
-``_resample_move`` draws a new c, at most ten times, and records a failure
-with its witness when every draw is degenerate.  A check run through
-``Check.run`` that raises any exception is recorded as a failure; it never
-aborts the run.
+Every suite checks a family of exact identities at desk-scale bounds and
+reports each failure with a witness sufficient to replay it.  The suites
+built on random rational points draw them in ``Check.points``, at every
+size 2 <= mm <= m, 2 <= nn <= n, in one of two schemes:
+
+* trial suites draw ``trials`` points per size; point t is the first draw
+  of ``trial_rng(seed, t)``, the same stream at every size;
+* one-point suites draw one point per size, the first draw of
+  ``trial_rng(seed, mm * salt + nn)`` with the suite's own salt, whatever
+  ``trials`` is.
+
+The suite may draw more from the point's stream.  While a point is checked
+its witness (m, n, and the trial where there is one) is in ``Check.where``,
+and every failure recorded then carries it.  An exception that escapes a
+point is one ``exception`` failure with that witness, and the next point is
+checked; ``run_suite`` records an exception that escapes a suite elsewhere
+the same way and still returns the report.  A check run through
+``Check.run`` that raises is recorded under its own label.  Where a random
+parameter c makes a move degenerate (a vanishing minor), ``_resample_move``
+draws a new c, at most ten times, and records a failure with its witness
+when every draw is degenerate.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -63,17 +77,27 @@ class VerifyReport:
 
 
 class Check:
-    """Collects failures with replayable witnesses."""
+    """Collects failures with replayable witnesses.
+
+    ``where`` is the witness of the sample point under check; every failure
+    recorded while it is set carries it."""
 
     def __init__(self):
         self.failures: list = []
+        self.where: dict = {}
 
     def expect(self, ok: bool, label: str, **witness) -> None:
         if not ok:
-            self.failures.append({"check": label, **{k: repr(v) for k, v in witness.items()}})
+            self.failures.append({"check": label, **self._witness(witness)})
 
     def fail(self, label: str, error: str, **witness) -> None:
-        self.failures.append({"check": label, "error": error, **{k: repr(v) for k, v in witness.items()}})
+        self.failures.append({"check": label, "error": error, **self._witness(witness)})
+
+    def raised(self, exc: Exception, label: str = "exception", **witness) -> None:
+        self.fail(label, f"{type(exc).__name__}: {exc}", **witness)
+
+    def _witness(self, witness: dict) -> dict:
+        return {k: repr(v) for k, v in {**self.where, **witness}.items()}
 
     def run(self, fn, label: str, **witness) -> None:
         try:
@@ -81,7 +105,22 @@ class Check:
         except AssertionError as exc:
             self.fail(label, str(exc), **witness)
         except Exception as exc:
-            self.fail(label, f"{type(exc).__name__}: {exc}", **witness)
+            self.raised(exc, label, **witness)
+
+    def points(self, m: int, n: int, trials: int, seed: int, body, salt: int | None = None) -> None:
+        """``body(t, rng, x)`` at every sample point of every size up to
+        (m, n): ``trials`` points per size, or one (t = None) when a salt is
+        given; x is the first draw of rng (see the module docstring)."""
+        for mm, nn in product(range(2, m + 1), range(2, n + 1)):
+            draws = [(t, t) for t in range(trials)] if salt is None else [(None, mm * salt + nn)]
+            for t, index in draws:
+                self.where = {"m": mm, "n": nn} if t is None else {"m": mm, "n": nn, "trial": t}
+                rng = trial_rng(seed, index)
+                try:
+                    body(t, rng, VarMatrix.random(mm, nn, rng))
+                except Exception as exc:
+                    self.raised(exc)
+        self.where = {}
 
 
 def _resample_move(ck: Check, move, rng, label: str, **witness):
@@ -95,10 +134,6 @@ def _resample_move(ck: Check, move, rng, label: str, **witness):
             continue
     ck.fail(label, f"no usable c after {RESAMPLE_CAP} resamples", **witness)
     return None
-
-
-def _grid(m: int, n: int, lo: int = 2):
-    return [(mm, nn) for mm in range(lo, m + 1) for nn in range(lo, n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -147,224 +182,181 @@ def cylindric_corpus(n: int, max_cells: int = 10):
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: each takes the Check it records into, then (m, n, trials, seed)
 
 
-def suite_crystal_axioms(m: int, n: int, trials: int, seed: int) -> list:
-    ck = Check()
+def suite_crystal_axioms(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
     one = Fraction(1)
-    for mm, nn in _grid(m, n):
-        for t in range(trials):
-            rng = trial_rng(seed, t)
-            x = VarMatrix.random(mm, nn, rng)
-            for i in range(1, mm):
-                ro = crystal.product_readout(x, i)
+
+    def point(t, rng, x):
+        mm, nn = x.m, x.n
+        for i in range(1, mm):
+            ro = crystal.product_readout(x, i)
+            ck.expect(ro.phi / ro.eps == ro.gamma[i - 1] / ro.gamma[i], "axiom-1", i=i)
+            c = random_rational(rng)
+            y = crystal.apply_e(x, i, c)
+            ro2 = crystal.product_readout(y, i)
+            ck.expect(
+                ro2.eps == ro.eps / c and ro2.phi == c * ro.phi
+                and ro2.gamma[i - 1] == c * ro.gamma[i - 1]
+                and ro2.gamma[i] == ro.gamma[i] / c
+                and all(ro2.gamma[a] == ro.gamma[a] for a in range(mm) if a not in (i - 1, i)),
+                "axiom-2", i=i,
+            )
+            left = Matrix.elementary(mm, i, (c - one) * ro.phi, RATIONAL)
+            right = Matrix.elementary(mm, i, (one / c - one) * ro.eps, RATIONAL)
+            ck.expect(
+                crystal.col_whirl_matrix(y) == left * crystal.col_whirl_matrix(x) * right,
+                "unipotent-relation", i=i,
+            )
+            ck.expect(crystal.apply_e(x, i, one) == x, "identity-at-1", i=i)
+        for i, j in product(range(1, mm), repeat=2):
+            c1, c2 = random_rational(rng), random_rational(rng)
+            if abs(i - j) > 1:
                 ck.expect(
-                    ro.phi / ro.eps == ro.gamma[i - 1] / ro.gamma[i],
-                    "axiom-1", m=mm, n=nn, i=i, trial=t,
+                    crystal.apply_e(crystal.apply_e(x, j, c2), i, c1)
+                    == crystal.apply_e(crystal.apply_e(x, i, c1), j, c2),
+                    "axiom-3a", i=i, j=j,
                 )
-                c = random_rational(rng)
-                y = crystal.apply_e(x, i, c)
-                ro2 = crystal.product_readout(y, i)
-                ck.expect(
-                    ro2.eps == ro.eps / c and ro2.phi == c * ro.phi
-                    and ro2.gamma[i - 1] == c * ro.gamma[i - 1]
-                    and ro2.gamma[i] == ro.gamma[i] / c
-                    and all(ro2.gamma[a] == ro.gamma[a] for a in range(mm) if a not in (i - 1, i)),
-                    "axiom-2", m=mm, n=nn, i=i, trial=t,
-                )
-                left = Matrix.elementary(mm, i, (c - one) * ro.phi, RATIONAL)
-                right = Matrix.elementary(mm, i, (one / c - one) * ro.eps, RATIONAL)
-                ck.expect(
-                    crystal.col_whirl_matrix(y) == left * crystal.col_whirl_matrix(x) * right,
-                    "unipotent-relation", m=mm, n=nn, i=i, trial=t,
-                )
-                ck.expect(crystal.apply_e(x, i, one) == x, "identity-at-1", m=mm, n=nn, i=i)
-            for i, j in product(range(1, mm), repeat=2):
+            elif abs(i - j) == 1:
+                lhs = crystal.apply_e(crystal.apply_e(crystal.apply_e(x, j, c2), i, c1 * c2), j, c1)
+                rhs = crystal.apply_e(crystal.apply_e(crystal.apply_e(x, i, c1), j, c1 * c2), i, c2)
+                ck.expect(lhs == rhs, "axiom-3b", i=i, j=j)
+        for i in range(1, mm):
+            for j in range(1, nn):
                 c1, c2 = random_rational(rng), random_rational(rng)
-                if abs(i - j) > 1:
-                    ck.expect(
-                        crystal.apply_e(crystal.apply_e(x, j, c2), i, c1)
-                        == crystal.apply_e(crystal.apply_e(x, i, c1), j, c2),
-                        "axiom-3a", m=mm, n=nn, i=i, j=j, trial=t,
-                    )
-                elif abs(i - j) == 1:
-                    lhs = crystal.apply_e(crystal.apply_e(crystal.apply_e(x, j, c2), i, c1 * c2), j, c1)
-                    rhs = crystal.apply_e(crystal.apply_e(crystal.apply_e(x, i, c1), j, c1 * c2), i, c2)
-                    ck.expect(lhs == rhs, "axiom-3b", m=mm, n=nn, i=i, j=j, trial=t)
-            for i in range(1, mm):
-                for j in range(1, nn):
-                    c1, c2 = random_rational(rng), random_rational(rng)
-                    ck.expect(
-                        crystal.apply_e_bar(crystal.apply_e(x, i, c1), j, c2)
-                        == crystal.apply_e(crystal.apply_e_bar(x, j, c2), i, c1),
-                        "bicrystal-commute", m=mm, n=nn, i=i, j=j, trial=t,
-                    )
-                    ck.expect(
-                        crystal.bar_readout(crystal.apply_e(x, i, c1), j).eps
-                        == crystal.bar_readout(x, j).eps,
-                        "bicrystal-eps-bar", m=mm, n=nn, i=i, j=j, trial=t,
-                    )
-            # windowed periodic form of the column-operator matrix relation;
-            # only the middle n x n block of the 3n x 3n triple product is
-            # compared, so only that block is computed
-            span = range(1, 3 * nn + 1)
-            mid = range(nn + 1, 2 * nn + 1)
-            window = schur.unfolded_matrix(x).window(span, span)
-            for j in range(1, nn):
-                c = random_rational(rng)
-                ro = crystal.bar_readout(x, j)
-                y = crystal.apply_e_bar(x, j, c)
-                L = PeriodicMatrix(nn, [Matrix.elementary(nn, j, (c - one) * ro.phi, RATIONAL)])
-                R = PeriodicMatrix(
-                    nn, [Matrix.elementary(nn, j, (one / c - one) * ro.eps, RATIONAL)]
+                ck.expect(
+                    crystal.apply_e_bar(crystal.apply_e(x, i, c1), j, c2)
+                    == crystal.apply_e(crystal.apply_e_bar(x, j, c2), i, c1),
+                    "bicrystal-commute", i=i, j=j,
                 )
                 ck.expect(
-                    schur.unfolded_matrix(y).window(mid, mid)
-                    == L.window(mid, span) * window * R.window(span, mid),
-                    "periodic-unipotent-window", m=mm, n=nn, j=j, trial=t,
+                    crystal.bar_readout(crystal.apply_e(x, i, c1), j).eps == crystal.bar_readout(x, j).eps,
+                    "bicrystal-eps-bar", i=i, j=j,
                 )
-    return ck.failures
-
-
-def suite_r_matrix(m: int, n: int, trials: int, seed: int) -> list:
-    ck = Check()
-    for mm, nn in _grid(m, n):
-        for t in range(trials):
-            rng = trial_rng(seed, t)
-            x = VarMatrix.random(mm, nn, rng)
-            for i in range(1, mm):
-                ck.expect(
-                    crystal.row_r(x, i) == crystal.weyl_reflection(x, i),
-                    "reflection-equals-r", m=mm, n=nn, i=i, trial=t,
-                )
-                ck.expect(
-                    crystal.row_r(crystal.row_r(x, i), i) == x,
-                    "involution", m=mm, n=nn, i=i, trial=t,
-                )
-            for i in range(1, mm - 1):
-                ck.expect(
-                    crystal.row_r(crystal.row_r(crystal.row_r(x, i), i + 1), i)
-                    == crystal.row_r(crystal.row_r(crystal.row_r(x, i + 1), i), i + 1),
-                    "braid", m=mm, n=nn, i=i, trial=t,
-                )
-            for i in range(1, mm):
-                for j in range(1, nn):
-                    ck.expect(
-                        crystal.col_r(crystal.row_r(x, i), j)
-                        == crystal.row_r(crystal.col_r(x, j), i),
-                        "row-col-commute", m=mm, n=nn, i=i, j=j, trial=t,
-                    )
-            for i in range(1, mm):
-                y = crystal.row_r(x, i)
-                ck.expect(
-                    all(
-                        schur.loop_e(x, k, r) == schur.loop_e(y, k, r)
-                        for k in range(1, mm + 1)
-                        for r in range(1, nn + 1)
-                    ),
-                    "generator-invariance", m=mm, n=nn, i=i, trial=t,
-                )
-    return ck.failures
-
-
-def suite_grsk(m: int, n: int, trials: int, seed: int) -> list:
-    ck = Check()
-    for mm, nn in _grid(m, n):
-        for t in range(trials):
-            rng = trial_rng(seed, t)
-            x = VarMatrix.random(mm, nn, rng)
-            P, Q = gt.grsk(x)
-            P2, Q2 = gt.grsk_transposed(x)
-            ck.expect(P == P2 and Q == Q2, "row-column-routes", m=mm, n=nn, trial=t)
-            Pt, Qt = gt.grsk(x.transpose())
-            ck.expect(Pt == Q and Qt == P, "transpose-symmetry", m=mm, n=nn, trial=t)
-            shp = P.shape()
+        # windowed periodic form of the column-operator matrix relation;
+        # only the middle n x n block of the 3n x 3n triple product is
+        # compared, so only that block is computed
+        span = range(1, 3 * nn + 1)
+        mid = range(nn + 1, 2 * nn + 1)
+        window = schur.unfolded_matrix(x).window(span, span)
+        for j in range(1, nn):
+            c = random_rational(rng)
+            ro = crystal.bar_readout(x, j)
+            y = crystal.apply_e_bar(x, j, c)
+            L = PeriodicMatrix(nn, [Matrix.elementary(nn, j, (c - one) * ro.phi, RATIONAL)])
+            R = PeriodicMatrix(nn, [Matrix.elementary(nn, j, (one / c - one) * ro.eps, RATIONAL)])
             ck.expect(
-                shp == Q.shape()
-                and all(
-                    shp[i - 1] == schur.shape_invariant(x, i) / schur.shape_invariant(x, i + 1)
-                    for i in range(1, min(mm, nn) + 1)
+                schur.unfolded_matrix(y).window(mid, mid) == L.window(mid, span) * window * R.window(span, mid),
+                "periodic-unipotent-window", j=j,
+            )
+
+    ck.points(m, n, trials, seed, point)
+
+
+def suite_r_matrix(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
+    def point(t, rng, x):
+        mm, nn = x.m, x.n
+        for i in range(1, mm):
+            ck.expect(crystal.row_r(x, i) == crystal.weyl_reflection(x, i), "reflection-equals-r", i=i)
+            ck.expect(crystal.row_r(crystal.row_r(x, i), i) == x, "involution", i=i)
+        for i in range(1, mm - 1):
+            ck.expect(
+                crystal.row_r(crystal.row_r(crystal.row_r(x, i), i + 1), i)
+                == crystal.row_r(crystal.row_r(crystal.row_r(x, i + 1), i), i + 1),
+                "braid", i=i,
+            )
+        for i in range(1, mm):
+            for j in range(1, nn):
+                ck.expect(
+                    crystal.col_r(crystal.row_r(x, i), j) == crystal.row_r(crystal.col_r(x, j), i),
+                    "row-col-commute", i=i, j=j,
+                )
+        for i in range(1, mm):
+            y = crystal.row_r(x, i)
+            ck.expect(
+                all(
+                    schur.loop_e(x, k, r) == schur.loop_e(y, k, r)
+                    for k in range(1, mm + 1)
+                    for r in range(1, nn + 1)
                 ),
-                "shape-from-invariants", m=mm, n=nn, trial=t,
+                "generator-invariance", i=i,
             )
-            A = gt.phi_matrix(P)
-            ck.expect(
-                gt.psi_pattern(A, P.m, P.n, P.ring) == P, "psi-phi-roundtrip", m=mm, n=nn, trial=t
-            )
-            for j in range(1, nn):
-                drawn = _resample_move(
-                    ck, lambda c: gt.gt_apply_e(P, j, c), rng,
-                    "intertwine-columns", m=mm, n=nn, j=j, trial=t,
-                )
-                if drawn is None:
-                    continue
-                c, moved = drawn
-                Pb, Qb = gt.grsk(crystal.apply_e_bar(x, j, c))
-                ck.expect(
-                    Qb == Q and Pb == moved,
-                    "intertwine-columns", m=mm, n=nn, j=j, trial=t,
-                )
-                ck.expect(
-                    moved.shape() == shp, "shape-preserved", m=mm, n=nn, j=j, trial=t
-                )
-            for i in range(1, mm):
-                drawn = _resample_move(
-                    ck, lambda c: gt.gt_apply_e(Q, i, c), rng,
-                    "intertwine-rows", m=mm, n=nn, i=i, trial=t,
-                )
-                if drawn is None:
-                    continue
-                c, moved = drawn
-                Pe, Qe = gt.grsk(crystal.apply_e(x, i, c))
-                ck.expect(
-                    Pe == P and Qe == moved,
-                    "intertwine-rows", m=mm, n=nn, i=i, trial=t,
-                )
-    return ck.failures
+
+    ck.points(m, n, trials, seed, point)
 
 
-def suite_jacobi_trudi(m: int, n: int, trials: int, seed: int) -> list:
-    ck = Check()
-    for mm, nn in _grid(m, n):
+def suite_grsk(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
+    def point(t, rng, x):
+        mm, nn = x.m, x.n
+        P, Q = gt.grsk(x)
+        P2, Q2 = gt.grsk_transposed(x)
+        ck.expect(P == P2 and Q == Q2, "row-column-routes")
+        Pt, Qt = gt.grsk(x.transpose())
+        ck.expect(Pt == Q and Qt == P, "transpose-symmetry")
+        shp = P.shape()
+        ck.expect(
+            shp == Q.shape()
+            and all(
+                shp[i - 1] == schur.shape_invariant(x, i) / schur.shape_invariant(x, i + 1)
+                for i in range(1, min(mm, nn) + 1)
+            ),
+            "shape-from-invariants",
+        )
+        A = gt.phi_matrix(P)
+        ck.expect(gt.psi_pattern(A, P.m, P.n, P.ring) == P, "psi-phi-roundtrip")
+        for j in range(1, nn):
+            drawn = _resample_move(ck, lambda c: gt.gt_apply_e(P, j, c), rng, "intertwine-columns", j=j)
+            if drawn is None:
+                continue
+            c, moved = drawn
+            Pb, Qb = gt.grsk(crystal.apply_e_bar(x, j, c))
+            ck.expect(Qb == Q and Pb == moved, "intertwine-columns", j=j)
+            ck.expect(moved.shape() == shp, "shape-preserved", j=j)
+        for i in range(1, mm):
+            drawn = _resample_move(ck, lambda c: gt.gt_apply_e(Q, i, c), rng, "intertwine-rows", i=i)
+            if drawn is None:
+                continue
+            c, moved = drawn
+            Pe, Qe = gt.grsk(crystal.apply_e(x, i, c))
+            ck.expect(Pe == P and Qe == moved, "intertwine-rows", i=i)
+
+    ck.points(m, n, trials, seed, point)
+
+
+def suite_jacobi_trudi(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
+    def point(t, rng, xr):
+        mm, nn = xr.m, xr.n
         xs = VarMatrix.symbolic(mm, nn)
-        rng = trial_rng(seed, mm * 101 + nn)
-        xr = VarMatrix.random(mm, nn, rng)
         Mt = schur.unfolded_matrix(xr)
         for shape in skew_corpus(nn):
             direct = schur.ssyt_sum(shape, xs)
             det = schur.jacobi_trudi(shape, xs)
-            ck.expect(det == direct, "jt-symbolic", m=mm, n=nn, shape=shape)
+            ck.expect(det == direct, "jt-symbolic", shape=shape)
             I, J = schur.maya_sets(shape.lam, shape.mu, shape.r, mm, nn)
             minor_IJ = Mt.minor(I, J)
-            ck.expect(
-                minor_IJ == schur.ssyt_sum(shape, xr),
-                "periodic-minor", m=mm, n=nn, shape=shape,
-            )
+            ck.expect(minor_IJ == schur.ssyt_sum(shape, xr), "periodic-minor", shape=shape)
             ck.expect(
                 Mt.minor([i + nn for i in I], [j + nn for j in J]) == minor_IJ,
-                "minor-translation", m=mm, n=nn, shape=shape,
+                "minor-translation", shape=shape,
             )
-    return ck.failures
+
+    ck.points(m, n, trials, seed, point, salt=101)
 
 
-def suite_pseudo_energy(m: int, n: int, trials: int, seed: int) -> list:
-    ck = Check()
+def suite_pseudo_energy(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
     ncs = 5
-    for mm, nn in _grid(m, n):
+
+    def point(t, rng, x):
+        mm, nn = x.m, x.n
         corpus = corner_corpus(mm, nn)
-        rng = trial_rng(seed, mm * 311 + nn)
-        x = VarMatrix.random(mm, nn, rng)
         base = {id(s): schur.ssyt_sum(s, x) for s in corpus}
         for j in range(1, nn):
             for _ in range(ncs):
                 c = random_rational(rng)
                 y = crystal.apply_e_bar(x, j, c)
                 for s in corpus:
-                    ck.expect(
-                        schur.ssyt_sum(s, y) == base[id(s)],
-                        "corner-color-invariance", m=mm, n=nn, j=j, shape=s,
-                    )
+                    ck.expect(schur.ssyt_sum(s, y) == base[id(s)], "corner-color-invariance", j=j, shape=s)
         # reduced Q-invariants are invariant as well
         qidx = [(i, j) for i in range(1, mm + 1) for j in range(1, nn + 1) if i + j <= mm]
         rq = {ij: schur.reduced_q_invariant(x, *ij) for ij in qidx}
@@ -372,31 +364,23 @@ def suite_pseudo_energy(m: int, n: int, trials: int, seed: int) -> list:
             c = random_rational(rng)
             y = crystal.apply_e_bar(x, j, c)
             for ij in qidx:
-                ck.expect(
-                    schur.reduced_q_invariant(y, *ij) == rq[ij],
-                    "reduced-q-invariance", m=mm, n=nn, j=j, q=ij,
-                )
+                ck.expect(schur.reduced_q_invariant(y, *ij) == rq[ij], "reduced-q-invariance", j=j, q=ij)
         # Maya-set predicate equivalence on shapes without empty columns
         for shape in corpus + [s for s in skew_corpus(nn) if not s.has_empty_columns()][:200]:
             I, J = schur.maya_sets(shape.lam, shape.mu, shape.r, mm, nn)
             ck.expect(
-                schur.corner_color_ok(shape, mm)
-                == (schur.n_final(I, nn) and schur.n_initial(J, nn)),
-                "corner-vs-maya", m=mm, n=nn, shape=shape,
+                schur.corner_color_ok(shape, mm) == (schur.n_final(I, nn) and schur.n_initial(J, nn)),
+                "corner-vs-maya", shape=shape,
             )
-    return ck.failures
+
+    ck.points(m, n, trials, seed, point, salt=311)
 
 
-def suite_det_formula(m: int, n: int, trials: int, seed: int) -> list:
-    ck = Check()
-    for mm, nn in _grid(m, n):
-        rng = trial_rng(seed, mm * 17 + nn)
-        x = VarMatrix.random(mm, nn, rng)
-        for shape in corner_corpus(mm, nn):
-            ck.run(
-                lambda s=shape: schur.theorem_det_formula(s, x),
-                "reduced-determinant", m=mm, n=nn, shape=shape,
-            )
+def suite_det_formula(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
+    def point(t, rng, x):
+        nn = x.n
+        for shape in corner_corpus(x.m, nn):
+            ck.run(lambda s=shape: schur.theorem_det_formula(s, x), "reduced-determinant", shape=shape)
         # the reduced periodic matrix is the two-sided dressing of the plain one
         U, V = schur.anti_diagonalizing_pair(x)
         Mt = schur.unfolded_matrix(x)
@@ -412,8 +396,10 @@ def suite_det_formula(m: int, n: int, trials: int, seed: int) -> list:
                 for a in range(nn + 1, 2 * nn + 1)
                 for b in range(1, 2 * nn + 1)
             ),
-            "reduced-is-dressed", m=mm, n=nn,
+            "reduced-is-dressed",
         )
+
+    ck.points(m, n, trials, seed, point, salt=17)
     # the worked 4 x 4 reduced determinant
     rng = trial_rng(seed, 999)
     x = VarMatrix.random(5, 3, rng)
@@ -423,24 +409,22 @@ def suite_det_formula(m: int, n: int, trials: int, seed: int) -> list:
     rq22 = schur.reduced_q_invariant(x, 2, 2)
     s2, s3 = schur.shape_invariant(x, 2), schur.shape_invariant(x, 3)
     ck.expect(val == rq12 * rq22 * s3 * s3 - rq12 * s2, "worked-53-determinant")
-    return ck.failures
 
 
-def suite_sum_of_minors(m: int, n: int, trials: int, seed: int) -> list:
-    ck = Check()
-    for mm, nn in _grid(m, n):
-        rng = trial_rng(seed, mm * 53 + nn)
-        x = VarMatrix.random(mm, nn, rng)
+def suite_sum_of_minors(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
+    def point(t, rng, x):
         Mt = schur.unfolded_matrix(x)
         Mb = schur.barred_matrix(x)
-        lo = max(0, nn - mm)
+        lo = max(0, x.n - x.m)
         for d in range(0, 3):
-            for avec in product(range(lo, nn + 1), repeat=d + 1):
-                for bvec in product(range(lo, nn + 1), repeat=d + 1):
+            for avec in product(range(lo, x.n + 1), repeat=d + 1):
+                for bvec in product(range(lo, x.n + 1), repeat=d + 1):
                     if sum(avec) != sum(bvec):
                         continue
                     err = _check_minor_sum(x, Mt, Mb, avec, bvec)
-                    ck.expect(err is None, "unfolded-sum", m=mm, n=nn, a=avec, b=bvec, detail=err)
+                    ck.expect(err is None, "unfolded-sum", a=avec, b=bvec, detail=err)
+
+    ck.points(m, n, trials, seed, point, salt=53)
     # the worked square Q-invariant decompositions
     rng = trial_rng(seed, 9999)
     x = VarMatrix.random(3, 3, rng)
@@ -467,7 +451,6 @@ def suite_sum_of_minors(m: int, n: int, trials: int, seed: int) -> list:
         + dm([2, 3], [2, 3]) * dm([2, 3], [1, 2]),
         "square-q21",
     )
-    return ck.failures
 
 
 def _check_minor_sum(x, Mt, Mb, avec, bvec):
@@ -527,8 +510,7 @@ def _check_minor_sum(x, Mt, Mb, avec, bvec):
     return None
 
 
-def suite_cylindric(m: int, n: int, trials: int, seed: int) -> list:
-    ck = Check()
+def suite_cylindric(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
     # facts of the shapes alone, computed once per modulus rather than per m
     shape_facts = {
         nn: [
@@ -541,16 +523,15 @@ def suite_cylindric(m: int, n: int, trials: int, seed: int) -> list:
         ]
         for nn in range(2, n + 1)
     }
-    for mm, nn in _grid(m, n):
-        rng = trial_rng(seed, mm * 71 + nn)
-        x = VarMatrix.random(mm, nn, rng)
+
+    def point(t, rng, x):
+        mm, nn = x.m, x.n
         for shape, dmax_ok, comp in shape_facts[nn]:
-            ck.run(lambda s=shape: cylindric.cyl_jt_check(s, x), "cyl-jt", m=mm, n=nn, shape=shape)
-            ck.expect(dmax_ok, "dmax-diagonal", m=mm, n=nn, shape=shape)
+            ck.run(lambda s=shape: cylindric.cyl_jt_check(s, x), "cyl-jt", shape=shape)
+            ck.expect(dmax_ok, "dmax-diagonal", shape=shape)
             if comp is not None:
                 ck.expect(
-                    cylindric.cyl_schur(shape, x) == schur.ssyt_sum(comp, x),
-                    "detached-component", m=mm, n=nn, shape=shape,
+                    cylindric.cyl_schur(shape, x) == schur.ssyt_sum(comp, x), "detached-component", shape=shape
                 )
         # invariance for full-window index data
         for k in range(1, nn + 1):
@@ -563,120 +544,86 @@ def suite_cylindric(m: int, n: int, trials: int, seed: int) -> list:
             for j in range(1, nn):
                 c = random_rational(rng)
                 y = crystal.apply_e_bar(x, j, c)
-                ck.expect(
-                    cylindric.cyl_schur(shape, y) == base,
-                    "cylindric-invariance", m=mm, n=nn, k=k, j=j,
-                )
-    return ck.failures
+                ck.expect(cylindric.cyl_schur(shape, y) == base, "cylindric-invariance", k=k, j=j)
+
+    ck.points(m, n, trials, seed, point, salt=71)
 
 
-def suite_folded(m: int, n: int, trials: int, seed: int) -> list:
-    ck = Check()
-    for mm, nn in _grid(m, n):
-        rng = trial_rng(seed, mm * 91 + nn)
-        x = VarMatrix.random(mm, nn, rng)
+def suite_folded(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
+    def point(t, rng, x):
+        mm, nn = x.m, x.n
         for i in range(1, min(mm, nn) + 2):
-            ck.run(lambda i=i: cylindric.bottom_left_ladder_check(x, i, reduced=False), "folded-ladder", m=mm, n=nn, i=i)
-            ck.run(lambda i=i: cylindric.bottom_left_ladder_check(x, i, reduced=True), "folded-ladder-reduced", m=mm, n=nn, i=i)
+            ck.run(lambda i=i: cylindric.bottom_left_ladder_check(x, i, reduced=False), "folded-ladder", i=i)
+            ck.run(lambda i=i: cylindric.bottom_left_ladder_check(x, i, reduced=True), "folded-ladder-reduced", i=i)
         for a in range(1, mm + 1):
             for b in range(a, mm + 1):
                 for i in range(1, min(b - a + 1, nn) + 1):
                     ck.run(
                         lambda i=i, a=a, b=b: cylindric.folded_minor_sum_check(x, i, a, b),
-                        "folded-sum", m=mm, n=nn, i=i, a=a, b=b,
+                        "folded-sum", i=i, a=a, b=b,
                     )
-    return ck.failures
+
+    ck.points(m, n, trials, seed, point, salt=91)
 
 
-def suite_decoration(m: int, n: int, trials: int, seed: int) -> list:
-    ck = Check()
-    for mm, nn in _grid(m, n):
-        for t in range(trials):
-            rng = trial_rng(seed, t)
-            x = VarMatrix.random(mm, nn, rng)
-            P, Q = gt.grsk(x)
-            ck.expect(
-                gt.decoration_gt(P) == gt.decoration_gt_minors(P),
-                "pattern-decoration-minors", m=mm, n=nn, trial=t,
-            )
-            ck.expect(
-                gt.decoration_gt(Q) == gt.decoration_gt_minors(Q),
-                "pattern-decoration-minors-q", m=mm, n=nn, trial=t,
-            )
-            rhs = gt.decoration_gt(P) + gt.decoration_gt(Q)
-            if mm == nn:
-                rhs = rhs + P.z(nn, nn)
-            ck.expect(
-                gt.decoration_mat(x) == rhs, "decoration-splits", m=mm, n=nn, trial=t
-            )
-            for j in range(1, min(mm - 1, nn) + 1):
-                lhs, dec = energy.first_row_q_decomposition(x, j)
-                ck.expect(lhs == dec, "q-decomposition", m=mm, n=nn, j=j, trial=t)
-            ck.expect(
-                gt.decoration_gt(P) == energy.insertion_decoration_formula(x),
-                "insertion-decoration", m=mm, n=nn, trial=t,
-            )
-    return ck.failures
+def suite_decoration(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
+    def point(t, rng, x):
+        mm, nn = x.m, x.n
+        P, Q = gt.grsk(x)
+        ck.expect(gt.decoration_gt(P) == gt.decoration_gt_minors(P), "pattern-decoration-minors")
+        ck.expect(gt.decoration_gt(Q) == gt.decoration_gt_minors(Q), "pattern-decoration-minors-q")
+        rhs = gt.decoration_gt(P) + gt.decoration_gt(Q)
+        if mm == nn:
+            rhs = rhs + P.z(nn, nn)
+        ck.expect(gt.decoration_mat(x) == rhs, "decoration-splits")
+        for j in range(1, min(mm - 1, nn) + 1):
+            lhs, dec = energy.first_row_q_decomposition(x, j)
+            ck.expect(lhs == dec, "q-decomposition", j=j)
+        ck.expect(gt.decoration_gt(P) == energy.insertion_decoration_formula(x), "insertion-decoration")
+
+    ck.points(m, n, trials, seed, point)
 
 
-def suite_central_charge(m: int, n: int, trials: int, seed: int) -> list:
-    ck = Check()
-    for mm, nn in _grid(m, n):
-        for t in range(trials):
-            rng = trial_rng(seed, t)
-            x = VarMatrix.random(mm, nn, rng)
-            a = energy.central_charge_decoration(x)
-            b = energy.central_charge_qinv(x)
-            ck.expect(a == b, "two-routes", m=mm, n=nn, trial=t)
-            _, Q = gt.grsk(x)
-            qdec = gt.decoration_gt(Q)
-            qsum = x.ring.zero
-            for j in range(1, min(mm - 1, nn) + 1):
-                qsum = qsum + schur.reduced_q_invariant(x, 1, j)
-            ck.expect(qdec == qsum, "recording-decoration-sum", m=mm, n=nn, trial=t)
-            for j in range(1, nn):
+def suite_central_charge(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
+    def point(t, rng, x):
+        mm, nn = x.m, x.n
+        a = energy.central_charge_decoration(x)
+        b = energy.central_charge_qinv(x)
+        ck.expect(a == b, "two-routes")
+        _, Q = gt.grsk(x)
+        qdec = gt.decoration_gt(Q)
+        qsum = x.ring.zero
+        for j in range(1, min(mm - 1, nn) + 1):
+            qsum = qsum + schur.reduced_q_invariant(x, 1, j)
+        ck.expect(qdec == qsum, "recording-decoration-sum")
+        for j in range(1, nn):
+            c = random_rational(rng)
+            ck.expect(
+                energy.central_charge_decoration(crystal.apply_e_bar(x, j, c)) == a, "column-invariance", j=j
+            )
+        for i in range(1, mm):
+            ck.expect(energy.central_charge_decoration(crystal.row_r(x, i)) == a, "reflection-invariance", i=i)
+
+    ck.points(m, n, trials, seed, point)
+
+
+def suite_energy(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
+    def point(t, rng, x):
+        d1 = energy.energy_tableaux(x)
+        d2 = energy.energy_product(x)
+        d3 = energy.energy_sigma_product(x)
+        ck.expect(d1 == d2 == d3, "three-routes")
+        if t < 3:
+            for j in range(1, x.n):
                 c = random_rational(rng)
-                ck.expect(
-                    energy.central_charge_decoration(crystal.apply_e_bar(x, j, c)) == a,
-                    "column-invariance", m=mm, n=nn, j=j, trial=t,
-                )
-            for i in range(1, mm):
-                ck.expect(
-                    energy.central_charge_decoration(crystal.row_r(x, i)) == a,
-                    "reflection-invariance", m=mm, n=nn, i=i, trial=t,
-                )
-    return ck.failures
+                ck.expect(energy.energy_tableaux(crystal.apply_e_bar(x, j, c)) == d1, "column-invariance", j=j)
+            for i in range(1, x.m):
+                ck.expect(energy.energy_tableaux(crystal.row_r(x, i)) == d1, "reflection-invariance", i=i)
+
+    ck.points(m, n, trials, seed, point)
 
 
-def suite_energy(m: int, n: int, trials: int, seed: int) -> list:
-    ck = Check()
-    for mm, nn in _grid(m, n):
-        for t in range(trials):
-            rng = trial_rng(seed, t)
-            x = VarMatrix.random(mm, nn, rng)
-            d1 = energy.energy_tableaux(x)
-            d2 = energy.energy_product(x)
-            d3 = energy.energy_sigma_product(x)
-            ck.expect(d1 == d2 == d3, "three-routes", m=mm, n=nn, trial=t)
-            if t < 3:
-                for j in range(1, nn):
-                    c = random_rational(rng)
-                    ck.expect(
-                        energy.energy_tableaux(crystal.apply_e_bar(x, j, c)) == d1,
-                        "column-invariance", m=mm, n=nn, j=j, trial=t,
-                    )
-                for i in range(1, mm):
-                    ck.expect(
-                        energy.energy_tableaux(crystal.row_r(x, i)) == d1,
-                        "reflection-invariance", m=mm, n=nn, i=i, trial=t,
-                    )
-    return ck.failures
-
-
-def suite_cocharge(m: int, n: int, trials: int, seed: int) -> list:
-    ck = Check()
-    import math
-
+def suite_cocharge(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
     for k in range(2, 8):
         ck.expect(
             len(energy.kb_patterns(k)) == math.factorial(k - 1), "pattern-count", k=k
@@ -696,7 +643,6 @@ def suite_cocharge(m: int, n: int, trials: int, seed: int) -> list:
                 energy.sigma_k(z, 2) == energy.sigma_k(z2, 2),
                 "depends-on-top-rows", m=mm, trial=t,
             )
-    return ck.failures
 
 
 def _random_pattern(mm: int, rng) -> gt.GTPattern:
@@ -712,8 +658,7 @@ def _perturb_deep_rows(z: gt.GTPattern, keep: int, rng) -> gt.GTPattern:
     return gt.GTPattern(z.m, z.n, entries, z.ring)
 
 
-def suite_tropical(m: int, n: int, trials: int, seed: int) -> list:
-    ck = Check()
+def suite_tropical(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
     rng = trial_rng(seed, 1)
     for t in range(200):
         mm, nn = rng.randint(1, m), rng.randint(1, n)
@@ -725,18 +670,15 @@ def suite_tropical(m: int, n: int, trials: int, seed: int) -> list:
             "grsk-tropicalizes-to-rsk", a=a,
         )
     rng = trial_rng(seed, 2)
-    done = 0
-    while done < 100:
+    for _ in range(100):
         mm, nn = rng.randint(1, m), rng.randint(2, n)
         a = [[rng.randint(0, 4) for _ in range(nn)] for _ in range(mm)]
         a.sort(key=sum, reverse=True)
         P, Q = comb.rsk(a)
         g = comb.gt_of_tableau(Q, mm, mm)
         ck.expect(comb.trop_cocharge(g) == comb.cocharge(Q), "cocharge-tropicalizes", a=a)
-        done += 1
     rng = trial_rng(seed, 3)
-    done = 0
-    while done < 100:
+    for _ in range(100):
         mm, nn = rng.randint(1, m), rng.randint(2, n)
         a = [[rng.randint(0, 4) for _ in range(nn)] for _ in range(mm)]
         a.sort(key=sum)
@@ -745,14 +687,12 @@ def suite_tropical(m: int, n: int, trials: int, seed: int) -> list:
             comb.trop_energy(a) == comb.cocharge(Qp),
             "energy-tropicalizes-to-cocharge", a=a,
         )
-        done += 1
-    return ck.failures
 
 
-def suite_paper_examples(m: int, n: int, trials: int, seed: int) -> list:
+def suite_paper_examples(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
     from loopsym.examples import run_paper_examples
 
-    return run_paper_examples(seed)
+    run_paper_examples(ck, seed)
 
 
 SUITES = {
@@ -780,14 +720,18 @@ def run_suite(name: str, m: int, n: int, trials: int, seed: int) -> VerifyReport
     if m < 2 or n < 2 or trials < 1:
         # the size grids start at 2, so a smaller bound would check nothing
         raise ValueError(f"vacuous run: needs m, n >= 2 and trials >= 1, got m={m} n={n} trials={trials}")
+    ck = Check()
     t0 = time.monotonic()
-    failures = SUITES[name](m, n, trials, seed)
+    try:
+        SUITES[name](ck, m, n, trials, seed)
+    except Exception as exc:
+        ck.raised(exc)
     elapsed = int((time.monotonic() - t0) * 1000)
     return VerifyReport(
         suite=name,
         params={"m": m, "n": n},
         trials=trials,
         seed=seed,
-        failures=failures,
+        failures=ck.failures,
         elapsed_ms=elapsed,
     )

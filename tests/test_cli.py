@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsym import schur
+from loopsym import cylindric, schur
 from loopsym.cli import EVAL_TARGETS, POLYNOMIAL_TARGETS, main
 from loopsym.points import VarMatrix
 from loopsym.verify import cylindric_corpus, skew_corpus
@@ -169,6 +169,14 @@ POINT = {"entries": [["1", "2"], ["3", "4"]]}
         ("grsk", "rational", {"entries": [[0, 1], [1, 1]]}, "positive"),
         ("energy", "rational", {"entries": [["1", "-2"], ["1", "1"]]}, "positive"),
         ("energy", "tropical", {"entries": [[1.5, 2], [1, 1]]}, "integer"),
+        ("energy", "rational", {"x": 1}, "missing field 'entries'"),
+        ("loop-schur", "polynomial", {"lambda": [2], "m": 2, "n": 2}, "missing field 'r'"),
+        (
+            "cocharge",
+            "rational",
+            {"m": 2, "n": 3, "entries": {"1,1": "1", "1,2": "2", "1,3": "3", "2,2": "1", "2,3": "1"}},
+            "cocharge needs m >= n",
+        ),
     ],
 )
 def test_eval_bad_input_is_usage_error(target, mode, data, message, capsys, monkeypatch):
@@ -363,6 +371,37 @@ def test_loop_schur_modes_are_mutual_oracles(m, n, data):
 
     code, out, _ = run_quiet(
         ["eval", "loop-schur", "--mode", "rational"], json.dumps({**base, "x": point(rats, str)})
+    )
+    want = evaluate(poly.num, rats) / evaluate(poly.den, rats)
+    assert code == 0 and Fraction(json.loads(out)["value"]) == want
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(1, 3), n=st.integers(1, 3), data=st.data())
+def test_cyl_schur_modes_are_mutual_oracles(m, n, data):
+    """The tropical value is trop_min of the polynomial value, and the
+    rational value is the polynomial value evaluated at the same point."""
+    shape = data.draw(st.sampled_from(cylindric_corpus(n, max_cells=6)))
+    base = {"m": m, "n": n, "k": shape.k, "lambda": list(shape.lam), "mu": list(shape.mu), "r": shape.r}
+    grid = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    ints = {v: data.draw(st.integers(-4, 6)) for v in grid}
+    rats = {v: Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))) for v in grid}
+
+    def point(values, text):
+        return {"entries": [[text(values[i, j]) for j in range(1, n + 1)] for i in range(1, m + 1)]}
+
+    poly = cylindric.cyl_schur(shape, VarMatrix.symbolic(m, n))
+    code, out, _ = run_quiet(["eval", "cyl-schur", "--mode", "polynomial"], json.dumps(base))
+    assert code == 0 and json.loads(out)["value"] == repr(poly)
+
+    code, out, _ = run_quiet(
+        ["eval", "cyl-schur", "--mode", "tropical"], json.dumps({**base, "x": point(ints, int)})
+    )
+    want = poly.num.trop_min(ints) - poly.den.trop_min(ints)
+    assert code == 0 and json.loads(out)["value"] == (None if want == math.inf else want)
+
+    code, out, _ = run_quiet(
+        ["eval", "cyl-schur", "--mode", "rational"], json.dumps({**base, "x": point(rats, str)})
     )
     want = evaluate(poly.num, rats) / evaluate(poly.den, rats)
     assert code == 0 and Fraction(json.loads(out)["value"]) == want

@@ -210,7 +210,7 @@ def test_memoized_ladder_failure_is_reported_for_every_shape(monkeypatch):
 
     from loopsym import cylindric
     from loopsym.semifield import VerificationFailure
-    from loopsym.verify import cylindric_corpus, suite_cylindric
+    from loopsym.verify import cylindric_corpus, run_suite
 
     m, n = 2, 3
     keys = Counter(_ladder_key(s, m) for s in cylindric_corpus(n))
@@ -226,7 +226,7 @@ def test_memoized_ladder_failure_is_reported_for_every_shape(monkeypatch):
         original(I, J, k, x, poly)
 
     monkeypatch.setattr(cylindric, "_expansion_check", faulty)
-    failures = suite_cylindric(m, n, 1, 0)
+    failures = run_suite("cylindric", m, n, 1, 0).failures
     assert max(calls.values()) == 1
     got = [(f["m"], f["n"], f["shape"]) for f in failures if f["check"] == "cyl-jt"]
     want = [

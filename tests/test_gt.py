@@ -143,13 +143,13 @@ def test_pattern_json_roundtrip():
 
 def test_grsk_suite_records_exhausted_resampling(monkeypatch):
     from loopsym import gt
-    from loopsym.verify import RESAMPLE_CAP, suite_grsk
+    from loopsym.verify import RESAMPLE_CAP, run_suite
 
     def always_degenerate(z, k, c):
         raise DegeneratePoint("forced")
 
     monkeypatch.setattr(gt, "gt_apply_e", always_degenerate)
-    failures = suite_grsk(2, 2, 1, 0)
+    failures = run_suite("grsk", 2, 2, 1, 0).failures
     assert [f["check"] for f in failures] == ["intertwine-columns", "intertwine-rows"]
     assert all(f["error"] == f"no usable c after {RESAMPLE_CAP} resamples" for f in failures)
     assert all(f["trial"] == "0" and f["m"] == f["n"] == "2" for f in failures)

@@ -267,7 +267,7 @@ def test_periodic_minor_memo_matches_window_det():
 def test_jacobi_trudi_suite_catches_a_broken_translate(monkeypatch):
     """One entry with a row index above n loses periodicity; the periodic
     minors must see it, so their memo may not identify translated index sets."""
-    from loopsym.verify import suite_jacobi_trudi
+    from loopsym.verify import run_suite
 
     n = 2
     entry = PeriodicMatrix.entry
@@ -276,9 +276,9 @@ def test_jacobi_trudi_suite_catches_a_broken_translate(monkeypatch):
         value = entry(self, i, j)
         return value + self.ring.one if (i, j) == (n + 1, n + 1) else value
 
-    assert suite_jacobi_trudi(2, n, 1, 0) == []
+    assert run_suite("jacobi-trudi", 2, n, 1, 0).failures == []
     monkeypatch.setattr(PeriodicMatrix, "entry", broken)
-    failures = suite_jacobi_trudi(2, n, 1, 0)
+    failures = run_suite("jacobi-trudi", 2, n, 1, 0).failures
     assert any(f["check"] == "minor-translation" for f in failures)
     assert {f["check"] for f in failures} <= {"periodic-minor", "minor-translation"}
 

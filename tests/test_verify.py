@@ -1,0 +1,103 @@
+"""The verify harness: how every suite draws its sample points, and what an
+exception inside a suite becomes."""
+
+import pytest
+
+from loopsym import comb, crystal, cylindric, energy, examples, gt, schur, verify
+from loopsym.semifield import trial_rng
+from loopsym.verify import SUITES, run_suite
+
+SEED = 7
+TRIALS = [(SEED, 0), (SEED, 1)] * 4  # sizes (2, 2), (2, 3), (3, 2), (3, 3); two trials each
+
+# every (seed, index) a suite passes to trial_rng at m = n = 3, trials 2, in order
+PINNED = {
+    "crystal-axioms": TRIALS,
+    "r-matrix": TRIALS,
+    "grsk": TRIALS,
+    "jacobi-trudi": [(SEED, 204), (SEED, 205), (SEED, 305), (SEED, 306)],
+    "pseudo-energy": [(SEED, 624), (SEED, 625), (SEED, 935), (SEED, 936)],
+    "det-formula": [(SEED, 36), (SEED, 37), (SEED, 53), (SEED, 54), (SEED, 999)],
+    "sum-of-minors": [(SEED, 108), (SEED, 109), (SEED, 161), (SEED, 162), (SEED, 9999)],
+    "cylindric": [(SEED, 144), (SEED, 145), (SEED, 215), (SEED, 216)],
+    "folded": [(SEED, 184), (SEED, 185), (SEED, 275), (SEED, 276)],
+    "decoration": TRIALS,
+    "central-charge": TRIALS,
+    "energy": TRIALS,
+    "cocharge": TRIALS,  # pattern sizes 2..5, two trials each
+    "tropical": [(SEED, 1), (SEED, 2), (SEED, 3)],
+    "paper-examples": [(SEED, 424242)],
+}
+
+
+def test_every_suite_has_a_pinned_scheme():
+    assert sorted(PINNED) == sorted(SUITES)
+
+
+@pytest.mark.parametrize("suite", list(PINNED))
+def test_sampling_scheme_is_pinned(suite, monkeypatch):
+    seen = []
+
+    def spy(seed, index):
+        seen.append((seed, index))
+        return trial_rng(seed, index)
+
+    monkeypatch.setattr(verify, "trial_rng", spy)
+    monkeypatch.setattr(examples, "trial_rng", spy)
+    assert run_suite(suite, 3, 3, 2, SEED).passed
+    assert seen == PINNED[suite]
+
+
+# one function each suite calls, made to raise once; only folded calls its function inside Check.run
+FAULTS = {
+    "crystal-axioms": (crystal, "product_readout"),
+    "r-matrix": (crystal, "weyl_reflection"),
+    "grsk": (gt, "grsk_transposed"),
+    "jacobi-trudi": (schur, "jacobi_trudi"),
+    "pseudo-energy": (schur, "reduced_q_invariant"),
+    "det-formula": (schur, "anti_diagonalizing_pair"),
+    "sum-of-minors": (schur, "barred_matrix"),
+    "cylindric": (crystal, "apply_e_bar"),
+    "folded": (cylindric, "folded_minor_sum_check"),
+    "decoration": (gt, "decoration_mat"),
+    "central-charge": (energy, "central_charge_qinv"),
+    "energy": (energy, "energy_sigma_product"),
+    "cocharge": (energy, "kb_sigma"),
+    "tropical": (comb, "trop_grsk"),
+    "paper-examples": (gt, "phi_matrix"),
+}
+UNSCAFFOLDED = ("cocharge", "tropical", "paper-examples")  # suites that draw no VarMatrix points
+
+
+def test_every_suite_has_a_fault():
+    assert sorted(FAULTS) == sorted(SUITES)
+
+
+@pytest.mark.parametrize("suite", list(FAULTS))
+def test_an_exception_is_a_recorded_failure_and_the_run_goes_on(suite, monkeypatch):
+    module, name = FAULTS[suite]
+    original = getattr(module, name)
+    drawn = []  # trial_rng calls so far: one per sample point
+    calls = []  # len(drawn) at each call of the faulty function
+
+    def counting_rng(seed, index):
+        drawn.append(index)
+        return trial_rng(seed, index)
+
+    def raises_once(*args, **kwargs):
+        calls.append(len(drawn))
+        if len(calls) == 1:
+            raise ZeroDivisionError("injected")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "trial_rng", counting_rng)
+    monkeypatch.setattr(module, name, raises_once)
+    report = run_suite(suite, 2, 3, 1, 0)
+    assert [f["error"] for f in report.failures] == ["ZeroDivisionError: injected"]
+    failure = report.failures[0]
+    if suite in UNSCAFFOLDED:
+        assert failure["check"] == "exception"
+        return
+    # raised at the first point, with its witness; a later point was checked
+    assert (failure["m"], failure["n"], failure.get("trial", "0")) == ("2", "2", "0")
+    assert calls[0] == 1 and calls[-1] > 1
