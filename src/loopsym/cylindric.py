@@ -6,6 +6,15 @@ A k-cylindric partition fits in width k and has conjugate spread at most
 n - k; its infinite extension tiles the plane by translates through
 (-(n-k), k).  Cylindricity of a filling is checked across one translate
 boundary, which periodicity makes sufficient.
+
+Cell (i, j) of a cylindric shape has the color r + i - j mod n of a skew
+shape, so cylindric tableau sums use the weight tables of
+:mod:`loopsym.partitions`: one cached table per shape, colored at anchor 1,
+kept from the skew tableaux whose periodic extension stays semistandard,
+and evaluated per ring by :func:`loopsym.partitions.evaluate_weights`.  The folded identities
+read the strip ladder ``[shape, R(shape), ...]`` of :func:`strip_ladder`.
+The work of :func:`cyl_jt_check` that depends only on the point (the folded
+matrix, its minors and the ladder outcomes) lives in the point's memo.
 """
 
 from __future__ import annotations
@@ -15,7 +24,15 @@ from functools import lru_cache
 from itertools import combinations
 
 from loopsym.linalg import tpoly_minor
-from loopsym.partitions import ColoredSkewShape, conjugate, contains, partition
+from loopsym.partitions import (
+    ColoredSkewShape,
+    conjugate,
+    contains,
+    evaluate_weights,
+    partition,
+    ssyt_columns,
+    weight_table,
+)
 from loopsym.paths import underway_minor
 from loopsym.points import VarMatrix
 from loopsym.schur import folded_matrix, maya_sets, reduced_folded_matrix
@@ -64,9 +81,6 @@ class CylShape:
     def size(self) -> int:
         return sum(self.lam) - sum(self.mu)
 
-    def color(self, i: int, j: int) -> int:
-        return ((self.r + i - j - 1) % self.n) + 1
-
     def translate_cell(self, cell, steps: int = 1):
         """Image of a cell under the generating translation, applied steps times."""
         i, j = cell
@@ -81,23 +95,22 @@ class CylShape:
 
 
 @lru_cache(maxsize=None)
-def _cyl_fillings(k: int, lam: tuple, mu: tuple, n: int, max_entry: int):
-    """Fillings of the fundamental domain whose periodic extension is
-    semistandard; returned as dicts cell -> value."""
-    from loopsym.partitions import ssyt_columns
-
+def cyl_weight_vectors(k: int, lam: tuple, mu: tuple, n: int, max_entry: int):
+    """Weight table (see :func:`loopsym.partitions.ssyt_weight_vectors`) of
+    the k-cylindric tableaux of lam/mu: the fillings of the fundamental
+    domain whose periodic extension is semistandard."""
     shape = CylShape(k, lam, mu, 1, n)
-    cells = shape.cells()
     muc = conjugate(mu) + (0,) * (len(conjugate(lam)) - len(conjugate(mu)))
-    out = []
+    kept = []
     for filling in ssyt_columns(lam, mu, max_entry):
-        values = {}
-        for c, column in enumerate(filling):
-            for idx, v in enumerate(column):
-                values[(muc[c] + 1 + idx, c + 1)] = v
+        values = {
+            (muc[c] + 1 + idx, c + 1): v
+            for c, column in enumerate(filling)
+            for idx, v in enumerate(column)
+        }
         if _extension_semistandard(shape, values):
-            out.append(values)
-    return tuple(out)
+            kept.append(filling)
+    return weight_table(lam, mu, n, kept)
 
 
 def _extension_semistandard(shape: CylShape, values: dict) -> bool:
@@ -125,13 +138,8 @@ def cyl_schur(shape: CylShape, x: VarMatrix):
     """Generating function of cylindric tableaux with entries at most m."""
     if shape.n != x.n:
         raise ValueError("color modulus of shape and point disagree")
-    total = x.ring.zero
-    for values in _cyl_fillings(shape.k, shape.lam, shape.mu, shape.n, x.m):
-        term = x.ring.one
-        for (i, j), v in values.items():
-            term = term * x.xc(v, shape.color(i, j))
-        total = total + term
-    return total
+    table = cyl_weight_vectors(shape.k, shape.lam, shape.mu, shape.n, x.m)
+    return evaluate_weights(table, x, shape.r)
 
 
 # ---------------------------------------------------------------------------
@@ -162,19 +170,21 @@ def shape_after_strip(shape: CylShape):
     return CylShape(shape.k, flat, shape.mu, shape.r, shape.n)
 
 
+def strip_ladder(shape: CylShape) -> list:
+    """The rungs ``[shape, R(shape), R(R(shape)), ...]`` while each strip
+    removal stays defined; empty when the shape itself is not a shape."""
+    if not contains(shape.lam, shape.mu):
+        return []
+    rungs = [shape]
+    while (nxt := shape_after_strip(rungs[-1])) is not None:
+        rungs.append(nxt)
+    return rungs
+
+
 def d_max(shape: CylShape) -> int:
     """Largest iterate of strip removal that stays defined (-1 when the
     shape itself is not a shape)."""
-    if not contains(shape.lam, shape.mu):
-        return -1
-    d = 0
-    cur = shape
-    while True:
-        nxt = shape_after_strip(cur)
-        if nxt is None:
-            return d
-        cur = nxt
-        d += 1
+    return len(strip_ladder(shape)) - 1
 
 
 def shortest_diagonal_length(shape: CylShape) -> int:
@@ -283,55 +293,10 @@ def partition_from_sources(I, k: int, n: int):
 # identity checks
 
 
-class _PointMemo:
-    """The per-point work of :func:`cyl_jt_check`, shared by every shape
-    checked at one point: the folded matrix, its t-polynomial minor per
-    reduced index pair (I, J), and the outcome of the strip-ladder check per
-    (I, J, k) -- None, or the exception it raised.
-
-    Many shapes share their reduced index data, so each minor and each
-    ladder is computed once per point instead of once per shape.
-
-    The memo is keyed on the point object itself (``memo.x is x``), not on
-    its entries.  ``VarMatrix`` defines ``__eq__`` but no hash, and its
-    ``PolyFraction`` entries are unhashable and compare by cross-multiplying,
-    so keying on entries would cost a comparison on every call.  A point's
-    rows are tuples of immutable values, so the same object always holds the
-    same entries; two equal but distinct points merely recompute.  The memo
-    keeps its point alive, so the identity test cannot match a new object
-    that reuses a freed one's id.
-    """
-
-    __slots__ = ("x", "folded", "minors", "ladders")
-
-    def __init__(self, x: VarMatrix):
-        self.x = x
-        self.folded = folded_matrix(x)
-        self.minors: dict = {}
-        self.ladders: dict = {}
-
-    def minor(self, I, J):
-        poly = self.minors.get((I, J))
-        if poly is None:
-            poly = self.minors[(I, J)] = tpoly_minor(self.folded, I, J)
-        return poly
-
-    def ladder_check(self, I, J, k: int) -> None:
-        key = (I, J, k)
-        if key not in self.ladders:
-            try:
-                _expansion_check(I, J, k, self.x, self.minor(I, J))
-            except Exception as exc:
-                self.ladders[key] = exc
-            else:
-                self.ladders[key] = None
-        exc = self.ladders[key]
-        if exc is not None:
-            # a fresh traceback each time, so re-raising does not grow it
-            raise exc.with_traceback(None)
-
-
-_point_memo: _PointMemo | None = None  # one slot: the last point checked
+def _signed_coeff(poly, k: int, d: int, ring):
+    """(-1)^((k-1)d) times the t^d coefficient of the t-polynomial poly."""
+    coeff = poly.coeff(d)
+    return coeff if ((k - 1) * d) % 2 == 0 else ring.zero - coeff
 
 
 def cyl_jt_check(shape: CylShape, x: VarMatrix) -> None:
@@ -340,47 +305,46 @@ def cyl_jt_check(shape: CylShape, x: VarMatrix) -> None:
     Part 1: the tableau sum equals the signed t-coefficient of the reduced
     index minor.  Part 2: the full t-expansion of that minor lists the
     border-strip ladder of the widest shape with the same index data.
-    Part 1 runs for every shape; the folded matrix, the minor and part 2
-    depend only on the point and (I, J, k), and come from a per-point memo
-    (:class:`_PointMemo`), a failed part 2 being raised again for each shape.
+    Part 1 runs for every shape.  The folded matrix, the minor per reduced
+    index pair (I, J) and the outcome of part 2 per (I, J, k) depend only on
+    the point and that key, so they are kept in the point's memo; many
+    shapes share their reduced index data, and a failed part 2 is raised
+    again, with a fresh traceback, for each shape that shares its key.
     """
-    global _point_memo
-    k, n = shape.k, shape.n
-    Ihat, Jhat, dstar = cyl_maya(shape.lam, shape.mu, shape.r, k, x.m, n)
-    memo = _point_memo  # read once: a concurrent caller at worst recomputes
-    if memo is None or memo.x is not x:
-        memo = _point_memo = _PointMemo(x)
-    poly = memo.minor(Ihat, Jhat)
-    sign = 1 if ((k - 1) * dstar) % 2 == 0 else -1
-    coeff = poly.coeff(dstar)
-    want = coeff if sign > 0 else x.ring.zero - coeff
+    k = shape.k
+    Ihat, Jhat, dstar = cyl_maya(shape.lam, shape.mu, shape.r, k, x.m, shape.n)
+    memo = x.memo("cyl_jt_check")
+    poly = memo.get((Ihat, Jhat))
+    if poly is None:
+        if "folded" not in memo:
+            memo["folded"] = folded_matrix(x)
+        poly = memo[(Ihat, Jhat)] = tpoly_minor(memo["folded"], Ihat, Jhat)
+    want = _signed_coeff(poly, k, dstar, x.ring)
     direct = cyl_schur(shape, x)
     if direct != want:
         raise VerificationFailure(
             "cylindric tableau sum disagrees with folded minor coefficient",
             {"shape": shape, "tableaux": direct, "coeff": want, "d": dstar},
         )
-    memo.ladder_check(Ihat, Jhat, k)
+    key = (Ihat, Jhat, k)
+    if key not in memo:
+        try:
+            _expansion_check(Ihat, Jhat, k, x, poly)
+        except Exception as exc:
+            memo[key] = exc
+        else:
+            memo[key] = None
+    if memo[key] is not None:
+        raise memo[key].with_traceback(None)
 
 
 def _expansion_check(I, J, k: int, x: VarMatrix, poly) -> None:
     lam = partition_from_sinks(J, k, x.m, x.n)
     mu = partition_from_sources(I, k, x.n)
-    if contains(lam, mu):
-        ladder = CylShape(k, lam, mu, k, x.n)
-        dm = d_max(ladder)
-    else:
-        ladder, dm = None, -1
-    for d in range(max(dm, poly.degree) + 1):
-        if d <= dm:
-            cur = ladder
-            for _ in range(d):
-                cur = shape_after_strip(cur)
-            term = cyl_schur(cur, x)
-        else:
-            term = x.ring.zero
-        sign = 1 if ((k - 1) * d) % 2 == 0 else -1
-        got = poly.coeff(d) if sign > 0 else x.ring.zero - poly.coeff(d)
+    rungs = strip_ladder(CylShape(k, lam, mu, k, x.n)) if contains(lam, mu) else []
+    for d in range(max(len(rungs) - 1, poly.degree) + 1):
+        term = cyl_schur(rungs[d], x) if d < len(rungs) else x.ring.zero
+        got = _signed_coeff(poly, k, d, x.ring)
         if got != term:
             raise VerificationFailure(
                 "folded minor expansion disagrees with strip ladder",
@@ -402,21 +366,10 @@ def bottom_left_ladder_check(x: VarMatrix, i: int, reduced: bool = False) -> Non
             raise VerificationFailure("empty bottom-left minor is not 1", {"i": i})
         return
     top = max(0, m - 2 * i + 2)
-    lam = partition([k] * (m - n + k)) if m - n + k >= 0 else None
+    rungs = strip_ladder(CylShape(k, (k,) * (m - n + k), (), n, n)) if m - n + k >= 0 else []
     for d in range(max(top, poly.degree) + 1):
-        if lam is not None and d <= top:
-            shape = CylShape(k, lam, (), n, n)
-            cur, ok = shape, True
-            for _ in range(d):
-                cur = shape_after_strip(cur)
-                if cur is None:
-                    ok = False
-                    break
-            term = cyl_schur(cur, x) if ok else x.ring.zero
-        else:
-            term = x.ring.zero
-        sign = 1 if ((n - i) * d) % 2 == 0 else -1
-        got = poly.coeff(d) if sign > 0 else x.ring.zero - poly.coeff(d)
+        term = cyl_schur(rungs[d], x) if d <= top and d < len(rungs) else x.ring.zero
+        got = _signed_coeff(poly, k, d, x.ring)
         if got != term:
             raise VerificationFailure(
                 "bottom-left folded ladder mismatch",
@@ -437,16 +390,9 @@ def folded_minor_sum_check(x: VarMatrix, i: int, a: int | None = None, b: int | 
     # rows a..b of x as a point of their own: x.xc(v + a - 1, r) equals
     # y.xc(v, r - (a - 1)), so the ladder is anchored at n, not n + a - 1
     y = VarMatrix(x.rows[a - 1 : b], x.ring)
+    rungs = strip_ladder(CylShape(k, (k,) * (span - i + 1), (), n, n))
     for d in range(0, span - 2 * i + 3):
-        lam = partition([k] * (span - i + 1))
-        shape = CylShape(k, lam, (), n, n)
-        cur, defined = shape, True
-        for _ in range(d):
-            cur = shape_after_strip(cur)
-            if cur is None:
-                defined = False
-                break
-        lhs = cyl_schur(cur, y) if defined else x.ring.zero
+        lhs = cyl_schur(rungs[d], y) if d < len(rungs) else x.ring.zero
         total = x.ring.zero
         for X in combinations(range(a + i - 1, b - i + 2), span - 2 * i + 2 - d):
             A = sorted(set(X) | set(range(b - i + 2, b + 1)))
@@ -457,4 +403,3 @@ def folded_minor_sum_check(x: VarMatrix, i: int, a: int | None = None, b: int | 
                 "folded sum of minors mismatch",
                 {"i": i, "a": a, "b": b, "d": d, "lhs": lhs, "rhs": total},
             )
-

@@ -9,6 +9,7 @@ points, where used, come from the given seed.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from loopsym import comb, cylindric, energy, gt, paths, schur
 from loopsym.linalg import Matrix, minor, tpoly_minor
@@ -16,6 +17,7 @@ from loopsym.partitions import ColoredSkewShape
 from loopsym.points import VarMatrix
 from loopsym.semifield import (
     RATIONAL,
+    TROPICAL,
     PolyFraction,
     SparseLoopPoly,
     TropNumber,
@@ -217,22 +219,21 @@ def run_paper_examples(ck: Check, seed: int) -> None:
     poly = tpoly_minor(F53, [1, 2, 3], [1, 2, 3])
     pis = [x53b.pi(i) for i in range(1, 6)]
 
-    def esym(k):
-        from itertools import combinations as _c
-
-        total = x53b.ring.zero
-        for sub in _c(range(5), k):
-            term = x53b.ring.one
-            for t in sub:
-                term = term * pis[t]
+    def esym(k, values):
+        """Elementary symmetric function of degree k in the rational values."""
+        total = RATIONAL.zero
+        for sub in combinations(values, k):
+            term = RATIONAL.one
+            for v in sub:
+                term = term * v
             total = total + term
         return total
 
     ck.expect(
-        all(poly.coeff(d) == esym(5 - d) for d in range(0, 6)),
+        all(poly.coeff(d) == esym(5 - d, pis) for d in range(0, 6)),
         "folded-determinant-elementary",
     )
-    e4 = esym(4)
+    e4 = esym(4, pis)
     s1 = schur.shape_invariant(x53b, 1)
     rq41 = schur.reduced_q_invariant(x53b, 4, 1)
     rq22c = schur.reduced_q_invariant(x53b, 2, 2)
@@ -375,8 +376,6 @@ def run_paper_examples(ck: Check, seed: int) -> None:
     # -- pattern/tableau dictionary ----------------------------------------------------
     pat = {(1, 1): 3, (1, 2): 6, (2, 2): 1, (1, 3): 6, (2, 3): 4, (3, 3): 1,
            (1, 4): 8, (2, 4): 5, (3, 4): 3, (4, 4): 0}
-    from loopsym.semifield import TROPICAL
-
     z44 = gt.GTPattern(4, 4, {k: TropNumber(vv) for k, vv in pat.items()}, TROPICAL)
     T = comb.tableau_of_gt(z44)
     ck.expect(
@@ -419,20 +418,8 @@ def run_paper_examples(ck: Check, seed: int) -> None:
         cylindric.cyl_schur(tau, x43) == energy.tau_lp(x43, 5, 1), "capped-sequence-cylindric"
     )
     full = cylindric.CylShape(3, (3, 3), (), 3, 3)
-
-    def esym2(k, pis):
-        from itertools import combinations as _c
-
-        total = x43.ring.zero
-        for sub in _c(range(len(pis)), k):
-            term = x43.ring.one
-            for tt in sub:
-                term = term * pis[tt]
-            total = total + term
-        return total
-
     ck.expect(
-        cylindric.cyl_schur(full, x43) == esym2(2, [x43.pi(i) for i in (1, 2, 3, 4)]),
+        cylindric.cyl_schur(full, x43) == esym(2, [x43.pi(i) for i in (1, 2, 3, 4)]),
         "constant-rows-cylindric",
     )
     mu_I = cylindric.partition_from_sources((2, 3), 2, 3)

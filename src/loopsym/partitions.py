@@ -8,10 +8,10 @@ anchor color r in [1, n]; the cell in row i, column j has color
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 
 from loopsym.semifield import PolyFraction, SparseLoopPoly, TropNumber
@@ -224,25 +224,33 @@ def ssyt_weight_vectors(lam: tuple, mu: tuple, n: int, max_entry: int):
     ``c + r - 1 mod n``; :func:`evaluate_weights` applies that shift, and
     one table serves all n colors of a shape.
     """
+    return weight_table(lam, mu, n, ssyt_columns(lam, mu, max_entry))
+
+
+def weight_table(lam: tuple, mu: tuple, n: int, fillings) -> tuple:
+    """The weight table, in the format of :func:`ssyt_weight_vectors`, of
+    the given fillings of lam/mu (tuples of columns, as :func:`ssyt_columns`
+    lists them), with the cells colored mod n as at anchor color 1."""
     shape = ColoredSkewShape(lam, mu, 1, n)
-    col_colors = [
-        [shape.color(row, c) for row in range(lo + 1, hi + 1)]
+    # the color of each cell, in the order chain(*filling) lists the entries
+    colors = [
+        shape.color(row, c)
         for c, (lo, hi) in enumerate(shape.columns(), start=1)
+        for row in range(lo + 1, hi + 1)
     ]
-    counts: Counter = Counter()
-    for filling in ssyt_columns(lam, mu, max_entry):
+    counts: dict = {}
+    for filling in fillings:
         weight: dict = {}
-        for colors, column in zip(col_colors, filling):
-            for color, v in zip(colors, column):
-                key = (v, color)
-                weight[key] = weight.get(key, 0) + 1
-        counts[tuple(sorted(weight.items()))] += 1
+        for key in zip(chain.from_iterable(filling), colors):
+            weight[key] = weight.get(key, 0) + 1
+        key = tuple(sorted(weight.items()))
+        counts[key] = counts.get(key, 0) + 1
     return tuple(counts.items())
 
 
 def evaluate_weights(table, x, r: int) -> object:
     """Value at the point x, for anchor color r, of a weight table from
-    :func:`ssyt_weight_vectors`.
+    :func:`weight_table`.
 
     The table is colored at anchor 1.  Cell (i, j) of the shape has color
     ``color(i, j) = r + i - j - 1 mod n``, so at anchor r a table key

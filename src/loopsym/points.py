@@ -6,6 +6,12 @@ accessor ``xc(i, r)`` translates between the natural entry grid and the
 color superscript convention used by the loop symmetric functions: it is
 the row variable of color ``r`` (mod n), the entry ``x_i^j`` with
 ``j = r - i + 1`` mod n.
+
+A point also carries the memos of work that depends only on it, such as
+the generator table of :func:`loopsym.schur.jacobi_trudi`: ``x.memo(owner)``
+is a dict made on first use and freed with the point.  A point's rows are
+tuples of immutable values, so the same object always holds the same
+entries; two equal but distinct points keep separate memos.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from loopsym.semifield import (
 class VarMatrix:
     """Rectangular array of semifield values with colored accessors."""
 
-    __slots__ = ("m", "n", "rows", "ring")
+    __slots__ = ("m", "n", "rows", "ring", "_memos")
 
     def __init__(self, rows, ring: Ring):
         self.rows = tuple(tuple(r) for r in rows)
@@ -73,6 +79,14 @@ class VarMatrix:
         for e in self.rows[i - 1]:
             v = v * e
         return v
+
+    def memo(self, owner: str) -> dict:
+        """The memo dict of ``owner`` at this point, made on first use."""
+        try:
+            memos = self._memos
+        except AttributeError:
+            memos = self._memos = {}
+        return memos.setdefault(owner, {})
 
     def row(self, i: int) -> tuple:
         return self.rows[i - 1]

@@ -29,10 +29,16 @@ POLY_CELL_CAP = 24
 
 
 class NotQType(SemifieldError):
-    """Q-invariant indices must satisfy i + j <= m."""
+    """Q-invariant indices must satisfy 1 <= i, 1 <= j <= n and i + j <= m."""
 
-    def __init__(self):
-        super().__init__("not-Q-type: requires i + j <= m")
+    def __init__(self, i: int, j: int, m: int, n: int):
+        # j <= n is what the reduced invariant needs: it divides by the
+        # shape invariant of index j + 1
+        why = f"; the shape invariant index j + 1 = {j + 1} is out of range" if j > n else ""
+        super().__init__(
+            f"not-Q-type: requires 1 <= i, 1 <= j <= n and i + j <= m, "
+            f"got i = {i}, j = {j} at m = {m}, n = {n}{why}"
+        )
 
 
 class NotPseudoEnergy(SemifieldError):
@@ -104,48 +110,18 @@ def barred_skew_schur(lam, mu, r: int, x: VarMatrix):
     return ssyt_sum(ColoredSkewShape(lam, mu, r, x.m), x.transpose())
 
 
-class _GeneratorMemo:
-    """The per-point determinant work of :func:`jacobi_trudi`, shared by
-    every shape evaluated at one point.
-
-    Every Jacobi-Trudi entry is a loop elementary generator, so each shape's
-    determinant is a minor of one generator matrix per point and anchor
-    color.  ``generators`` holds each generator once, keyed on (degree,
-    color mod n); ``minors`` holds one sub-minor cache per anchor color r,
-    keyed on row and column labels as in :func:`loopsym.linalg._det_laplace`.
-    Only the determinant route uses this memo; the tableau route of
-    :func:`ssyt_sum` shares nothing with it.
-
-    The memo is keyed on the point object itself (``memo.x is x``), not on
-    its entries.  ``VarMatrix`` defines ``__eq__`` but no hash, and its
-    ``PolyFraction`` entries are unhashable and compare by cross-multiplying,
-    so keying on entries would cost a comparison on every call.  A point's
-    rows are tuples of immutable values, so the same object always holds the
-    same entries; two equal but distinct points merely recompute.  The memo
-    keeps its point alive, so the identity test cannot match a new object
-    that reuses a freed one's id.
-    """
-
-    __slots__ = ("x", "generators", "minors")
-
-    def __init__(self, x: VarMatrix):
-        self.x = x
-        self.generators: dict = {}
-        self.minors: dict = {}
-
-
-_generator_memo: _GeneratorMemo | None = None  # one slot: the last point
-
-
 def jacobi_trudi(shape: ColoredSkewShape, x: VarMatrix):
     """Determinant route to the skew Schur function.
 
     With alpha_i = lam'_i - i and beta_j = mu'_j - j (i, j counted from 0),
-    entry (i, j) is ``loop_e(x, alpha_i - beta_j, r + beta_j)``.  The
-    generators and the sub-minors come from a per-point memo
-    (:class:`_GeneratorMemo`).
+    entry (i, j) is ``loop_e(x, alpha_i - beta_j, r + beta_j)``.  So every
+    shape's determinant is a minor of one generator matrix per point and
+    anchor color: the point's memo keeps each generator once, keyed on
+    (degree, color mod n), and one sub-minor cache per anchor color r, keyed
+    as in :func:`loopsym.linalg._det_laplace`.  Only the determinant route
+    uses these memos; the tableau route of :func:`ssyt_sum` shares nothing
+    with them.
     """
-    global _generator_memo
     x.ring.require_subtraction("Jacobi-Trudi determinant")
     lamc = conjugate(shape.lam)
     muc = conjugate(shape.mu)
@@ -153,10 +129,7 @@ def jacobi_trudi(shape: ColoredSkewShape, x: VarMatrix):
     if ell == 0:
         return x.ring.one
     muc = muc + (0,) * (ell - len(muc))
-    memo = _generator_memo  # read once: a concurrent caller at worst recomputes
-    if memo is None or memo.x is not x:
-        memo = _generator_memo = _GeneratorMemo(x)
-    generators, n, r = memo.generators, x.n, shape.r
+    generators, n, r = x.memo("jt_generators"), x.n, shape.r
 
     def entry(a: int, b: int):
         key = (a - b, (r + b) % n)
@@ -167,7 +140,8 @@ def jacobi_trudi(shape: ColoredSkewShape, x: VarMatrix):
 
     alphas = tuple(lamc[i] - i for i in range(ell))
     betas = tuple(muc[j] - j for j in range(ell))
-    return _det_laplace(alphas, x.ring, betas, entry, memo.minors.setdefault(r, {}))
+    minors = x.memo("jt_minors").setdefault(r, {})
+    return _det_laplace(alphas, x.ring, betas, entry, minors)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +256,8 @@ def q_shape(m: int, n: int, i: int, j: int):
     glued between the rectangles of the shape invariants with indices
     j+1 and n+1-K.
     """
-    if i + j > m:
-        raise NotQType()
+    if not (1 <= i and 1 <= j <= n and i + j <= m):
+        raise NotQType(i, j, m, n)
     K = (j + i - m - 1) % n
     lam = partition([n - j + K + 1] * (m - n + K) + [n - j] * (m - i - j))
     mu = partition([n - j + 1] * (m - n + K - i))

@@ -148,6 +148,8 @@ def test_verify_vacuous_bounds_are_usage_errors(bounds, capsys, monkeypatch):
 
 
 POINT = {"entries": [["1", "2"], ["3", "4"]]}
+Q33 = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+Q42 = [["1", "2"], ["3", "1"], ["2", "5"], ["1", "1"]]
 
 
 @pytest.mark.parametrize(
@@ -177,6 +179,10 @@ POINT = {"entries": [["1", "2"], ["3", "4"]]}
             {"m": 2, "n": 3, "entries": {"1,1": "1", "1,2": "2", "1,3": "3", "2,2": "1", "2,3": "1"}},
             "cocharge needs m >= n",
         ),
+        ("q-invariant", "rational", {"i": 0, "j": 1, "x": {"entries": Q33}}, "1 <= i, 1 <= j <= n"),
+        ("q-invariant", "rational", {"i": 1, "j": 0, "x": {"entries": Q33}}, "1 <= i, 1 <= j <= n"),
+        ("q-invariant", "rational", {"i": -1, "j": 1, "x": {"entries": Q33}}, "not-Q-type"),
+        ("q-invariant", "rational", {"i": 1, "j": 3, "x": {"entries": Q42}}, "i + j <= m"),
     ],
 )
 def test_eval_bad_input_is_usage_error(target, mode, data, message, capsys, monkeypatch):

@@ -17,6 +17,7 @@ from loopsym.cylindric import (
     partition_from_sources,
     shape_after_strip,
     shortest_diagonal_length,
+    strip_ladder,
 )
 from loopsym.partitions import contains, partitions_in_box
 from loopsym.points import VarMatrix
@@ -82,6 +83,10 @@ def test_dmax_equals_shortest_diagonal_on_random_shapes():
         mu = mus[rng.randrange(len(mus))]
         sh = CylShape(k, lam, mu, rng.randint(1, n), n)
         assert d_max(sh) == shortest_diagonal_length(sh)
+        rungs = strip_ladder(sh)
+        assert rungs[0] == sh and d_max(sh) == len(rungs) - 1
+        assert all(shape_after_strip(a) == b for a, b in zip(rungs, rungs[1:]))
+        assert shape_after_strip(rungs[-1]) is None
         count += 1
     assert count == 100
 
@@ -239,7 +244,8 @@ def test_memoized_ladder_failure_is_reported_for_every_shape(monkeypatch):
 
 def test_point_memo_matches_fresh_computation(monkeypatch):
     """Alternating between two equal but distinct points and a third point
-    gives the outcomes of an unmemoized run, and folds once per switch."""
+    gives the outcomes of an unmemoized run, folds once per point object,
+    and never lets one point's memo serve another."""
     from loopsym import cylindric
     from loopsym.linalg import tpoly_minor
     from loopsym.schur import folded_matrix
@@ -269,11 +275,12 @@ def test_point_memo_matches_fresh_computation(monkeypatch):
             return str(exc)
         return None
 
-    fresh = {}
-    for name, x in (("x1", x1), ("x3", x3)):
-        for s in shapes:
-            monkeypatch.setattr(cylindric, "_point_memo", None)
-            fresh[name, s] = outcome(s, x)
+    # unmemoized: a fresh point object, with an empty memo, for every shape
+    fresh = {
+        (name, s): outcome(s, VarMatrix(x.rows, x.ring))
+        for name, x in (("x1", x1), ("x3", x3))
+        for s in shapes
+    }
     assert any(v is None for v in fresh.values())
     assert any(v is not None for v in fresh.values())
     assert any(fresh["x1", s] != fresh["x3", s] for s in shapes)
@@ -285,16 +292,19 @@ def test_point_memo_matches_fresh_computation(monkeypatch):
         return folded_matrix(x)
 
     monkeypatch.setattr(cylindric, "folded_matrix", counted_fold)
-    monkeypatch.setattr(cylindric, "_point_memo", None)
     order = (("x1", x1), ("x3", x3), ("x1", x2), ("x3", x3), ("x1", x1))
     for name, x in order:
         for s in shapes:
             assert outcome(s, x) == fresh[name, s]
-        memo = cylindric._point_memo
-        assert memo.x is x
-        for (I, J), poly in memo.minors.items():
+    assert [id(x) for x in folds] == [id(x1), id(x3), id(x2)]
+    for x in (x1, x2, x3):
+        memo = x.memo("cyl_jt_check")
+        minors = {key: p for key, p in memo.items() if isinstance(key, tuple) and len(key) == 2}
+        assert minors
+        for (I, J), poly in minors.items():
             assert poly == tpoly_minor(folded_matrix(x), I, J)
-    assert [id(x) for x in folds] == [id(x) for _, x in order]
+    assert x1.memo("cyl_jt_check") is not x2.memo("cyl_jt_check")
+    assert x1.memo("cyl_jt_check")["folded"] is not x2.memo("cyl_jt_check")["folded"]
 
 
 def test_unexpected_exception_is_a_recorded_failure(monkeypatch):

@@ -220,6 +220,14 @@ def test_q_invariant_data_and_errors():
         q_invariant(x, 3, 1)
 
 
+@pytest.mark.parametrize(
+    "m,n,i,j", [(3, 3, 0, 1), (3, 3, 1, 0), (3, 3, -1, 1), (4, 2, 1, 3), (3, 3, 2, 2)]
+)
+def test_q_shape_rejects_indices_out_of_range(m, n, i, j):
+    with pytest.raises(NotQType, match=r"1 <= i, 1 <= j <= n and i \+ j <= m"):
+        q_shape(m, n, i, j)
+
+
 def test_reduced_q_invariance_under_column_operators():
     rng = trial_rng(4, 9)
     x = VarMatrix.random(4, 3, rng)

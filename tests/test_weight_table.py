@@ -1,18 +1,26 @@
 """Weight tables: the per-ring evaluator against a per-tableau product loop.
 
-The oracle enumerates the tableaux themselves and multiplies one product per
-tableau in the point's ring, so it checks the table and its evaluation
-together.  Its products cost microseconds each in the polynomial ring, so the
-polynomial points stop at m, n <= 3; the jacobi-trudi acceptance criterion
-checks the symbolic sums at m = n = 4 against the determinant route.
+The oracles enumerate the tableaux themselves (skew, or cylindric) and
+multiply one product per tableau in the point's ring, so they check the
+table and its evaluation together.  Their products cost microseconds each
+in the polynomial ring, so the polynomial points stop at m, n <= 3; the
+jacobi-trudi acceptance criterion checks the symbolic sums at m = n = 4
+against the determinant route.
 """
 
 import pytest
 
-from loopsym.partitions import ColoredSkewShape, evaluate_weights, ssyt_columns, ssyt_weight_vectors
+from loopsym import cylindric
+from loopsym.partitions import (
+    ColoredSkewShape,
+    conjugate,
+    evaluate_weights,
+    ssyt_columns,
+    ssyt_weight_vectors,
+)
 from loopsym.points import VarMatrix
 from loopsym.semifield import POLYNOMIAL, PolyFraction, SparseLoopPoly, trial_rng
-from loopsym.verify import skew_corpus
+from loopsym.verify import cylindric_corpus, skew_corpus
 
 SIZES = [(m, n) for m in range(1, 5) for n in range(1, 5)]
 POLY_SIZES = [(m, n) for m, n in SIZES if max(m, n) <= 3]
@@ -101,3 +109,67 @@ def test_empty_table_is_zero():
         VarMatrix.symbolic(2, 2),
     ):
         assert evaluate_weights((), x, 1) == x.ring.zero
+
+
+# ---------------------------------------------------------------------------
+# cylindric tableaux
+
+
+def cyl_fillings(shape, m):
+    """The cylindric tableaux of the shape with entries <= m, as dicts cell
+    -> value: the skew fillings whose periodic extension is semistandard."""
+    muc = conjugate(shape.mu) + (0,) * (len(conjugate(shape.lam)) - len(conjugate(shape.mu)))
+    out = []
+    for filling in ssyt_columns(shape.lam, shape.mu, m):
+        values = {
+            (muc[c] + 1 + idx, c + 1): v
+            for c, column in enumerate(filling)
+            for idx, v in enumerate(column)
+        }
+        if cylindric._extension_semistandard(shape, values):
+            out.append(values)
+    return out
+
+
+def cyl_oracle(shape, x):
+    """Sum over the cylindric tableaux, one ring product per tableau; cell
+    (i, j) has color r + i - j mod n, as in a skew shape."""
+    total = x.ring.zero
+    for values in cyl_fillings(shape, x.m):
+        term = x.ring.one
+        for (i, j), v in values.items():
+            term = term * x.xc(v, shape.r + i - j)
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("m,n", SIZES)
+def test_cylindric_table_counts_sum_to_tableau_count(m, n):
+    for shape in cylindric_corpus(n):
+        rows = cylindric.cyl_weight_vectors(shape.k, shape.lam, shape.mu, n, m)
+        assert sum(count for _, count in rows) == len(cyl_fillings(shape, m)), shape
+        assert len({w for w, _ in rows}) == len(rows)
+        assert all(sum(e for _, e in w) == shape.size for w, _ in rows)
+
+
+@pytest.mark.parametrize("m,n", SIZES)
+def test_cylindric_rational_and_tropical_points_match_oracle(m, n):
+    x = VarMatrix.random(m, n, trial_rng(1, 101 * m + n))
+    a = tropical_point(m, n)
+    xt, xs = VarMatrix.tropical(a), VarMatrix.symbolic(m, n)
+    values = {(i, j): a[i - 1][j - 1] for i in range(1, m + 1) for j in range(1, n + 1)}
+    for shape in cylindric_corpus(n):
+        assert cylindric.cyl_schur(shape, x) == cyl_oracle(shape, x), shape
+        got = cylindric.cyl_schur(shape, xt)
+        assert got == cyl_oracle(shape, xt), shape
+        symbolic = cylindric.cyl_schur(shape, xs)
+        assert got.value == symbolic.num.trop_min(values), shape
+
+
+@pytest.mark.parametrize("m,n", POLY_SIZES)
+def test_cylindric_symbolic_points_match_oracle(m, n):
+    x = VarMatrix.symbolic(m, n)
+    corner = SparseLoopPoly.variable(1, 1) + SparseLoopPoly.const(2)
+    for point in (x, symbolic_with_corner(m, n, corner)):
+        for shape in cylindric_corpus(n):
+            assert cylindric.cyl_schur(shape, point) == cyl_oracle(shape, point), shape
