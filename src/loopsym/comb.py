@@ -1,6 +1,7 @@
 """Classical combinatorics used as independent ground truth: row and column
 insertion, the tableau/pattern dictionary, the charge and cocharge
-statistics, and the min-plus bridges to the geometric formulas.
+statistics, and the integer-matrix entry points to the min-plus values of
+geometric RSK and the energy, which are computed by the geometric code.
 
 Tableaux are tuples of row tuples.  An m x n nonnegative integer matrix is
 read as m weakly increasing words: row i contains a[i][j] copies of the
@@ -9,9 +10,8 @@ letter j + 1.
 
 from __future__ import annotations
 
-from loopsym.energy import geometric_cocharge
-from loopsym.gt import GTPattern
-from loopsym.paths import highway_minor
+from loopsym.energy import energy
+from loopsym.gt import GTPattern, grsk
 from loopsym.points import VarMatrix
 from loopsym.semifield import TROPICAL, TropNumber
 
@@ -61,10 +61,6 @@ def col_insert(tab, letter: int):
         rows[bumped[0]][c] = x
         x = bumped[1]
         c += 1
-
-
-def shape_of(tab) -> tuple:
-    return tuple(len(r) for r in tab)
 
 
 def content_of(tab) -> tuple:
@@ -216,44 +212,10 @@ def cocharge(tab) -> int:
 
 
 def trop_grsk(a) -> tuple[GTPattern, GTPattern]:
-    """Min-plus evaluation of the insertion/recording minor ratios.
-
-    All minors are bottom-left justified flag minors of row-prefix whirl
-    products, evaluated as min-plus highway sums.
-    """
-    x = VarMatrix.tropical(a)
-    m, n = x.m, x.n
-    p_entries = {}
-    for i, j in GTPattern.domain(m, n):
-        num = highway_minor(x, range(i, j + 1), range(1, j - i + 2))
-        den = highway_minor(x, range(i + 1, j + 1), range(1, j - i + 1))
-        p_entries[(i, j)] = num / den
-    P = GTPattern(m, n, p_entries, TROPICAL)
-    q_entries = {}
-    for jp, ip in GTPattern.domain(n, m):
-        prefix = VarMatrix(x.rows[:ip], TROPICAL)
-        num = highway_minor(prefix, range(jp, n + 1), range(1, n - jp + 2))
-        den = highway_minor(prefix, range(jp + 1, n + 1), range(1, n - jp + 1))
-        q_entries[(jp, ip)] = num / den
-    Q = GTPattern(n, m, q_entries, TROPICAL)
-    return P, Q
+    """Geometric RSK of an integer matrix in min-plus."""
+    return grsk(VarMatrix.tropical(a))
 
 
 def trop_energy(a) -> int:
-    """Min-plus energy of an integer matrix, by the staircase tableau sum
-    cross-checked against the min-plus product formula."""
-    from loopsym.energy import energy_product, energy_tableaux
-
-    x = VarMatrix.tropical(a)
-    val = energy_tableaux(x)
-    other = energy_product(x)
-    if val != other:
-        raise AssertionError(f"min-plus energy routes disagree: {val} vs {other}")
-    return val.value
-
-
-def trop_cocharge(z: GTPattern) -> int:
-    """Min-plus geometric cocharge of an integer pattern."""
-    if z.ring is not TROPICAL:
-        raise ValueError("expected a min-plus pattern")
-    return geometric_cocharge(z).value
+    """Min-plus energy of an integer matrix, its three routes cross-checked."""
+    return energy(VarMatrix.tropical(a)).value

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from loopsym.linalg import Matrix
 from loopsym.points import VarMatrix
-from loopsym.semifield import Ring
+from loopsym.semifield import DegeneratePoint, Ring
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,16 @@ def whirl(vec, ring: Ring) -> Matrix:
         if i + 1 < k:
             rows[i + 1][i] = ring.one
     return Matrix(rows, ring)
+
+
+def readout(M: Matrix, i: int) -> CrystalReadout:
+    """gamma, epsilon_i and phi_i of a whirl product M: its diagonal, and
+    M[i+1, i+1] and M[i, i] over the subdiagonal entry M[i+1, i]."""
+    sub = M.entry(i + 1, i)
+    if sub == M.ring.zero:
+        raise DegeneratePoint("degenerate-point: vanishing subdiagonal entry")
+    gamma = tuple(M.entry(k, k) for k in range(1, M.nrows + 1))
+    return CrystalReadout(gamma, M.entry(i + 1, i + 1) / sub, M.entry(i, i) / sub)
 
 
 def whirl_product(vectors, ring: Ring) -> Matrix:
@@ -59,11 +69,6 @@ def col_whirl_matrix(x: VarMatrix) -> Matrix:
 # basic crystal on vectors
 
 
-def basic_readout(vec, i: int) -> CrystalReadout:
-    """gamma = vec, epsilon_i = vec[i+1], phi_i = vec[i] (1-based i < len)."""
-    return CrystalReadout(tuple(vec), vec[i], vec[i - 1])
-
-
 def basic_e(vec, i: int, c) -> tuple:
     """Scale slot i by c and slot i+1 by 1/c."""
     out = list(vec)
@@ -78,10 +83,7 @@ def basic_e(vec, i: int, c) -> tuple:
 
 def product_readout(x: VarMatrix, i: int) -> CrystalReadout:
     """Readout of the row structure: from the m x m column-whirl product."""
-    M = col_whirl_matrix(x)
-    gamma = tuple(M.entry(k, k) for k in range(1, x.m + 1))
-    sub = M.entry(i + 1, i)
-    return CrystalReadout(gamma, M.entry(i + 1, i + 1) / sub, M.entry(i, i) / sub)
+    return readout(col_whirl_matrix(x), i)
 
 
 def bar_readout(x: VarMatrix, j: int) -> CrystalReadout:

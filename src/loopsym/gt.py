@@ -8,8 +8,9 @@ A pattern of width m and height n stores entries ``z[i, j]`` for
 
 from __future__ import annotations
 
-from loopsym.crystal import whirl_product
+from loopsym.crystal import readout, whirl
 from loopsym.linalg import Matrix, flag_minor, minor
+from loopsym.paths import highway_minor
 from loopsym.points import VarMatrix
 from loopsym.semifield import DegeneratePoint, Ring, format_rational, parse_rational
 
@@ -67,7 +68,10 @@ class GTPattern:
         return {
             "m": self.m,
             "n": self.n,
-            "entries": {f"{i},{j}": format_rational(v) for (i, j), v in sorted(self.entries.items())},
+            "entries": {
+                f"{i},{j}": format_rational(v) if self.ring.name == "rational" else v.value
+                for (i, j), v in sorted(self.entries.items())
+            },
         }
 
     @classmethod
@@ -102,25 +106,21 @@ def phi_matrix(z: GTPattern) -> Matrix:
     return M
 
 
-def psi_pattern(A: Matrix, m: int, n: int, ring: Ring) -> GTPattern:
-    """Inverse of the factorization map: ratios of flag minors of A."""
+def _flag_ratios(m: int, n: int, ring: Ring, flag) -> GTPattern:
+    """The pattern whose entry (i, j) is flag(j, i) / flag(j, i + 1), where
+    flag(j, lo) is a flag minor whose rows start at lo."""
     entries = {}
     for i, j in GTPattern.domain(m, n):
-        den = flag_minor(A, range(i + 1, j + 1))
+        den = flag(j, i + 1)
         if den == ring.zero:
             raise DegeneratePoint("degenerate-point: vanishing flag minor")
-        entries[(i, j)] = flag_minor(A, range(i, j + 1)) / den
+        entries[(i, j)] = flag(j, i) / den
     return GTPattern(m, n, entries, ring)
 
 
-def gt_readout(z: GTPattern, j: int):
-    """gamma / epsilon_j / phi_j of the pattern, through its matrix."""
-    M = phi_matrix(z)
-    gamma = tuple(M.entry(k, k) for k in range(1, z.n + 1))
-    sub = M.entry(j + 1, j)
-    if sub == z.ring.zero:
-        raise DegeneratePoint("degenerate-point: vanishing subdiagonal entry")
-    return gamma, M.entry(j + 1, j + 1) / sub, M.entry(j, j) / sub
+def psi_pattern(A: Matrix, m: int, n: int, ring: Ring) -> GTPattern:
+    """Inverse of the factorization map: ratios of flag minors of A."""
+    return _flag_ratios(m, n, ring, lambda j, lo: flag_minor(A, range(lo, j + 1)))
 
 
 def gt_apply_e(z: GTPattern, j: int, c) -> GTPattern:
@@ -128,10 +128,10 @@ def gt_apply_e(z: GTPattern, j: int, c) -> GTPattern:
     if not 1 <= j <= z.n - 1:
         raise ValueError(f"pattern operator index {j} out of range")
     ring = z.ring
-    _, eps, phi = gt_readout(z, j)
     M = phi_matrix(z)
-    left = Matrix.elementary(z.n, j, (c - ring.one) * phi, ring)
-    right = Matrix.elementary(z.n, j, (ring.one / c - ring.one) * eps, ring)
+    ro = readout(M, j)
+    left = Matrix.elementary(z.n, j, (c - ring.one) * ro.phi, ring)
+    right = Matrix.elementary(z.n, j, (ring.one / c - ring.one) * ro.eps, ring)
     return psi_pattern(left * M * right, z.m, z.n, ring)
 
 
@@ -139,35 +139,41 @@ def gt_apply_e(z: GTPattern, j: int, c) -> GTPattern:
 # geometric RSK
 
 
-def grsk(x: VarMatrix) -> tuple[GTPattern, GTPattern]:
-    """Insertion and recording patterns from row-product flag minors.
-
-    The insertion pattern uses the full row-whirl product; the k-th diagonal
-    of the recording pattern is the shape of the pattern of the first k rows.
-    """
+def _prefix_flag_minors(x: VarMatrix) -> list:
+    """``flags[k](I)``, for 1 <= k <= m: the flag minor with rows I of the
+    product of the whirls of the first k rows of x, read as :func:`grsk`
+    describes."""
     ring = x.ring
-    m, n = x.m, x.n
-    prefixes = [None]
+    flags: list = [None]
     M = None
-    for i in range(1, m + 1):
-        W = whirl_product([x.row(i)], ring)
-        M = W if M is None else prefixes[-1] * W
-        prefixes.append(M)
-    p_entries = {}
-    for i, j in GTPattern.domain(m, n):
-        den = flag_minor(prefixes[m], range(i + 1, j + 1))
-        if den == ring.zero:
-            raise DegeneratePoint("degenerate-point in insertion pattern")
-        p_entries[(i, j)] = flag_minor(prefixes[m], range(i, j + 1)) / den
-    P = GTPattern(m, n, p_entries, ring)
-    q_entries = {}
-    for jp, ip in GTPattern.domain(n, m):
-        A = prefixes[ip]
-        den = flag_minor(A, range(jp + 1, n + 1))
-        if den == ring.zero:
-            raise DegeneratePoint("degenerate-point in recording pattern")
-        q_entries[(jp, ip)] = flag_minor(A, range(jp, n + 1)) / den
-    Q = GTPattern(n, m, q_entries, ring)
+    for k in range(1, x.m + 1):
+        if ring.has_subtraction:
+            W = whirl(x.row(k), ring)
+            M = W if M is None else M * W
+            flags.append(lambda I, M=M: flag_minor(M, I))
+        else:
+            prefix = VarMatrix(x.rows[:k], ring)
+            flags.append(lambda I, p=prefix: highway_minor(p, I, range(1, len(I) + 1)))
+    return flags
+
+
+def grsk(x: VarMatrix) -> tuple[GTPattern, GTPattern]:
+    """Insertion and recording patterns from row-prefix flag minors, in all
+    three domains.
+
+    The insertion pattern reads the product of all m row whirls; the k-th
+    diagonal of the recording pattern is the shape of the pattern of the
+    first k rows.  The ring decides how a flag minor is read: over a ring
+    with subtraction as a determinant of the whirl product, in min-plus as
+    a highway path sum over the rows themselves.  The two are equal: by the
+    Lindstrom-Gessel-Viennot lemma the determinant is the subtraction-free
+    sum over the non-intersecting highway families, whose min-plus value
+    is the path sum.
+    """
+    m, n = x.m, x.n
+    flags = _prefix_flag_minors(x)
+    P = _flag_ratios(m, n, x.ring, lambda j, lo: flags[m](range(lo, j + 1)))
+    Q = _flag_ratios(n, m, x.ring, lambda k, lo: flags[k](range(lo, n + 1)))
     return P, Q
 
 

@@ -1,6 +1,7 @@
 """Command-line harness: evaluation targets, verification runs, exit codes."""
 
 import contextlib
+import functools
 import gc
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsym import cylindric, schur
+from loopsym import cylindric, energy, schur
 from loopsym.cli import EVAL_TARGETS, POLYNOMIAL_TARGETS, main
 from loopsym.points import VarMatrix
 from loopsym.verify import cylindric_corpus, skew_corpus
@@ -58,15 +59,6 @@ def test_eval_tropical_grsk(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["glued"] == [[2, 5], [3, 6], [4, 6]]
-
-
-def test_eval_needs_subtraction_is_usage_error(capsys, monkeypatch):
-    data = json.dumps({"entries": [[1, 2], [0, 1]]})
-    code, out, err = run_cli(
-        ["eval", "central-charge", "--mode", "tropical"], data, capsys, monkeypatch
-    )
-    assert code == 2
-    assert "needs-subtraction" in err
 
 
 def test_eval_shape_and_q_invariant(capsys, monkeypatch):
@@ -267,7 +259,7 @@ def test_eval_missing_input_file_is_usage_error(tmp_path, capsys, monkeypatch):
 # -- fuzzing every (target, mode) pair ----------------------------------------
 
 EVAL_PAIRS = [(target, "rational") for target in EVAL_TARGETS] + [
-    (target, "tropical") for target in ("grsk", "loop-schur", "cyl-schur", "energy", "cocharge")
+    (target, "tropical") for target in ("grsk", "loop-schur", "cyl-schur", "energy", "cocharge", "central-charge")
 ] + [(target, "polynomial") for target in POLYNOMIAL_TARGETS]
 
 JUNK = st.sampled_from([None, True, 1.5, "", "x", "1/0", "0", "-1", -1, 0, 4, [], {}, [[]]])
@@ -411,3 +403,23 @@ def test_cyl_schur_modes_are_mutual_oracles(m, n, data):
     )
     want = evaluate(poly.num, rats) / evaluate(poly.den, rats)
     assert code == 0 and Fraction(json.loads(out)["value"]) == want
+
+
+@functools.lru_cache(maxsize=None)
+def symbolic_central_charge(m, n):
+    return energy.central_charge_qinv(VarMatrix.symbolic(m, n))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(1, 3), n=st.integers(1, 3), data=st.data())
+def test_tropical_central_charge_is_trop_min_of_the_polynomial(m, n, data):
+    """Both routes of the min-plus central charge tropicalize the symbolic
+    Q-invariant route."""
+    grid = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    ints = {v: data.draw(st.integers(-4, 6)) for v in grid}
+    point = {"entries": [[ints[i, j] for j in range(1, n + 1)] for i in range(1, m + 1)]}
+    code, out, err = run_quiet(["eval", "central-charge", "--mode", "tropical"], json.dumps(point))
+    poly = symbolic_central_charge(m, n)
+    want = poly.num.trop_min(ints) - poly.den.trop_min(ints)
+    assert code == 0, err
+    assert json.loads(out)["value"] == (None if want == math.inf else want)

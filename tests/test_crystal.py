@@ -9,12 +9,13 @@ from loopsym.crystal import (
     apply_e,
     apply_e_bar,
     bar_readout,
+    CrystalReadout,
     basic_e,
-    basic_readout,
     col_r,
     col_whirl_matrix,
     geometric_r,
     product_readout,
+    readout,
     row_r,
     row_whirl_matrix,
     weyl_reflection,
@@ -26,10 +27,17 @@ from loopsym.semifield import (
     POLYNOMIAL,
     RATIONAL,
     TROPICAL,
+    DegeneratePoint,
     TropNumber,
     random_rational,
     trial_rng,
 )
+
+
+def basic_readout(vec, i: int) -> CrystalReadout:
+    """The basic crystal on a vector: gamma = vec, epsilon_i = vec[i+1] and
+    phi_i = vec[i] (1-based, i < len)."""
+    return CrystalReadout(tuple(vec), vec[i], vec[i - 1])
 
 
 def test_whirl_shape():
@@ -93,6 +101,12 @@ def test_product_readout_reduces_to_basic_at_one_column():
         ro = product_readout(x, i)
         basic = basic_readout(x.col(1), i)
         assert ro.gamma == basic.gamma and ro.eps == basic.eps and ro.phi == basic.phi
+
+
+def test_readout_rejects_a_vanishing_subdiagonal_entry():
+    M = Matrix([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]], RATIONAL)
+    with pytest.raises(DegeneratePoint):
+        readout(M, 1)
 
 
 def test_product_readout_matches_two_factor_recursion():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopsym.crystal import apply_e, apply_e_bar
+from loopsym.crystal import apply_e, apply_e_bar, readout
 from loopsym.gt import (
     GTPattern,
     decoration_gt,
@@ -15,7 +15,6 @@ from loopsym.gt import (
     grsk,
     grsk_transposed,
     gt_apply_e,
-    gt_readout,
     phi_matrix,
     psi_pattern,
 )
@@ -84,9 +83,8 @@ def test_gt_operator_identity_and_shape():
         c = random_rational(rng)
         w = gt_apply_e(z, j, c)
         assert w.shape() == z.shape()
-        gamma, eps, phi = gt_readout(z, j)
-        gamma2, eps2, phi2 = gt_readout(w, j)
-        assert eps2 == eps / c and phi2 == c * phi
+        ro, ro2 = readout(phi_matrix(z), j), readout(phi_matrix(w), j)
+        assert ro2.eps == ro.eps / c and ro2.phi == c * ro.phi
 
 
 def test_grsk_from_insertion_matrices():

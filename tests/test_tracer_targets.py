@@ -1,0 +1,37 @@
+"""Every function the benchmark tracer wraps still exists in the package."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def tracer_targets():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def resolve(where: str):
+    """The function a ``module:attr`` or ``module:Class.attr`` target names,
+    looked up as the tracer looks it up."""
+    modname, attr = where.split(":")
+    owner = importlib.import_module(f"loopsym.{modname}")
+    if "." in attr:
+        cls, attr = attr.split(".")
+        return vars(getattr(owner, cls))[attr]
+    return getattr(owner, attr)
+
+
+def test_every_traced_name_resolves():
+    missing = []
+    for _, where, _ in tracer_targets():
+        try:
+            found = callable(resolve(where))
+        except (AttributeError, KeyError):
+            found = False
+        if not found:
+            missing.append(where)
+    assert missing == []
