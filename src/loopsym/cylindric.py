@@ -3,16 +3,19 @@ removal, the folded Jacobi-Trudi identity, and the folded pseudo-energy
 identities.
 
 A k-cylindric partition fits in width k and has conjugate spread at most
-n - k; its infinite extension tiles the plane by translates through
-(-(n-k), k).  Cylindricity of a filling is checked across one translate
-boundary, which periodicity makes sufficient.
+n - k.  A cylindric shape (:class:`CylShape`) is a colored skew shape lam/mu
+of two k-cylindric partitions together with its width k: its cells keep the
+skew colors r + i - j mod n, and its infinite extension tiles the plane by
+the translates through (-(n-k), k).  A cylindric tableau is a skew tableau
+whose periodic extension is semistandard, which periodicity lets one check
+across a single translate boundary.
 
-Cell (i, j) of a cylindric shape has the color r + i - j mod n of a skew
-shape, so cylindric tableau sums use the weight tables of
+Cylindric tableau sums therefore use the weight tables of
 :mod:`loopsym.partitions`: one cached table per shape, colored at anchor 1,
-kept from the skew tableaux whose periodic extension stays semistandard,
-and evaluated per ring by :func:`loopsym.partitions.evaluate_weights`.  The folded identities
-read the strip ladder ``[shape, R(shape), ...]`` of :func:`strip_ladder`.
+built from the skew fillings that pass that check, and evaluated per ring by
+:func:`loopsym.partitions.evaluate_weights`.  The folded identities compare
+the signed t-coefficients of a folded minor with the strip ladder
+``[shape, R(shape), ...]`` of :func:`strip_ladder`, in one loop.
 The work of :func:`cyl_jt_check` that depends only on the point (the folded
 matrix, its minors and the ladder outcomes) lives in the point's memo.
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 from loopsym.linalg import tpoly_minor
 from loopsym.partitions import (
@@ -48,43 +51,28 @@ def is_k_cylindric(lam, k: int, n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class CylShape:
-    """k-cylindric skew shape with an anchor color mod n."""
+class CylShape(ColoredSkewShape):
+    """k-cylindric skew shape lam/mu with an anchor color mod n: a colored
+    skew shape of two k-cylindric partitions, with its width k."""
 
     k: int
-    lam: tuple
-    mu: tuple
-    r: int
-    n: int
 
     def __init__(self, k, lam, mu, r, n):
-        lam, mu = partition(lam), partition(mu)
-        if not is_k_cylindric(lam, k, n) or not is_k_cylindric(mu, k, n):
-            raise ValueError(f"not {k}-cylindric inside modulus {n}: {lam}, {mu}")
-        if not contains(lam, mu):
-            raise ValueError(f"{mu} not contained in {lam}")
+        super().__init__(lam, mu, r, n)
+        if not is_k_cylindric(self.lam, k, n) or not is_k_cylindric(self.mu, k, n):
+            raise ValueError(f"not {k}-cylindric inside modulus {n}: {self.lam}, {self.mu}")
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "r", ((r - 1) % n) + 1)
-        object.__setattr__(self, "n", n)
-
-    def cells(self):
-        mu = self.mu + (0,) * (len(self.lam) - len(self.mu))
-        return [
-            (i + 1, j + 1)
-            for i, l in enumerate(self.lam)
-            for j in range(mu[i], l)
-        ]
-
-    @property
-    def size(self) -> int:
-        return sum(self.lam) - sum(self.mu)
 
     def translate_cell(self, cell, steps: int = 1):
         """Image of a cell under the generating translation, applied steps times."""
         i, j = cell
         return (i - steps * (self.n - self.k), j + steps * self.k)
+
+    def extension_cells(self, steps) -> set:
+        """The cells of the infinite extension in the translates by each
+        number of steps in ``steps``."""
+        cells = self.cells()
+        return {self.translate_cell(cell, t) for t in steps for cell in cells}
 
     def __repr__(self) -> str:
         return f"CylShape({list(self.lam)}/{list(self.mu)}; k={self.k}, r={self.r} mod {self.n})"
@@ -100,17 +88,13 @@ def cyl_weight_vectors(k: int, lam: tuple, mu: tuple, n: int, max_entry: int):
     the k-cylindric tableaux of lam/mu: the fillings of the fundamental
     domain whose periodic extension is semistandard."""
     shape = CylShape(k, lam, mu, 1, n)
-    muc = conjugate(mu) + (0,) * (len(conjugate(lam)) - len(conjugate(mu)))
-    kept = []
-    for filling in ssyt_columns(lam, mu, max_entry):
-        values = {
-            (muc[c] + 1 + idx, c + 1): v
-            for c, column in enumerate(filling)
-            for idx, v in enumerate(column)
-        }
-        if _extension_semistandard(shape, values):
-            kept.append(filling)
-    return weight_table(lam, mu, n, kept)
+    cells = shape.filling_cells()
+    kept = [
+        filling
+        for filling in ssyt_columns(lam, mu, max_entry)
+        if _extension_semistandard(shape, dict(zip(cells, chain.from_iterable(filling))))
+    ]
+    return weight_table(shape, kept)
 
 
 def _extension_semistandard(shape: CylShape, values: dict) -> bool:
@@ -149,9 +133,7 @@ def cyl_schur(shape: CylShape, x: VarMatrix):
 def border_strip_removed(lam, k: int, n: int):
     """The partition left after removing the length-n border strip through
     the bottom row, or None when no such strip exists."""
-    lam = partition(lam)
-    lamc = conjugate(lam) + (0,) * (k - len(conjugate(lam)))
-    lamc = lamc[:k]
+    lamc = (conjugate(partition(lam)) + (0,) * k)[:k]
     if lamc[0] < n - k + 1:
         return None
     new_conj = [lamc[a] - 1 for a in range(1, k)] + [lamc[0] - n + k - 1]
@@ -172,9 +154,7 @@ def shape_after_strip(shape: CylShape):
 
 def strip_ladder(shape: CylShape) -> list:
     """The rungs ``[shape, R(shape), R(R(shape)), ...]`` while each strip
-    removal stays defined; empty when the shape itself is not a shape."""
-    if not contains(shape.lam, shape.mu):
-        return []
+    removal stays defined."""
     rungs = [shape]
     while (nxt := shape_after_strip(rungs[-1])) is not None:
         rungs.append(nxt)
@@ -182,8 +162,7 @@ def strip_ladder(shape: CylShape) -> list:
 
 
 def d_max(shape: CylShape) -> int:
-    """Largest iterate of strip removal that stays defined (-1 when the
-    shape itself is not a shape)."""
+    """Largest iterate of strip removal that stays defined."""
     return len(strip_ladder(shape)) - 1
 
 
@@ -196,27 +175,19 @@ def shortest_diagonal_length(shape: CylShape) -> int:
     lo, hi = min(diag), max(diag)
     t_lo = (0 - hi) // shape.n - 1
     t_hi = (shape.n - lo) // shape.n + 1
-    cells = set()
-    for t in range(t_lo, t_hi + 1):
-        for cell in base:
-            cells.add(shape.translate_cell(cell, t))
+    cells = shape.extension_cells(range(t_lo, t_hi + 1))
     return min(sum(1 for (i, j) in cells if j - i == c0) for c0 in range(shape.n))
 
 
 def detached_component(shape: CylShape):
     """When the infinite extension is disconnected, one component as an
     ordinary colored skew shape; None when connected."""
-    cells = set()
-    reps = range(-shape.n - 1, shape.n + 2)
-    for t in reps:
-        for cell in shape.cells():
-            cells.add(shape.translate_cell(cell, t))
+    cells = shape.extension_cells(range(-shape.n - 1, shape.n + 2))
     if not cells:
         return ColoredSkewShape((), (), shape.r, shape.n)
-    base = sorted(c for c in cells if 1 <= c[0])
-    if not base:
+    start = min((c for c in cells if 1 <= c[0]), default=None)
+    if start is None:
         return None
-    start = base[0]
     comp = {start}
     frontier = [start]
     while frontier:
@@ -229,25 +200,19 @@ def detached_component(shape: CylShape):
         return None
     min_i = min(i for i, _ in comp)
     min_j = min(j for _, j in comp)
-    moved = {(i - min_i + 1, j - min_j + 1) for i, j in comp}
-    color_shift = (min_i - 1) - (min_j - 1)
-    heights = {}
-    for i, j in moved:
-        heights.setdefault(j, []).append(i)
-    ncols = max(heights)
-    lamc, muc = [], []
-    for j in range(1, ncols + 1):
-        rows = sorted(heights.get(j, []))
+    rows_of = {}
+    for i, j in comp:
+        rows_of.setdefault(j - min_j + 1, []).append(i - min_i + 1)
+    intervals = []
+    for j in range(1, max(rows_of) + 1):
+        rows = sorted(rows_of.get(j, []))
         if not rows or rows != list(range(rows[0], rows[0] + len(rows))):
             return None
-        muc.append(rows[0])
-        lamc.append(rows[-1])
+        intervals.append((rows[0] - 1, rows[-1]))
     try:
-        lam = conjugate(partition(lamc))
-        mu = conjugate(partition([h - 1 for h in muc] + [0]))
+        return ColoredSkewShape.from_columns(intervals, shape.r + min_i - min_j, shape.n)
     except ValueError:
         return None
-    return ColoredSkewShape(lam, mu, shape.r + color_shift, shape.n)
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +307,23 @@ def _expansion_check(I, J, k: int, x: VarMatrix, poly) -> None:
     lam = partition_from_sinks(J, k, x.m, x.n)
     mu = partition_from_sources(I, k, x.n)
     rungs = strip_ladder(CylShape(k, lam, mu, k, x.n)) if contains(lam, mu) else []
+    _ladder_check(poly, k, rungs, x, "folded minor expansion disagrees with strip ladder", I=I, J=J)
+
+
+def _ladder_check(poly, k: int, rungs, x: VarMatrix, message: str, **witness) -> None:
+    """The signed t^d coefficient of poly (see :func:`_signed_coeff`) is the
+    cylindric sum of rung d for every d, and zero past the last rung."""
     for d in range(max(len(rungs) - 1, poly.degree) + 1):
         term = cyl_schur(rungs[d], x) if d < len(rungs) else x.ring.zero
         got = _signed_coeff(poly, k, d, x.ring)
         if got != term:
-            raise VerificationFailure(
-                "folded minor expansion disagrees with strip ladder",
-                {"I": I, "J": J, "d": d, "coeff": got, "tableaux": term},
-            )
+            raise VerificationFailure(message, {**witness, "d": d, "coeff": got, "tableaux": term})
 
 
 def bottom_left_ladder_check(x: VarMatrix, i: int, reduced: bool = False) -> None:
-    """The bottom-left folded minor lists the rectangle strip ladder; with
-    ``reduced`` the reduced folded matrix replaces the plain one."""
+    """The bottom-left folded minor lists the rectangle strip ladder up to
+    rung max(0, m - 2i + 2); with ``reduced`` the reduced folded matrix
+    replaces the plain one."""
     m, n = x.m, x.n
     if not 1 <= i <= min(m, n) + 1:
         raise ValueError(f"index {i} out of range")
@@ -367,22 +336,13 @@ def bottom_left_ladder_check(x: VarMatrix, i: int, reduced: bool = False) -> Non
         return
     top = max(0, m - 2 * i + 2)
     rungs = strip_ladder(CylShape(k, (k,) * (m - n + k), (), n, n)) if m - n + k >= 0 else []
-    for d in range(max(top, poly.degree) + 1):
-        term = cyl_schur(rungs[d], x) if d <= top and d < len(rungs) else x.ring.zero
-        got = _signed_coeff(poly, k, d, x.ring)
-        if got != term:
-            raise VerificationFailure(
-                "bottom-left folded ladder mismatch",
-                {"i": i, "d": d, "reduced": reduced, "coeff": got, "tableaux": term},
-            )
+    _ladder_check(poly, k, rungs[: top + 1], x, "bottom-left folded ladder mismatch", i=i, reduced=reduced)
 
 
-def folded_minor_sum_check(x: VarMatrix, i: int, a: int | None = None, b: int | None = None) -> None:
+def folded_minor_sum_check(x: VarMatrix, i: int, a: int, b: int) -> None:
     """Each rung of the rectangle ladder equals a sum of barred-window
-    minors over sliding index sets (general [a, b] variable range)."""
+    minors over sliding index sets (variable rows a..b)."""
     m, n = x.m, x.n
-    if a is None and b is None:
-        a, b = 1, m
     if not (1 <= a <= b <= m and 1 <= i <= min(b - a + 1, n)):
         raise ValueError("folded sum-of-minors parameters out of range")
     k = n - i + 1

@@ -10,7 +10,7 @@ layered path families in min-plus mode.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from loopsym.gt import GTPattern, decoration_gt, grsk, phi_matrix
 from loopsym.linalg import minor
@@ -271,11 +271,9 @@ def _kb_from_jump_vectors(k: int):
     row-drop condition against diagonal i + 1 and the anchor bound
     p[i, i] <= p[i+1, k-1]; the rightmost diagonal is the single zero.
     """
-    import itertools
-
     out = []
     ranges = [range(0, k - 1 - i + 1) for i in range(1, k)]
-    for c in itertools.product(*ranges):
+    for c in product(*ranges):
         p = {(k - 1, k - 1): 0}
         complete = True
         for i in range(k - 2, 0, -1):

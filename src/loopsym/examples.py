@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 from loopsym import comb, cylindric, energy, gt, paths, schur
 from loopsym.linalg import Matrix, minor, tpoly_minor
@@ -24,7 +25,9 @@ from loopsym.semifield import (
     random_rational,
     trial_rng,
 )
-from loopsym.verify import Check
+
+if TYPE_CHECKING:
+    from loopsym.verify import Check
 
 
 def run_paper_examples(ck: Check, seed: int) -> None:

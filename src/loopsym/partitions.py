@@ -93,6 +93,20 @@ class ColoredSkewShape:
         mc = mc + (0,) * (len(lc) - len(mc))
         return list(zip(mc, lc))
 
+    @staticmethod
+    def from_columns(intervals, r: int, n: int) -> "ColoredSkewShape":
+        """The shape whose column c (1-based) is the row interval
+        ``intervals[c - 1] = (lo, hi]``, as :meth:`columns` lists them;
+        ValueError when no skew shape has these columns."""
+        los, his = zip(*intervals) if intervals else ((), ())
+        return ColoredSkewShape(conjugate(partition(his)), conjugate(partition(los)), r, n)
+
+    def filling_cells(self):
+        """The cells column by column, top to bottom: the order in which
+        :func:`ssyt_columns` lists the entries of a filling."""
+        cols = enumerate(self.columns(), start=1)
+        return [(row, c) for c, (lo, hi) in cols for row in range(lo + 1, hi + 1)]
+
     def color(self, i: int, j: int) -> int:
         return ((self.r + i - j - 1) % self.n) + 1
 
@@ -116,32 +130,22 @@ class ColoredSkewShape:
         final vertical shift (compensated in the anchor color) pins the top
         row back to 1.
         """
-        cols = self.columns()
         kept = []
         removed_before = 0
-        for lo, hi in cols:
+        for lo, hi in self.columns():
             if lo == hi:
                 removed_before += 1
             else:
                 kept.append((lo - removed_before, hi - removed_before))
         if removed_before == 0:
             return self
-        if not kept:
-            return ColoredSkewShape((), (), self.r, self.n)
-        shift = max(0, -min(lo for lo, _ in kept))
-        kept = [(lo + shift, hi + shift) for lo, hi in kept]
-        lam = _partition_from_conjugate([hi for _, hi in kept])
-        mu = _partition_from_conjugate([lo for lo, _ in kept])
-        return ColoredSkewShape(lam, mu, self.r - shift, self.n)
+        shift = max([0] + [-lo for lo, _ in kept])
+        return ColoredSkewShape.from_columns(
+            [(lo + shift, hi + shift) for lo, hi in kept], self.r - shift, self.n
+        )
 
     def __repr__(self) -> str:
         return f"Shape({list(self.lam)}/{list(self.mu)}; r={self.r} mod {self.n})"
-
-
-def _partition_from_conjugate(heights) -> tuple[int, ...]:
-    if any(heights[i] < heights[i + 1] for i in range(len(heights) - 1)):
-        raise ValueError(f"conjugate not weakly decreasing: {heights}")
-    return conjugate(tuple(h for h in heights if h > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +228,14 @@ def ssyt_weight_vectors(lam: tuple, mu: tuple, n: int, max_entry: int):
     ``c + r - 1 mod n``; :func:`evaluate_weights` applies that shift, and
     one table serves all n colors of a shape.
     """
-    return weight_table(lam, mu, n, ssyt_columns(lam, mu, max_entry))
+    return weight_table(ColoredSkewShape(lam, mu, 1, n), ssyt_columns(lam, mu, max_entry))
 
 
-def weight_table(lam: tuple, mu: tuple, n: int, fillings) -> tuple:
+def weight_table(shape: ColoredSkewShape, fillings) -> tuple:
     """The weight table, in the format of :func:`ssyt_weight_vectors`, of
-    the given fillings of lam/mu (tuples of columns, as :func:`ssyt_columns`
-    lists them), with the cells colored mod n as at anchor color 1."""
-    shape = ColoredSkewShape(lam, mu, 1, n)
-    # the color of each cell, in the order chain(*filling) lists the entries
-    colors = [
-        shape.color(row, c)
-        for c, (lo, hi) in enumerate(shape.columns(), start=1)
-        for row in range(lo + 1, hi + 1)
-    ]
+    the given fillings of the anchor-1 shape (tuples of columns, as
+    :func:`ssyt_columns` lists them)."""
+    colors = [shape.color(i, j) for i, j in shape.filling_cells()]
     counts: dict = {}
     for filling in fillings:
         weight: dict = {}

@@ -18,10 +18,12 @@ and every failure recorded then carries it.  An exception that escapes a
 point is one ``exception`` failure with that witness, and the next point is
 checked; ``run_suite`` records an exception that escapes a suite elsewhere
 the same way and still returns the report.  A check run through
-``Check.run`` that raises is recorded under its own label.  Where a random
-parameter c makes a move degenerate (a vanishing minor), ``_resample_move``
-draws a new c, at most ten times, and records a failure with its witness
-when every draw is degenerate.
+``Check.run`` that raises is recorded under its own label, with the witness
+of a failed identity (``VerificationFailure.witness``) under every key that
+the record does not already have.  Where a random parameter c makes a move
+degenerate (a vanishing minor), ``_resample_move`` draws a new c, at most
+ten times, and records a failure with its witness when every draw is
+degenerate.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from loopsym import comb, crystal, cylindric, energy, gt, schur
+from loopsym.examples import run_paper_examples
 from loopsym.linalg import Matrix, PeriodicMatrix, minor
 from loopsym.partitions import (
     ColoredSkewShape,
@@ -104,6 +107,10 @@ class Check:
             fn()
         except AssertionError as exc:
             self.fail(label, str(exc), **witness)
+            # a failed identity's own witness fills the keys the record lacks
+            record = self.failures[-1]
+            for key, value in (getattr(exc, "witness", None) or {}).items():
+                record.setdefault(key, repr(value))
         except Exception as exc:
             self.raised(exc, label, **witness)
 
@@ -690,8 +697,6 @@ def suite_tropical(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
 
 
 def suite_paper_examples(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
-    from loopsym.examples import run_paper_examples
-
     run_paper_examples(ck, seed)
 
 

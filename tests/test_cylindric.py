@@ -31,6 +31,28 @@ def test_cylindric_predicate():
     assert not is_k_cylindric((2, 1, 1, 1), 2, 3)  # conjugate spread 3 > 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cylindric_shape_is_its_skew_shape_with_a_width(n):
+    from loopsym.partitions import ColoredSkewShape
+    from loopsym.verify import cylindric_corpus
+
+    for sh in cylindric_corpus(n):
+        skew = ColoredSkewShape(sh.lam, sh.mu, sh.r, n)
+        assert isinstance(sh, ColoredSkewShape) and sh != skew and skew != sh
+        assert sh.cells() == skew.cells() and sh.columns() == skew.columns()
+        assert [sh.color(i, j) for i, j in sh.cells()] == [skew.color(i, j) for i, j in skew.cells()]
+
+
+def test_cylindric_shape_validation():
+    assert CylShape(2, [2, 1, 0], (1,), 5, 3).lam == (2, 1)
+    assert CylShape(2, (2,), (), 1, 3) != CylShape(1, (1, 1), (), 1, 3)
+    assert CylShape(2, (2,), (), 1, 4) != CylShape(3, (2,), (), 1, 4)
+    with pytest.raises(ValueError, match="not 2-cylindric"):
+        CylShape(2, (3,), (), 1, 3)
+    with pytest.raises(ValueError, match="not contained"):
+        CylShape(2, (1,), (2,), 1, 3)
+
+
 def test_special_cases():
     rng = trial_rng(6, 0)
     x = VarMatrix.random(4, 3, rng)
@@ -305,6 +327,26 @@ def test_point_memo_matches_fresh_computation(monkeypatch):
             assert poly == tpoly_minor(folded_matrix(x), I, J)
     assert x1.memo("cyl_jt_check") is not x2.memo("cyl_jt_check")
     assert x1.memo("cyl_jt_check")["folded"] is not x2.memo("cyl_jt_check")["folded"]
+
+
+def test_identity_witness_joins_the_failure_record(monkeypatch):
+    """The witness of a failed identity is kept in its record, repr'd; the
+    keys that the record already has (check, error, point, shape) win."""
+    from loopsym import cylindric
+    from loopsym.semifield import VerificationFailure
+    from loopsym.verify import cylindric_corpus, run_suite
+
+    def faulty(I, J, k, x, poly):
+        witness = {"d": 3, "coeff": 7, "m": 99, "check": "other", "error": "other", "shape": "other"}
+        raise VerificationFailure("injected ladder fault", witness)
+
+    monkeypatch.setattr(cylindric, "_expansion_check", faulty)
+    failures = run_suite("cylindric", 2, 2, 1, 0).failures
+    assert [f["shape"] for f in failures] == [repr(s) for s in cylindric_corpus(2)]
+    for f in failures:
+        assert set(f) == {"check", "error", "m", "n", "shape", "d", "coeff"}
+        assert (f["check"], f["error"], f["m"], f["n"]) == ("cyl-jt", "injected ladder fault", "2", "2")
+        assert (f["d"], f["coeff"]) == ("3", "7")
 
 
 def test_unexpected_exception_is_a_recorded_failure(monkeypatch):

@@ -98,6 +98,29 @@ def test_normalize_empty_columns_preserves_value():
     assert checked > 10
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_from_columns_inverts_columns(n):
+    from loopsym.verify import skew_corpus
+
+    for s in skew_corpus(n):
+        assert ColoredSkewShape.from_columns(s.columns(), s.r, s.n) == s
+        assert s.filling_cells() == sorted(s.cells(), key=lambda cell: (cell[1], cell[0]))
+
+
+@pytest.mark.parametrize(
+    "intervals",
+    [
+        [(0, 1), (0, 2)],  # bottoms increase
+        [(0, 2), (1, 2)],  # tops increase
+        [(2, 2), (1, 1), (2, 1)],  # a column upside down
+        [(-1, 1)],  # a column above row 1
+    ],
+)
+def test_from_columns_rejects_non_shapes(intervals):
+    with pytest.raises(ValueError):
+        ColoredSkewShape.from_columns(intervals, 1, 3)
+
+
 def test_single_cell_far_right_normalizes_to_shifted_color():
     s = ColoredSkewShape((2,), (1,), 1, 3)
     norm = s.normalize_empty_columns()

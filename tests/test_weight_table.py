@@ -115,6 +115,19 @@ def test_empty_table_is_zero():
 # cylindric tableaux
 
 
+def periodic_semistandard(shape, values):
+    """Whether the translates -1, 0 and 1 of the filling, laid out in the
+    plane with translate t moved by (-t(n - k), tk), have weakly increasing
+    rows and strictly increasing columns.  Every pair of adjacent cells of
+    the infinite extension is a translate of a pair among these."""
+    step = (shape.n - shape.k, shape.k)
+    plane = {(i - t * step[0], j + t * step[1]): v for t in (-1, 0, 1) for (i, j), v in values.items()}
+    return all(
+        plane.get((i, j + 1), v) >= v and plane.get((i + 1, j), v + 1) > v
+        for (i, j), v in plane.items()
+    )
+
+
 def cyl_fillings(shape, m):
     """The cylindric tableaux of the shape with entries <= m, as dicts cell
     -> value: the skew fillings whose periodic extension is semistandard."""
@@ -126,7 +139,7 @@ def cyl_fillings(shape, m):
             for c, column in enumerate(filling)
             for idx, v in enumerate(column)
         }
-        if cylindric._extension_semistandard(shape, values):
+        if periodic_semistandard(shape, values):
             out.append(values)
     return out
 
