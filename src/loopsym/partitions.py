@@ -266,21 +266,24 @@ def evaluate_weights(table, x, r: int) -> object:
     * polynomial: when every entry of x is a single monomial over the
       denominator 1, as in ``VarMatrix.symbolic`` and its transpose, each
       weight is one term of the result, written straight into its
-      :class:`SparseLoopPoly`.  Otherwise each weight is a product in the
-      ring, as for any other ring.
+      :class:`SparseLoopPoly`: its packed key is the integer sum of
+      ``mult * key`` over its entries, and the degree of the result is at
+      most ``|shape|`` times the largest degree of an entry.  Otherwise each
+      weight is a product in the ring, as for any other ring.
 
     The empty table is the zero of the ring.
     """
     if not table:
         return x.ring.zero
+    degree = sum(e for _, e in table[0][0])
     if x.ring.name == "rational":
-        return _evaluate_rational(table, x, r)
+        return _evaluate_rational(table, x, r, degree)
     if x.ring.name == "tropical":
         return _evaluate_tropical(table, x, r)
     if x.ring.name == "polynomial":
         monomials = _monomial_entries(x, r)
         if monomials is not None:
-            return _evaluate_monomials(table, monomials)
+            return _evaluate_monomials(table, monomials, degree)
     return _evaluate_products(table, x, r)
 
 
@@ -290,7 +293,7 @@ def _colored_entries(x, r: int) -> dict:
     return {(i, c): x.xc(i, c + r - 1) for i in range(1, x.m + 1) for c in range(1, x.n + 1)}
 
 
-def _evaluate_rational(table, x, r: int) -> Fraction:
+def _evaluate_rational(table, x, r: int, degree: int) -> Fraction:
     values = _colored_entries(x, r)
     D = lcm(*(a.denominator for a in values.values()))
     ints = {v: a.numerator * (D // a.denominator) for v, a in values.items()}
@@ -300,7 +303,6 @@ def _evaluate_rational(table, x, r: int) -> Fraction:
         for v, e in weight:
             term *= ints[v] ** e
         total += term
-    degree = sum(e for _, e in table[0][0])
     return Fraction(total, D ** degree)
 
 
@@ -310,30 +312,39 @@ def _evaluate_tropical(table, x, r: int) -> TropNumber:
 
 
 def _monomial_entries(x, r: int):
-    """(monomial, coefficient) of every entry of x, keyed as in
+    """The :class:`SparseLoopPoly` monomial of every entry of x, keyed as in
     :func:`_colored_entries`, or None if some entry is not a single monomial
     over the denominator 1."""
     out = {}
     for v, a in _colored_entries(x, r).items():
         if not a.is_polynomial or len(a.num.terms) != 1:
             return None
-        (out[v],) = a.num.terms.items()
+        out[v] = a.num
     return out
 
 
-def _evaluate_monomials(table, monomials) -> PolyFraction:
+def _evaluate_monomials(table, monomials, degree: int) -> PolyFraction:
+    """Every weight of the table, of the given degree, as one term: its key
+    is the sum of ``mult * key`` over its entries' packed monomial keys."""
+    keys = {}
+    coeffs = {}
+    for v, a in monomials.items():
+        ((keys[v], c),) = a.terms.items()
+        if c != 1:
+            coeffs[v] = c
+    bound = degree * max(a.degree for a in monomials.values())
     terms: dict = {}
+    get = terms.get
     for weight, count in table:
-        coeff = count
-        exps: dict = {}
+        key = 0
         for v, e in weight:
-            mono, c = monomials[v]
-            coeff *= c ** e
-            for var, k in mono:
-                exps[var] = exps.get(var, 0) + k * e
-        key = tuple(sorted(exps.items()))
-        terms[key] = terms.get(key, 0) + coeff
-    return PolyFraction(SparseLoopPoly(terms))
+            key += e * keys[v]
+            if v in coeffs:
+                count *= coeffs[v] ** e
+        terms[key] = get(key, 0) + count
+    if 0 in terms.values():
+        terms = {k: c for k, c in terms.items() if c}
+    return PolyFraction(SparseLoopPoly(terms, bound))
 
 
 def _evaluate_products(table, x, r: int):

@@ -5,14 +5,26 @@ min-plus semiring (:class:`TropNumber`), or sparse integer polynomials in
 the matrix variables with formal quotients (:class:`PolyFraction`).  All
 three expose ``+``, ``*``, ``/`` and exact ``==``; only the first and last
 support ``-``.  Nothing in this package ever touches floating point.
+
+A monomial of :class:`SparseLoopPoly` is one packed int: the exponent of
+x_i^j sits in a 16-bit field (FIELD_BITS) at slot ``d(d+1)/2 + j - 1``,
+``d = i + j - 2``, a pure function of (i, j).  A product of monomials is
+one integer addition.  Every polynomial bounds its total degree, and a
+product whose degree could pass MAX_DEGREE = 65,535 raises
+:class:`DegreeOverflow` before it computes anything, so no field ever
+overflows into its neighbour.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress
+from operator import itemgetter
 from typing import Callable
 
 Rational = Fraction
@@ -109,38 +121,100 @@ TROP_INF = TropNumber(math.inf)
 # sparse polynomials in the variables x_i^j
 
 
-def _merge(terms: dict, key: tuple, coeff: int) -> None:
-    c = terms.get(key, 0) + coeff
-    if c:
-        terms[key] = c
-    else:
-        terms.pop(key, None)
+FIELD_BITS = 16
+MAX_DEGREE = (1 << FIELD_BITS) - 1
+
+
+class DegreeOverflow(SemifieldError):
+    """A polynomial would have a term of total degree above MAX_DEGREE,
+    whose exponents no longer fit their bit fields."""
+
+    def __init__(self, degree: int):
+        super().__init__(
+            f"degree {degree} exceeds {MAX_DEGREE}, the largest exponent that "
+            f"fits a {FIELD_BITS}-bit monomial field"
+        )
+
+
+def _check_degree(degree: int) -> int:
+    if degree > MAX_DEGREE:
+        raise DegreeOverflow(degree)
+    return degree
+
+
+def slot(i: int, j: int) -> int:
+    """The bit field of x_i^j in a monomial key: the diagonal pairing
+    ``d(d+1)/2 + j - 1`` with ``d = i + j - 2``, a bijection from pairs of
+    positive ints onto the non-negative ints.  ValueError unless i and j are
+    positive ints."""
+    for v in (i, j):
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise ValueError(f"variable index must be a positive int, got {v!r}")
+    d = i + j - 2
+    return d * (d + 1) // 2 + j - 1
+
+
+@lru_cache(maxsize=None)
+def _decoder(n: int) -> tuple:
+    """How to read a monomial key of at most n >= 2 fields: the variables
+    (i, j) of slots 0 .. n-1 in lexicographic order, a function from a key's
+    bytes to its fields, and one from those fields to the fields of the
+    variables in that order."""
+    variables = tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if slot(i, j) < n)
+    # with 16-bit fields a key is an array of little-endian unsigned shorts
+    unpack = struct.Struct(f"<{n}H").unpack
+    return variables, unpack, itemgetter(*(slot(i, j) for i, j in variables))
 
 
 class SparseLoopPoly:
-    """Sparse integer polynomial in variables indexed by pairs ``(i, j)``.
+    """Sparse integer polynomial in variables x_i^j indexed by pairs of
+    positive ints ``(i, j)``.
 
-    A monomial is stored as a sorted tuple of ``((i, j), exponent)`` items;
-    zero coefficients are never kept.
+    ``terms`` maps each monomial key to its nonzero integer coefficient.  A
+    key is one non-negative int: the exponent of x_i^j sits in the
+    FIELD_BITS-bit field ``slot(i, j) = d(d+1)/2 + j - 1``, ``d = i + j - 2``,
+    so the key of a product of monomials is the sum of their keys, and
+    :meth:`items` decodes the keys.  Fields are 16 bits wide: that allows a
+    total degree of 65,535, far above what the library builds (a loop Schur
+    polynomial has the degree of its shape, and the composite of two crystal
+    operators at the symbolic 3 x 3 point reaches 137), while a key over the
+    variables of a 4 x 4 point stays a few hundred bits long, cheap to add
+    and hash, and decodes in C as an array of unsigned shorts.
+
+    No field ever carries into the next: ``degree`` bounds the total degree
+    of every term (it is exact unless a sum cancelled the top terms), and a
+    product whose bound would pass MAX_DEGREE raises :class:`DegreeOverflow`
+    before it forms a single key.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "degree")
 
-    def __init__(self, terms: dict | None = None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+    def __init__(self, terms: dict, degree: int):
+        """The polynomial with these packed keys and nonzero coefficients,
+        none of total degree above ``degree``; DegreeOverflow if that bound
+        passes MAX_DEGREE."""
+        self.terms = terms
+        self.degree = _check_degree(degree)
 
     @classmethod
     def const(cls, c: int) -> "SparseLoopPoly":
-        return cls({(): c} if c else {})
+        return cls({0: c} if c else {}, 0)
 
     @classmethod
     def variable(cls, i: int, j: int) -> "SparseLoopPoly":
-        return cls({(((i, j), 1),): 1})
+        return cls({1 << FIELD_BITS * slot(i, j): 1}, 1)
 
     @classmethod
     def monomial(cls, exponents: dict, coeff: int = 1) -> "SparseLoopPoly":
-        key = tuple(sorted((v, e) for v, e in exponents.items() if e))
-        return cls({key: coeff})
+        """``coeff * prod x_i^j ** e`` over the ``(i, j): e`` of exponents;
+        ValueError on a bad index or a negative exponent."""
+        key = degree = 0
+        for (i, j), e in exponents.items():
+            if not isinstance(e, int) or e < 0:
+                raise ValueError(f"exponent must be a non-negative int, got {e!r}")
+            key += e << FIELD_BITS * slot(i, j)
+            degree += e
+        return cls({key: coeff} if coeff else {}, degree)
 
     @property
     def is_zero(self) -> bool:
@@ -149,29 +223,44 @@ class SparseLoopPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    def items(self):
+        """Each term as ``(((i, j), e), ...), coeff``: the decoded monomial,
+        its variables sorted, with every e > 0."""
+        n = max(2, (max(self.terms, default=0).bit_length() + FIELD_BITS - 1) // FIELD_BITS)
+        variables, unpack, gather = _decoder(n)
+        for key, c in self.terms.items():
+            e = gather(unpack(key.to_bytes(2 * n, "little")))
+            yield tuple(zip(compress(variables, e), filter(None, e))), c
+
     def __add__(self, other: "SparseLoopPoly") -> "SparseLoopPoly":
         terms = dict(self.terms)
+        get = terms.get
         for k, c in other.terms.items():
-            _merge(terms, k, c)
-        return SparseLoopPoly(terms)
+            c += get(k, 0)
+            if c:
+                terms[k] = c
+            else:
+                del terms[k]
+        return SparseLoopPoly(terms, max(self.degree, other.degree))
 
     def __neg__(self) -> "SparseLoopPoly":
-        return SparseLoopPoly({k: -c for k, c in self.terms.items()})
+        return SparseLoopPoly({k: -c for k, c in self.terms.items()}, self.degree)
 
     def __sub__(self, other: "SparseLoopPoly") -> "SparseLoopPoly":
         return self + (-other)
 
     def __mul__(self, other: "SparseLoopPoly") -> "SparseLoopPoly":
+        degree = _check_degree(self.degree + other.degree)  # before any key is formed
         out: dict = {}
+        get = out.get
+        right = other.terms.items()
         for k1, c1 in self.terms.items():
-            d1 = dict(k1)
-            for k2, c2 in other.terms.items():
-                exps = dict(d1)
-                for v, e in k2:
-                    exps[v] = exps.get(v, 0) + e
-                key = tuple(sorted(exps.items()))
-                _merge(out, key, c1 * c2)
-        return SparseLoopPoly(out)
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        return SparseLoopPoly(out, degree)
 
     def __pow__(self, k: int) -> "SparseLoopPoly":
         result = SparseLoopPoly.const(1)
@@ -186,23 +275,21 @@ class SparseLoopPoly:
         return hash(frozenset(self.terms.items()))
 
     def trop_min(self, values: dict) -> int | float:
-        """min-plus value of this polynomial at integer variable values.
+        """min-plus value of this polynomial at integer variable values,
+        keyed by ``(i, j)``.
 
         Only meaningful when every coefficient is positive (the polynomial
         is a positive expression); the coefficients themselves do not enter.
         """
-        best = math.inf
-        for key in self.terms:
-            best = min(best, sum(e * values[v] for v, e in key))
-        return best
+        return min((sum(e * values[v] for v, e in mono) for mono, _ in self.items()), default=math.inf)
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         bits = []
-        for key, c in sorted(self.terms.items()):
+        for mono, c in sorted(self.items()):
             vars_part = "*".join(
-                f"x{i}^{j}" + (f"**{e}" if e > 1 else "") for (i, j), e in key
+                f"x{i}^{j}" + (f"**{e}" if e > 1 else "") for (i, j), e in mono
             )
             bits.append(f"{c}" if not vars_part else (f"{c}*{vars_part}" if c != 1 else vars_part))
         return " + ".join(bits)

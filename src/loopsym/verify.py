@@ -411,11 +411,15 @@ def suite_det_formula(ck: Check, m: int, n: int, trials: int, seed: int) -> None
     rng = trial_rng(seed, 999)
     x = VarMatrix.random(5, 3, rng)
     shape = ColoredSkewShape((4, 3, 3, 1), (2,), 2, 3)
-    val = schur.theorem_det_formula(shape, x)
-    rq12 = schur.reduced_q_invariant(x, 1, 2)
-    rq22 = schur.reduced_q_invariant(x, 2, 2)
-    s2, s3 = schur.shape_invariant(x, 2), schur.shape_invariant(x, 3)
-    ck.expect(val == rq12 * rq22 * s3 * s3 - rq12 * s2, "worked-53-determinant")
+
+    def worked():
+        val = schur.theorem_det_formula(shape, x)
+        rq12 = schur.reduced_q_invariant(x, 1, 2)
+        rq22 = schur.reduced_q_invariant(x, 2, 2)
+        s2, s3 = schur.shape_invariant(x, 2), schur.shape_invariant(x, 3)
+        ck.expect(val == rq12 * rq22 * s3 * s3 - rq12 * s2, "worked-53-determinant", shape=shape)
+
+    ck.run(worked, "worked-53-determinant", shape=shape)
 
 
 def suite_sum_of_minors(ck: Check, m: int, n: int, trials: int, seed: int) -> None:

@@ -335,7 +335,7 @@ def test_eval_fuzz_exits_0_or_2_with_one_line(target, mode):
 def evaluate(p, values):
     """A polynomial's value at a rational point, term by term."""
     total = Fraction(0)
-    for key, c in p.terms.items():
+    for key, c in p.items():
         term = Fraction(c)
         for v, e in key:
             term *= values[v] ** e

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -28,6 +29,7 @@ from loopsym.semifield import (
     RATIONAL,
     TROPICAL,
     DegeneratePoint,
+    PolyFraction,
     TropNumber,
     random_rational,
     trial_rng,
@@ -199,6 +201,41 @@ def test_apply_e_subtraction_free_axioms():
             lhs = apply_e(apply_e(apply_e(x, i + 1, c2), i, c1 * c2), i + 1, c1)
             rhs = apply_e(apply_e(apply_e(x, i, c1), i + 1, c1 * c2), i, c2)
             assert lhs == rhs
+
+
+def evaluate(terms, degree, values):
+    """A polynomial, given by its decoded terms and a bound on their degree,
+    at a rational point, in integers: each value is a / D."""
+    D = lcm(*(v.denominator for v in values.values()))
+    ints = {v: a.numerator * (D // a.denominator) for v, a in values.items()}
+    total = 0
+    for mono, c in terms:
+        term = c * D ** (degree - sum(e for _, e in mono))
+        for v, e in mono:
+            term *= ints[v] ** e
+        total += term
+    return Fraction(total, D**degree)
+
+
+def test_symbolic_3x3_composite_evaluates_to_the_rational_composite():
+    """apply_e_bar(apply_e(x, 1, 2), 1, 3) at the symbolic 3 x 3 point (its
+    unreduced entries have up to 8,880 terms), evaluated at seeded rational
+    points, equals the same composite computed at those points."""
+    def composite(x, c1, c2):
+        return apply_e_bar(apply_e(x, 1, c1), 1, c2)
+
+    sym = composite(VarMatrix.symbolic(3, 3), PolyFraction.const(2), PolyFraction.const(3))
+    entries = {
+        (i, j): [(list(p.items()), p.degree) for p in (sym.x(i, j).num, sym.x(i, j).den)]
+        for i in range(1, 4)
+        for j in range(1, 4)
+    }
+    for t in range(3):
+        x = VarMatrix.random(3, 3, trial_rng(2, 12 + t))
+        want = composite(x, Fraction(2), Fraction(3))
+        values = {(i, j): x.x(i, j) for i in range(1, 4) for j in range(1, 4)}
+        for (i, j), (num, den) in entries.items():
+            assert evaluate(*num, values) / evaluate(*den, values) == want.x(i, j), (t, i, j)
 
 
 def test_r_matrix_swaps_singletons():

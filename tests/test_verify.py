@@ -101,3 +101,14 @@ def test_an_exception_is_a_recorded_failure_and_the_run_goes_on(suite, monkeypat
     # raised at the first point, with its witness; a later point was checked
     assert (failure["m"], failure["n"], failure.get("trial", "0")) == ("2", "2", "0")
     assert calls[0] == 1 and calls[-1] > 1
+
+
+def test_worked_determinant_failure_keeps_its_label_and_witness(monkeypatch):
+    """det-formula checks its worked 5 x 3 case inside Check.run: a wrong
+    tableau sum there is a labelled failure with the identity's witness."""
+    original = schur.ssyt_sum
+    monkeypatch.setattr(schur, "ssyt_sum", lambda shape, x: original(shape, x) + 1)
+    report = run_suite("det-formula", 2, 2, 1, 0)
+    (worked,) = [f for f in report.failures if f["check"] == "worked-53-determinant"]
+    assert {"shape", "det", "tableaux"} <= set(worked)
+    assert "reduced determinant disagrees" in worked["error"]
