@@ -13,7 +13,8 @@ rationals (min-plus values are integers of either sign); a missing or
 unreadable ``--input`` file is a usage error too, and so are a missing
 field (the message names it) and a ``cocharge`` pattern with m < n.
 ``--mode polynomial`` is a usage error for every target but ``loop-schur``
-and ``cyl-schur``, the only ones with a symbolic route.
+and ``cyl-schur``, the only ones with a symbolic route.  A ``verify
+--report`` path that cannot be written is a usage error as well.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from loopsym import cylindric, energy, gt, schur
 from loopsym.crystal import apply_e, apply_e_bar, row_r
@@ -227,15 +229,23 @@ def cmd_verify(args) -> int:
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.report, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write report {args.report}: {exc.strerror}") from None
     for r in reports:
         status = "pass" if r.passed else f"FAIL ({len(r.failures)})"
         print(f"{r.suite:<16} {status:>10}  {r.elapsed_ms} ms")
     return 0 if payload["passed"] else 1
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The ``loopsym`` argument parser, built on the first :func:`main`
+    call and shared by every later one.  It holds no callables: ``main``
+    dispatches on ``args.command`` to the module's ``cmd_*`` functions as
+    they are bound at call time."""
     parser = argparse.ArgumentParser(
         prog="loopsym",
         description="Exact evaluation and verification for the loop-symmetric-function toolkit.",
@@ -246,7 +256,6 @@ def main(argv=None) -> int:
     pe.add_argument("target", choices=EVAL_TARGETS)
     pe.add_argument("--mode", choices=("rational", "tropical", "polynomial"), default="rational")
     pe.add_argument("--input", default="-", help="JSON input file (default: stdin)")
-    pe.set_defaults(fn=cmd_eval)
 
     pv = sub.add_parser("verify", help="run verification suites")
     pv.add_argument("suite", choices=sorted(SUITES) + ["all"])
@@ -255,11 +264,13 @@ def main(argv=None) -> int:
     pv.add_argument("--trials", type=int, default=25)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--report", type=str, default=None)
-    pv.set_defaults(fn=cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return cmd_eval(args) if args.command == "eval" else cmd_verify(args)
     except SemifieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -253,7 +253,9 @@ def evaluate_weights(table, x, r: int) -> object:
     The table is colored at anchor 1.  Cell (i, j) of the shape has color
     ``color(i, j) = r + i - j - 1 mod n``, so at anchor r a table key
     ``(entry, c)`` stands for the variable ``x.xc(entry, c + r - 1)``.  The
-    shift is applied once, to the m * n entries of x, never to the table.
+    shift is applied once per (point, anchor color), to the m * n entries of
+    x, never to the table: the shifted entries, in the form that the ring's
+    route below reads, are kept in ``x.memo("weight_entries")`` keyed on r.
 
     The value is the sum over the table of ``count * prod x.xc(entry,
     c + r - 1) ** mult``; no ring evaluates it one tableau product at a time:
@@ -275,28 +277,51 @@ def evaluate_weights(table, x, r: int) -> object:
     """
     if not table:
         return x.ring.zero
+    entries = _weight_entries(x, r)
+    if entries is None:
+        return _evaluate_products(table, x, r)
+    if x.ring.name == "tropical":
+        return _evaluate_tropical(table, entries)
     degree = sum(e for _, e in table[0][0])
     if x.ring.name == "rational":
-        return _evaluate_rational(table, x, r, degree)
-    if x.ring.name == "tropical":
-        return _evaluate_tropical(table, x, r)
-    if x.ring.name == "polynomial":
-        monomials = _monomial_entries(x, r)
-        if monomials is not None:
-            return _evaluate_monomials(table, monomials, degree)
-    return _evaluate_products(table, x, r)
+        return _evaluate_rational(table, *entries, degree)
+    return _evaluate_monomials(table, *entries, degree)
 
 
-def _colored_entries(x, r: int) -> dict:
-    """Every entry of x, keyed by (row, color) as in ``x.xc`` at anchor
-    color 1, with the value that the key takes at anchor color r."""
-    return {(i, c): x.xc(i, c + r - 1) for i in range(1, x.m + 1) for c in range(1, x.n + 1)}
+def _weight_entries(x, r: int):
+    """The entries of x at anchor color r, keyed by (row, color) as in
+    ``x.xc`` at anchor color 1, in the form that :func:`evaluate_weights`
+    reads for the ring of x: ``(integer numerators, D)`` (rational), the
+    min-plus integers (tropical), or ``(packed keys, coefficients other
+    than 1, largest degree)`` when every polynomial entry is one monomial
+    over the denominator 1.  None means that each weight is a product in
+    the ring.  Made once per (point, r), None included."""
+    memo = x.memo("weight_entries")
+    if r in memo:
+        return memo[r]
+    values = {(i, c): x.xc(i, c + r - 1) for i in range(1, x.m + 1) for c in range(1, x.n + 1)}
+    ring = x.ring.name
+    if ring == "rational":
+        D = lcm(*(a.denominator for a in values.values()))
+        entries = ({v: a.numerator * (D // a.denominator) for v, a in values.items()}, D)
+    elif ring == "tropical":
+        entries = {v: a.value for v, a in values.items()}
+    elif ring == "polynomial" and all(
+        a.is_polynomial and len(a.num.terms) == 1 for a in values.values()
+    ):
+        keys, coeffs = {}, {}
+        for v, a in values.items():
+            ((keys[v], c),) = a.num.terms.items()
+            if c != 1:
+                coeffs[v] = c
+        entries = (keys, coeffs, max(a.num.degree for a in values.values()))
+    else:
+        entries = None
+    memo[r] = entries
+    return entries
 
 
-def _evaluate_rational(table, x, r: int, degree: int) -> Fraction:
-    values = _colored_entries(x, r)
-    D = lcm(*(a.denominator for a in values.values()))
-    ints = {v: a.numerator * (D // a.denominator) for v, a in values.items()}
+def _evaluate_rational(table, ints: dict, D: int, degree: int) -> Fraction:
     total = 0
     for weight, count in table:
         term = count
@@ -306,33 +331,14 @@ def _evaluate_rational(table, x, r: int, degree: int) -> Fraction:
     return Fraction(total, D ** degree)
 
 
-def _evaluate_tropical(table, x, r: int) -> TropNumber:
-    values = {v: a.value for v, a in _colored_entries(x, r).items()}
+def _evaluate_tropical(table, values: dict) -> TropNumber:
     return TropNumber(min(sum(e * values[v] for v, e in weight) for weight, _ in table))
 
 
-def _monomial_entries(x, r: int):
-    """The :class:`SparseLoopPoly` monomial of every entry of x, keyed as in
-    :func:`_colored_entries`, or None if some entry is not a single monomial
-    over the denominator 1."""
-    out = {}
-    for v, a in _colored_entries(x, r).items():
-        if not a.is_polynomial or len(a.num.terms) != 1:
-            return None
-        out[v] = a.num
-    return out
-
-
-def _evaluate_monomials(table, monomials, degree: int) -> PolyFraction:
+def _evaluate_monomials(table, keys, coeffs, entry_degree: int, degree: int) -> PolyFraction:
     """Every weight of the table, of the given degree, as one term: its key
-    is the sum of ``mult * key`` over its entries' packed monomial keys."""
-    keys = {}
-    coeffs = {}
-    for v, a in monomials.items():
-        ((keys[v], c),) = a.terms.items()
-        if c != 1:
-            coeffs[v] = c
-    bound = degree * max(a.degree for a in monomials.values())
+    is the sum of ``mult * key`` over its entries' packed monomial keys, and
+    no entry has degree above ``entry_degree``."""
     terms: dict = {}
     get = terms.get
     for weight, count in table:
@@ -344,7 +350,7 @@ def _evaluate_monomials(table, monomials, degree: int) -> PolyFraction:
         terms[key] = get(key, 0) + count
     if 0 in terms.values():
         terms = {k: c for k, c in terms.items() if c}
-    return PolyFraction(SparseLoopPoly(terms, bound))
+    return PolyFraction(SparseLoopPoly(terms, degree * entry_degree))
 
 
 def _evaluate_products(table, x, r: int):

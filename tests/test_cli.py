@@ -1,20 +1,25 @@
 """Command-line harness: evaluation targets, verification runs, exit codes."""
 
+import argparse
 import contextlib
+import errno
 import functools
 import gc
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsym import cylindric, energy, schur
+from loopsym import cli, cylindric, energy, schur
 from loopsym.cli import EVAL_TARGETS, POLYNOMIAL_TARGETS, main
 from loopsym.points import VarMatrix
 from loopsym.verify import cylindric_corpus, skew_corpus
@@ -114,6 +119,22 @@ def test_verify_report_file(tmp_path, capsys, monkeypatch):
     payload = json.loads(rep.read_text())
     assert payload["passed"] is True and payload["seed"] == 1
     assert [r["suite"] for r in payload["reports"]] == ["r-matrix"]
+
+
+@pytest.mark.parametrize(
+    "where, errnum", [("missing-dir/r.json", errno.ENOENT), ("", errno.EISDIR)], ids=["no-dir", "a-dir"]
+)
+def test_verify_unwritable_report_is_usage_error(where, errnum, tmp_path, capsys, monkeypatch):
+    rep = tmp_path / where
+    code, out, err = run_cli(
+        ["verify", "r-matrix", "--m", "2", "--n", "2", "--trials", "1", "--report", str(rep)],
+        None, capsys, monkeypatch,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: cannot write report") and str(rep) in err
+    assert os.strerror(errnum) in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_verify_jobs_is_not_an_option(capsys):
@@ -254,6 +275,68 @@ def test_eval_missing_input_file_is_usage_error(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert err.startswith("usage error:") and str(missing) in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_shared_parser_carries_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    """One parser serves every call in a process: a file input, a mode or a
+    rejected command line leaves nothing for the next call, and no call
+    after the first builds a parser."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"entries": [["1", "2"], ["3", "4"]]}))
+    point = json.dumps({"entries": [["2", "1"], ["1", "3"]]})
+    calls = [
+        (["eval", "energy", "--input", str(path)], None),
+        (["eval", "energy"], point),
+        (["eval", "grsk", "--mode", "tropical"], point),
+        (["eval", "grsk"], point),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    alone = []
+    for argv, stdin_data in calls:  # each call in a process of its own
+        run = subprocess.run(
+            [sys.executable, "-m", "loopsym.cli", *argv],
+            input=stdin_data or "", capture_output=True, text=True, env=env, timeout=60,
+        )
+        alone.append((run.returncode, run.stdout, run.stderr))
+    assert alone[0] != alone[1] and alone[2] != alone[3]
+    assert [json.loads(out)["mode"] for _, out, _ in alone] == ["rational", "rational", "tropical", "rational"]
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    shared = []
+    for k, (argv, stdin_data) in enumerate(calls):
+        shared.append(run_cli(argv, stdin_data, capsys, monkeypatch))
+        if k == 0:  # the first call of the process may build the parser; no later one does
+            monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "definitely-not-a-suite"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+    assert shared == alone
+    assert built == []
+
+
+def test_main_dispatches_to_cmd_eval_as_bound_at_call_time(capsys, monkeypatch):
+    """A rebinding of ``cli.cmd_eval`` after the parser exists is the
+    function the next call runs, as the benchmark tracer relies on."""
+    data = json.dumps({"entries": [["2", "3", "5"]]})
+    code, want, _ = run_cli(["eval", "energy"], data, capsys, monkeypatch)
+    assert code == 0
+    seen = []
+    real = cli.cmd_eval
+
+    def spy(args):
+        seen.append(args.target)
+        return real(args)
+
+    monkeypatch.setattr(cli, "cmd_eval", spy)
+    assert run_cli(["eval", "energy"], data, capsys, monkeypatch) == (0, want, "")
+    assert seen == ["energy"]
 
 
 # -- fuzzing every (target, mode) pair ----------------------------------------

@@ -100,6 +100,29 @@ def test_not_monomial_point_matches_oracle(m, n):
         assert evaluate_weights(table(shape, m), x, shape.r) == oracle(shape, x), shape
 
 
+def test_point_entries_are_made_once_per_anchor_color(monkeypatch):
+    """The entries that evaluate_weights reads are shifted and converted
+    once per (point, anchor color): a second pass over every shape of the
+    corpus reads no entry of a rational or tropical point, and a polynomial
+    point that is not all monomials keeps its None."""
+    n = 3
+    xc_calls = []
+    xc = VarMatrix.xc
+    monkeypatch.setattr(VarMatrix, "xc", lambda x, i, r: xc_calls.append(r) or xc(x, i, r))
+    shapes = [shape for shape in skew_corpus(n) if table(shape, 2)]
+    for x in (VarMatrix.random(2, n, trial_rng(0, 7)), VarMatrix.tropical(tropical_point(2, n))):
+        first = [evaluate_weights(table(shape, 2), x, shape.r) for shape in shapes]
+        assert len(xc_calls) == 2 * n * n  # m * n entries for each of the n anchor colors
+        xc_calls.clear()
+        assert [evaluate_weights(table(shape, 2), x, shape.r) for shape in shapes] == first
+        assert xc_calls == []
+        assert sorted(x.memo("weight_entries")) == [1, 2, 3]
+    x = symbolic_with_corner(2, n, SparseLoopPoly.variable(1, 1) + SparseLoopPoly.const(2))
+    for shape in shapes:
+        evaluate_weights(table(shape, 2), x, shape.r)
+    assert x.memo("weight_entries") == {1: None, 2: None, 3: None}
+
+
 def test_empty_table_is_zero():
     shape = ColoredSkewShape((4, 4, 4), (), 1, 2)  # a column of 3 cells, entries <= 2
     assert table(shape, 2) == ()
