@@ -11,7 +11,9 @@ objects where objects are expected, a non-empty rectangular matrix, sizes of
 at least 1, integers where integers are expected, and well-formed positive
 rationals (min-plus values are integers of either sign); a missing or
 unreadable ``--input`` file is a usage error too, and so are a missing
-field (the message names it) and a ``cocharge`` pattern with m < n.
+field (the message names it), a ``cocharge`` pattern with m < n, and a
+``loop-schur`` or ``cyl-schur`` point ``x`` whose size disagrees with the
+fields ``m`` (when given) and ``n``.
 ``--mode polynomial`` is a usage error for every target but ``loop-schur``
 and ``cyl-schur``, the only ones with a symbolic route.  A ``verify
 --report`` path that cannot be written is a usage error as well.
@@ -108,6 +110,16 @@ def _matrix_from_json(data, mode: str) -> VarMatrix:
     return VarMatrix([[_value(v, mode, "entry") for v in row] for row in rows], ring)
 
 
+def _point_of_size(data, mode: str, m: int | None, n: int) -> VarMatrix:
+    """The point ``data["x"]``, whose m rows and n columns must agree with
+    the fields ``m`` (when given) and ``n``."""
+    x = _matrix_from_json(data["x"], mode)
+    for key, want, got in (("m", m, x.m), ("n", n, x.n)):
+        if want is not None and want != got:
+            raise ValueError(f"{key}={want} disagrees with x, which is {x.m} x {x.n}")
+    return x
+
+
 def _pattern_from_json(data, mode: str) -> gt.GTPattern:
     """A cocharge pattern; cocharge reads row k for every k <= n, so m >= n."""
     m, n = (_int(data[key], key, 1) for key in ("m", "n"))
@@ -174,7 +186,7 @@ def cmd_eval(args) -> int:
             out["value"] = repr(val)
             out["monomials"] = len(val.num.terms)
         else:
-            x = _matrix_from_json(data["x"], mode)
+            x = _point_of_size(data, mode, m, n)
             out["value"] = _value_to_json(schur.ssyt_sum(shape, x))
     elif target == "cyl-schur":
         n = _int(data["n"], "n", 1)
@@ -189,7 +201,8 @@ def cmd_eval(args) -> int:
             val = cylindric.cyl_schur(shape, VarMatrix.symbolic(_int(data["m"], "m", 1), n))
             out["value"] = repr(val)
         else:
-            x = _matrix_from_json(data["x"], mode)
+            m = _int(data["m"], "m", 1) if "m" in data else None
+            x = _point_of_size(data, mode, m, n)
             out["value"] = _value_to_json(cylindric.cyl_schur(shape, x))
     elif target == "energy":
         out["value"] = _value_to_json(energy.energy(_matrix_from_json(data, mode)))

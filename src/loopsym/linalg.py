@@ -6,16 +6,16 @@ only from the nonzero entries of the left row times the nonzero entries of
 the matching rows of the right factor, and an entry with no such term is
 the ring's zero.  That is exact in every domain, because the zero absorbs
 under multiplication and is neutral under addition: ``Fraction(0)``, the
-min-plus ``TROP_INF`` and a ``PolyFraction`` with zero numerator are all
-falsy, so truthiness is the zero test.  A ``TPoly`` defines no truth value
-and is never skipped, which is merely slower.  Whirls, bidiagonal factors
-and elementary matrices are ordinary dense matrices; only their zeros cost
-nothing.
+min-plus ``TROP_INF``, a ``PolyFraction`` with zero numerator and a
+``TPoly`` with no coefficients are all falsy, so truthiness is the zero
+test.  Whirls, bidiagonal factors and elementary matrices are ordinary
+dense matrices; only their zeros cost nothing.
 
 All cofactor expansion goes through one memoized Laplace routine,
 :func:`_det_laplace`.  It expands along the first row of a matrix given by
-an entry function on row and column labels, and stores every
-sub-determinant in a cache the caller owns, keyed on its labels.
+an entry function on row and column labels, skips the entries and
+sub-determinants that are zero by the same truthiness test, and stores
+every sub-determinant in a cache the caller owns, keyed on its labels.
 :func:`minor` up to size four and :meth:`Matrix.det` up to size four run
 it on a cache kept with the matrix (``Matrix._minors``, made on first use)
 and keyed on the literal 1-based labels, so every flag minor, Q-invariant
@@ -147,6 +147,10 @@ def _det_laplace(R: tuple, ring: Ring, C: tuple, entry, cache: dict):
     ``R[k:]`` and the remaining columns ``cols`` is stored in ``cache`` under
     ``(R[k:], cols)``, so a cache shared by several determinants over the
     same entry function serves every sub-determinant they have in common.
+    An entry or sub-determinant is zero when it is falsy (see the module
+    docstring); its term is skipped, and each cofactor sum starts at its
+    first nonzero term, negated when that term's column index is odd.  A
+    sum with no nonzero term is the ring's zero.
     The labels of the rows come first and the ring second, as the rows and
     the ring of :func:`_det_bareiss` do: ``bench/tracer.py`` reads the size
     and the ring of both routines from those two positions.
@@ -162,16 +166,21 @@ def _det_laplace(R: tuple, ring: Ring, C: tuple, entry, cache: dict):
         if acc is not None:
             return acc
         row = R[k]
-        acc = zero
-        sign = 1
+        acc = None
         for idx, c in enumerate(cols):
             e = entry(row, c)
-            if e == zero:
-                sign = -sign
+            if not e:
                 continue
-            term = e * rec(k + 1, cols[:idx] + cols[idx + 1 :])
-            acc = acc + term if sign > 0 else acc - term
-            sign = -sign
+            sub = rec(k + 1, cols[:idx] + cols[idx + 1 :])
+            if not sub:
+                continue
+            term = e * sub
+            if acc is None:
+                acc = -term if idx & 1 else term
+            else:
+                acc = acc - term if idx & 1 else acc + term
+        if acc is None:
+            acc = zero
         cache[key] = acc
         return acc
 
@@ -248,6 +257,12 @@ class TPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)  # trimmed, so no coefficients means zero
+
+    def __neg__(self) -> "TPoly":
+        return TPoly([-c for c in self.coeffs], self.ring)
 
     def __add__(self, other: "TPoly") -> "TPoly":
         n = max(len(self.coeffs), len(other.coeffs))

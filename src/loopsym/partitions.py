@@ -18,7 +18,18 @@ from loopsym.semifield import PolyFraction, SparseLoopPoly, TropNumber
 
 
 def partition(parts) -> tuple[int, ...]:
-    """Normalize to a weakly decreasing tuple without trailing zeros."""
+    """Normalize to a weakly decreasing tuple without trailing zeros.
+
+    The parts are read into a tuple first, so lists, tuples and other
+    iterables of the same parts share one memoized result per process.
+    Invalid parts raise on every call: a raising call leaves no entry in
+    the memo.
+    """
+    return _partition(parts if isinstance(parts, tuple) else tuple(parts))
+
+
+@lru_cache(maxsize=None)
+def _partition(parts: tuple) -> tuple[int, ...]:
     p = tuple(int(x) for x in parts)
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise ValueError(f"not weakly decreasing: {p}")
@@ -29,7 +40,9 @@ def partition(parts) -> tuple[int, ...]:
     return p
 
 
+@lru_cache(maxsize=None)
 def conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """The conjugate partition, memoized per process."""
     if not lam:
         return ()
     return tuple(sum(1 for part in lam if part >= c) for c in range(1, lam[0] + 1))

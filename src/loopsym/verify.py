@@ -32,6 +32,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from loopsym import comb, crystal, cylindric, energy, gt, schur
@@ -144,20 +145,23 @@ def _resample_move(ck: Check, move, rng, label: str, **witness):
 
 
 # ---------------------------------------------------------------------------
-# shape corpora
+# shape corpora: each depends only on its arguments, so it is built once per
+# process and returned as a tuple that no caller can change
 
 
-def skew_corpus(n: int):
+@lru_cache(maxsize=None)
+def skew_corpus(n: int) -> tuple:
     """All colored skew shapes inside a 3 x 4 box, every color mod n."""
     out = []
     for lam in partitions_in_box(3, 4):
         for mu in sub_partitions(lam):
             for r in range(1, n + 1):
                 out.append(ColoredSkewShape(lam, mu, r, n))
-    return out
+    return tuple(out)
 
 
-def corner_corpus(m: int, n: int):
+@lru_cache(maxsize=None)
+def corner_corpus(m: int, n: int) -> tuple:
     """Corner-color shapes in the box corpus, after removing empty columns."""
     seen = set()
     out = []
@@ -169,10 +173,13 @@ def corner_corpus(m: int, n: int):
         if schur.corner_color_ok(norm, m):
             seen.add(key)
             out.append(norm)
-    return out
+    return tuple(out)
 
 
-def cylindric_corpus(n: int, max_cells: int = 10):
+@lru_cache(maxsize=None)
+def cylindric_corpus(n: int, max_cells: int = 10) -> tuple:
+    """Every cylindric shape of width k <= n with at most ``max_cells``
+    cells in lam, every color mod n."""
     out = []
     for k in range(1, n + 1):
         lams = [
@@ -185,7 +192,7 @@ def cylindric_corpus(n: int, max_cells: int = 10):
                 if contains(lam, mu):
                     for r in range(1, n + 1):
                         out.append(cylindric.CylShape(k, lam, mu, r, n))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +380,7 @@ def suite_pseudo_energy(ck: Check, m: int, n: int, trials: int, seed: int) -> No
             for ij in qidx:
                 ck.expect(schur.reduced_q_invariant(y, *ij) == rq[ij], "reduced-q-invariance", j=j, q=ij)
         # Maya-set predicate equivalence on shapes without empty columns
-        for shape in corpus + [s for s in skew_corpus(nn) if not s.has_empty_columns()][:200]:
+        for shape in corpus + tuple(s for s in skew_corpus(nn) if not s.has_empty_columns())[:200]:
             I, J = schur.maya_sets(shape.lam, shape.mu, shape.r, mm, nn)
             ck.expect(
                 schur.corner_color_ok(shape, mm) == (schur.n_final(I, nn) and schur.n_initial(J, nn)),

@@ -196,6 +196,10 @@ Q42 = [["1", "2"], ["3", "1"], ["2", "5"], ["1", "1"]]
         ("q-invariant", "rational", {"i": 1, "j": 0, "x": {"entries": Q33}}, "1 <= i, 1 <= j <= n"),
         ("q-invariant", "rational", {"i": -1, "j": 1, "x": {"entries": Q33}}, "not-Q-type"),
         ("q-invariant", "rational", {"i": 1, "j": 3, "x": {"entries": Q42}}, "i + j <= m"),
+        ("loop-schur", "rational", {"m": 3, "n": 2, "lambda": [2, 1], "r": 1, "x": POINT}, "m=3 disagrees with x"),
+        ("loop-schur", "tropical", {"m": 3, "n": 2, "lambda": [1], "r": 1, "x": {"entries": Q33}}, "n=2 disagrees"),
+        ("cyl-schur", "rational", {"m": 3, "n": 2, "k": 1, "lambda": [1, 1], "r": 1, "x": POINT}, "m=3 disagrees"),
+        ("cyl-schur", "tropical", {"n": 3, "k": 1, "lambda": [1, 1], "r": 1, "x": {"entries": Q42}}, "n=3 disagrees"),
     ],
 )
 def test_eval_bad_input_is_usage_error(target, mode, data, message, capsys, monkeypatch):

@@ -4,12 +4,15 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsym.linalg import (
     Matrix,
     MinorShapeError,
     PeriodicMatrix,
     TPoly,
+    _det_laplace,
     build_UV,
     flag_minor,
     fold,
@@ -93,6 +96,82 @@ def test_tropical_minor_raises():
     T5 = Matrix([[TropNumber(i * j) for j in range(5)] for i in range(5)], TROPICAL)
     with pytest.raises(NeedsSubtraction):
         minor(T5, range(1, 6), range(1, 6))
+
+
+def det_leibniz(rows, ring):
+    """Independent oracle: the sum over permutations, in any ring with -."""
+    total = ring.zero
+    for perm in permutations(range(len(rows))):
+        term = ring.one
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        odd = sum(perm[a] > perm[b] for a, b in combinations(range(len(perm)), 2)) % 2
+        total = total - term if odd else total + term
+    return total
+
+
+TRING = tpoly_ring(RATIONAL)
+RATIONAL_ENTRIES = st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(5, 2)])
+TPOLY_ENTRIES = st.lists(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]), max_size=3).map(
+    lambda cs: TPoly(cs, RATIONAL)
+)
+
+
+@st.composite
+def sparse_rows(draw, ring, size, ncols=None):
+    """``size`` rows of ``ncols`` (default ``size``) columns; each row is
+    zero up to a drawn lead column (one past the end: a zero row), then
+    nonzero there, then any entries, zeros included."""
+    ncols = size if ncols is None else ncols
+    if ring is RATIONAL:
+        nonzero = RATIONAL_ENTRIES
+        anything = st.one_of(st.just(Fraction(0)), RATIONAL_ENTRIES)
+    else:
+        nonzero = TPOLY_ENTRIES.filter(bool)
+        anything = TPOLY_ENTRIES
+    rows = []
+    for _ in range(size):
+        lead = draw(st.integers(0, ncols))
+        row = [ring.zero] * lead
+        if lead < ncols:
+            row.append(draw(nonzero))
+            row += draw(st.lists(anything, min_size=ncols - lead - 1, max_size=ncols - lead - 1))
+        rows.append(row)
+    return rows
+
+
+def laplace(rows, ring, C=None, cache=None):
+    labels = tuple(range(1, len(rows) + 1))
+    C = labels if C is None else C
+    return _det_laplace(labels, ring, C, lambda i, j: rows[i - 1][j - 1], {} if cache is None else cache)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), ring=st.sampled_from([RATIONAL, TRING]), size=st.integers(0, 4))
+def test_laplace_skips_zeros_and_matches_leibniz(data, ring, size):
+    rows = data.draw(sparse_rows(ring, size))
+    assert laplace(rows, ring) == det_leibniz(rows, ring)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), ring=st.sampled_from([RATIONAL, TRING]), size=st.integers(1, 3))
+def test_laplace_cache_shared_across_column_sets(data, ring, size):
+    """Two determinants of one entry function over different column sets,
+    in one cache, are each right."""
+    rows = data.draw(sparse_rows(ring, size, ncols=size + 2))
+    cols = list(combinations(range(1, size + 3), size))
+    first, second = data.draw(st.permutations(cols))[:2]
+    cache = {}
+    for C in (first, second, first):
+        sub = [[row[j - 1] for j in C] for row in rows]
+        assert laplace(rows, ring, C, cache) == det_leibniz(sub, ring), C
+
+
+def test_tpoly_truth_value_is_the_zero_test():
+    assert not TPoly([0, 0], RATIONAL)
+    assert not TPoly([], RATIONAL)
+    assert TPoly([0, 1], RATIONAL) and TPoly([Fraction(-1, 2)], RATIONAL)
+    assert -TPoly([1, 0, -2], RATIONAL) == TPoly([-1, 0, 2], RATIONAL)
 
 
 def index_pairs(k):

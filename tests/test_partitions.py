@@ -37,6 +37,19 @@ def test_partition_validation():
         partition([1, -1])
 
 
+@pytest.mark.parametrize("parts", [(1, 2), (2, -1)])
+def test_memoized_partition_raises_on_every_call(parts):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            partition(parts)
+
+
+def test_partition_normalizes_every_iterable_alike():
+    parts = (3, 2, 2, 0)
+    assert partition(list(parts)) == partition(parts) == partition(p for p in parts) == (3, 2, 2)
+    assert partition(iter([])) == partition(()) == ()
+
+
 def test_box_and_subpartitions():
     box = partitions_in_box(2, 2)
     assert sorted(box) == sorted([(), (1,), (2,), (1, 1), (2, 1), (2, 2)])

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -35,3 +36,18 @@ def test_every_traced_name_resolves():
         if not found:
             missing.append(where)
     assert missing == []
+
+
+def test_by_ring_targets_take_labels_and_ring_first():
+    """A ``by_ring`` span reads the row labels (or rows) from the first
+    positional argument and the ring from the second."""
+    first_two = {}
+    for _, where, opts in tracer_targets():
+        if "by_ring" in opts:
+            params = list(inspect.signature(resolve(where)).parameters.values())[:2]
+            first_two[where] = [(p.name, p.kind) for p in params]
+    positional = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    assert first_two == {
+        "linalg:_det_laplace": [("R", positional), ("ring", positional)],
+        "linalg:_det_bareiss": [("rows", positional), ("ring", positional)],
+    }

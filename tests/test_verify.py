@@ -4,6 +4,7 @@ exception inside a suite becomes."""
 import pytest
 
 from loopsym import comb, crystal, cylindric, energy, examples, gt, schur, verify
+from loopsym.partitions import partitions_in_box
 from loopsym.semifield import trial_rng
 from loopsym.verify import SUITES, run_suite
 
@@ -112,3 +113,31 @@ def test_worked_determinant_failure_keeps_its_label_and_witness(monkeypatch):
     (worked,) = [f for f in report.failures if f["check"] == "worked-53-determinant"]
     assert {"shape", "det", "tableaux"} <= set(worked)
     assert "reduced determinant disagrees" in worked["error"]
+
+
+@pytest.mark.parametrize(
+    "corpus, args",
+    [(verify.skew_corpus, (3,)), (verify.corner_corpus, (3, 2)), (verify.cylindric_corpus, (2,))],
+    ids=["skew", "corner", "cylindric"],
+)
+def test_memoized_corpus_is_a_tuple_equal_to_a_fresh_build(corpus, args):
+    shared = corpus(*args)
+    assert isinstance(shared, tuple) and shared
+    assert corpus(*args) is shared
+    assert shared == corpus.__wrapped__(*args)
+
+
+def test_jacobi_trudi_builds_each_skew_corpus_once(monkeypatch):
+    """At m = 3, n = 2 the suite checks two points of modulus 2; the box
+    corpus is built for the first and shared with the second."""
+    builds = []
+
+    def counted(rows, cols):
+        builds.append((rows, cols))
+        return partitions_in_box(rows, cols)
+
+    monkeypatch.setattr(verify, "partitions_in_box", counted)
+    verify.skew_corpus.cache_clear()
+    report = run_suite("jacobi-trudi", 3, 2, 1, 0)
+    assert report.passed, report.failures
+    assert builds == [(3, 4)]
