@@ -10,9 +10,10 @@ the translates through (-(n-k), k).  A cylindric tableau is a skew tableau
 whose periodic extension is semistandard, which periodicity lets one check
 across a single translate boundary.
 
-Cylindric tableau sums therefore use the weight tables of
-:mod:`loopsym.partitions`: one cached table per shape, colored at anchor 1,
-built from the skew fillings that pass that check, and evaluated per ring by
+Cylindric tableau sums therefore use the column transfers of
+:mod:`loopsym.partitions`: one cached transfer per shape, colored at anchor
+1, with the one constraint across that boundary (a wrap from the last
+column to the first), evaluated per ring by
 :func:`loopsym.partitions.evaluate_weights`.  The folded identities compare
 the signed t-coefficients of a folded minor with the strip ladder
 ``[shape, R(shape), ...]`` of :func:`strip_ladder`, in one loop.
@@ -24,17 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 
 from loopsym.linalg import tpoly_minor
 from loopsym.partitions import (
     ColoredSkewShape,
+    column_transfer,
     conjugate,
     contains,
     evaluate_weights,
     partition,
-    ssyt_columns,
-    weight_table,
 )
 from loopsym.paths import underway_minor
 from loopsym.points import VarMatrix
@@ -84,38 +84,17 @@ class CylShape(ColoredSkewShape):
 
 @lru_cache(maxsize=None)
 def cyl_weight_vectors(k: int, lam: tuple, mu: tuple, n: int, max_entry: int):
-    """Weight table (see :func:`loopsym.partitions.ssyt_weight_vectors`) of
-    the k-cylindric tableaux of lam/mu: the fillings of the fundamental
-    domain whose periodic extension is semistandard."""
+    """Column transfer, at anchor 1, of the k-cylindric tableaux of lam/mu.
+    The shape fits in k columns, so the one adjacency across translates is
+    column k next to the translate of column 1: cell (i - (n - k), k) may
+    not exceed cell (i, 1).  That wrap binds only when lam_1 = k."""
     shape = CylShape(k, lam, mu, 1, n)
-    cells = shape.filling_cells()
-    kept = [
-        filling
-        for filling in ssyt_columns(lam, mu, max_entry)
-        if _extension_semistandard(shape, dict(zip(cells, chain.from_iterable(filling))))
-    ]
-    return weight_table(shape, kept)
-
-
-def _extension_semistandard(shape: CylShape, values: dict) -> bool:
-    """Check row-weak / column-strict constraints across one translate."""
-    shifted = {shape.translate_cell(cell): v for cell, v in values.items()}
-    union = dict(values)
-    union.update(shifted)
-    for (i, j), v in shifted.items():
-        left = union.get((i, j - 1))
-        if left is not None and left > v:
-            return False
-        right = values.get((i, j + 1))
-        if right is not None and v > right:
-            return False
-        above = union.get((i - 1, j))
-        if above is not None and above >= v:
-            return False
-        below = values.get((i + 1, j))
-        if below is not None and v >= below:
-            return False
-    return True
+    columns = shape.columns()
+    wrap = ()
+    if len(columns) == k:
+        (lo, hi), (last_lo, last_hi) = columns[0], columns[-1]
+        wrap = tuple((i, i - n + k) for i in range(lo + 1, hi + 1) if last_lo < i - n + k <= last_hi)
+    return column_transfer(shape, max_entry, wrap)
 
 
 def cyl_schur(shape: CylShape, x: VarMatrix):
@@ -196,6 +175,8 @@ def detached_component(shape: CylShape):
             if nb in cells and nb not in comp:
                 comp.add(nb)
                 frontier.append(nb)
+        if len(comp) > shape.size:  # larger than one copy: not a detached one
+            return None
     if len(comp) >= len(cells) or len(comp) != shape.size:
         return None
     min_i = min(i for i, _ in comp)

@@ -316,7 +316,8 @@ def _kb_valid(p: dict, k: int) -> bool:
 
 
 def _kb_brute_force(k: int):
-    """Lattice scan with interval pruning from the local inequalities."""
+    """Lattice scan with interval pruning from the local inequalities (the
+    anchor bounds prune column k - 1, filled after every p[i,i])."""
     cells = [(i, j) for j in range(1, k) for i in range(1, j + 1)]
     out = []
 
@@ -333,8 +334,12 @@ def _kb_brute_force(k: int):
             lo = max(lo, p[(i - 1, j)] - 1)
             if j > i:
                 hi = min(hi, p[(i - 1, j - 1)])
+        if j == k - 1 and i < k - 1:
+            hi = min(hi, p[(i, i)] + 1)
+        if j == k - 1 and i > 1:
+            lo = max(lo, p[(i - 1, i - 1)])
         if (i, j) == (k - 1, k - 1):
-            lo, hi = 0, 0
+            hi = min(hi, 0)
         for v in range(lo, hi + 1):
             p[(i, j)] = v
             rec(idx + 1, p)

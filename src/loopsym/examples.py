@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from loopsym import comb, cylindric, energy, gt, paths, schur
 from loopsym.linalg import Matrix, minor, tpoly_minor
-from loopsym.partitions import ColoredSkewShape
+from loopsym.partitions import ColoredSkewShape, ssyt_columns
 from loopsym.points import VarMatrix
 from loopsym.semifield import (
     RATIONAL,
@@ -93,6 +93,11 @@ def run_paper_examples(ck: Check, seed: int) -> None:
         + mono([(1, 1), (1, 4), (2, 1), (2, 2), (2, 2), (2, 3)])
     )
     ck.expect(val == man, "three-monomial-schur")
+    tableaux = [  # one monomial per enumerated tableau; mu = (), so columns start at row 1
+        mono([(e, sh.color(row, c)) for c, col in enumerate(filling, 1) for row, e in enumerate(col, 1)])
+        for filling in ssyt_columns(sh.lam, sh.mu, x24.m)
+    ]
+    ck.expect(len(tableaux) == 3 and sum(tableaux[1:], tableaux[0]) == val, "tableau-enumeration-route")
     E = lambda k, r: schur.loop_e(x24, k, r)
     jt4 = Matrix(
         [

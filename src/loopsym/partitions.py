@@ -1,18 +1,23 @@
-"""Partitions, colored skew shapes, and semistandard tableau enumeration.
+"""Partitions, colored skew shapes, and semistandard tableau sums.
 
 Partitions are tuples of weakly decreasing positive integers (trailing
 zeros trimmed).  A colored skew shape carries a color modulus n and an
 anchor color r in [1, n]; the cell in row i, column j has color
 ``r + i - j`` reduced to [1, n].
+
+Tableau sums run on column transfers (one cached per shape and entry
+bound), evaluated column by column in each ring, never one tableau at a
+time; :func:`ssyt_columns` lists the tableaux themselves, as an oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain
+from functools import lru_cache, reduce
+from itertools import chain, combinations
 from math import lcm
+from operator import add, ge
 
 from loopsym.semifield import PolyFraction, SparseLoopPoly, TropNumber
 
@@ -114,12 +119,6 @@ class ColoredSkewShape:
         los, his = zip(*intervals) if intervals else ((), ())
         return ColoredSkewShape(conjugate(partition(his)), conjugate(partition(los)), r, n)
 
-    def filling_cells(self):
-        """The cells column by column, top to bottom: the order in which
-        :func:`ssyt_columns` lists the entries of a filling."""
-        cols = enumerate(self.columns(), start=1)
-        return [(row, c) for c, (lo, hi) in cols for row in range(lo + 1, hi + 1)]
-
     def color(self, i: int, j: int) -> int:
         return ((self.r + i - j - 1) % self.n) + 1
 
@@ -166,7 +165,8 @@ class ColoredSkewShape:
 
 @lru_cache(maxsize=None)
 def ssyt_columns(lam: tuple, mu: tuple, max_entry: int):
-    """All semistandard fillings, column by column.
+    """All semistandard fillings, column by column: the tableau list that
+    the tests and the worked examples check the column transfers against.
 
     Returns a list of fillings; a filling is a tuple of columns, each column
     a tuple of entries for rows ``mu'_c + 1 .. lam'_c``.  Enumeration goes
@@ -220,95 +220,109 @@ def ssyt_columns(lam: tuple, mu: tuple, max_entry: int):
 
 
 # ---------------------------------------------------------------------------
-# weight tables and their evaluation
+# column transfers and their evaluation
 
 
 @lru_cache(maxsize=None)
 def ssyt_weight_vectors(lam: tuple, mu: tuple, n: int, max_entry: int):
-    """Weight table of the skew shape lam/mu with colors mod n: its distinct
-    tableau weights, with the cells colored as at anchor color 1.
+    """The column transfer of lam/mu with colors mod n, entries at most
+    max_entry, at anchor 1: one transfer serves all n anchor colors."""
+    return column_transfer(ColoredSkewShape(lam, mu, 1, n), max_entry)
 
-    The weight of a tableau is the sorted tuple of ``((entry, color), mult)``
-    items, one per variable ``x.xc(entry, color)`` that it uses.  The table
-    is a tuple of ``(weight, count)`` pairs, one per distinct weight, where
-    ``count`` is the number of tableaux with that weight; the counts sum to
-    ``len(ssyt_columns(lam, mu, max_entry))``.  Every weight has total
-    multiplicity ``|lam/mu|``.  An empty shape has the single weight ``()``.
 
-    The table holds no anchor color.  Cell (i, j) has color
-    ``color(i, j) = r + i - j - 1 mod n`` (in ``[1, n]``), so the table at
-    anchor r is the table at anchor 1 with every color c shifted to
-    ``c + r - 1 mod n``; :func:`evaluate_weights` applies that shift, and
-    one table serves all n colors of a shape.
+def column_transfer(shape: ColoredSkewShape, max_entry: int, wrap=()) -> tuple:
+    """The semistandard fillings of the shape, entries at most max_entry,
+    column by column (the transfer-matrix method, Stanley, *Enumerative
+    Combinatorics* I, 4.7): one tuple of states per nonempty column of
+    :meth:`ColoredSkewShape.columns`.  A state is a strictly increasing
+    filling of its column, as ``(items, preds)``: the ``(entry, color)``
+    pairs of its cells, top to bottom, and the indices of the states of the
+    previous column that it may follow with weakly increasing rows (all of
+    them across an empty column, which detaches the shape).  States that
+    nothing precedes are left out, so the last column is empty exactly when
+    there is no filling; a shape without cells has no columns.
+
+    Each ``(i, i2)`` in ``wrap`` asks that row i2 of the last column not
+    exceed row i of the first.  Then each later state is pinned to the
+    first-column state it descends from (one copy per pin), and the last
+    column keeps the states that respect the wrap against their pin.
     """
-    return weight_table(ColoredSkewShape(lam, mu, 1, n), ssyt_columns(lam, mu, max_entry))
+    columns = shape.columns()
+    first_lo = columns[0][0] if columns else 0
+    table, prev, plo = [], [], 0
+    for c, (lo, hi) in enumerate(columns, start=1):
+        if lo == hi:
+            continue
+        fillings = _column_fillings(tuple(shape.color(row, c) for row in range(lo + 1, hi + 1)), max_entry)
+        if not table:
+            # (pinned first-column filling, filling, items, preds)
+            states = [(f if wrap else None, f, items, ()) for f, items in fillings]
+        else:
+            pinned: dict = {}  # pin -> the (index, filling) of its states in prev
+            for i, (pin, g) in enumerate(prev):
+                pinned.setdefault(pin, []).append((i, g))
+            # f and g share rows (plo, hi]: f[plo - lo:] must dominate g there
+            states = [
+                (pin, f, items, preds)
+                for pin, group in pinned.items()
+                for f, items in fillings
+                if (preds := tuple(i for i, g in group if all(map(ge, f[plo - lo:], g))))
+            ]
+        if wrap and c == len(columns):
+            states = [s for s in states if all(s[1][i2 - lo - 1] <= s[0][i - first_lo - 1] for i, i2 in wrap)]
+        table.append(tuple((items, preds) for _, _, items, preds in states))
+        prev, plo = [(pin, f) for pin, f, _, _ in states], lo
+    return tuple(table)
 
 
-def weight_table(shape: ColoredSkewShape, fillings) -> tuple:
-    """The weight table, in the format of :func:`ssyt_weight_vectors`, of
-    the given fillings of the anchor-1 shape (tuples of columns, as
-    :func:`ssyt_columns` lists them)."""
-    colors = [shape.color(i, j) for i, j in shape.filling_cells()]
-    counts: dict = {}
-    for filling in fillings:
-        weight: dict = {}
-        for key in zip(chain.from_iterable(filling), colors):
-            weight[key] = weight.get(key, 0) + 1
-        key = tuple(sorted(weight.items()))
-        counts[key] = counts.get(key, 0) + 1
-    return tuple(counts.items())
+@lru_cache(maxsize=None)
+def _column_fillings(colors: tuple, max_entry: int) -> tuple:
+    """Each strictly increasing filling of a column with these cell colors,
+    with its items: made once per process, shared by every transfer."""
+    return tuple((f, tuple(zip(f, colors))) for f in combinations(range(1, max_entry + 1), len(colors)))
 
 
 def evaluate_weights(table, x, r: int) -> object:
-    """Value at the point x, for anchor color r, of a weight table from
-    :func:`weight_table`.
+    """Value at x, for anchor color r, of a column transfer: column by
+    column, a state's value is the product of its items times the sum of
+    its preds' values, and the result sums the last column (a transfer
+    without columns is one; one whose last column is empty, zero).  At
+    anchor r an item ``(entry, c)`` is ``x.xc(entry, c + r - 1)``; that
+    shift is applied to the m * n entries of x once per (point, r), never to
+    the transfer, and kept in ``x.memo("weight_entries")`` in the form the
+    ring's route reads:
 
-    The table is colored at anchor 1.  Cell (i, j) of the shape has color
-    ``color(i, j) = r + i - j - 1 mod n``, so at anchor r a table key
-    ``(entry, c)`` stands for the variable ``x.xc(entry, c + r - 1)``.  The
-    shift is applied once per (point, anchor color), to the m * n entries of
-    x, never to the table: the shifted entries, in the form that the ring's
-    route below reads, are kept in ``x.memo("weight_entries")`` keyed on r.
-
-    The value is the sum over the table of ``count * prod x.xc(entry,
-    c + r - 1) ** mult``; no ring evaluates it one tableau product at a time:
-
-    * rational: with D the lcm of the denominators of the entries of x, each
-      entry is ``a / D`` with an integer ``a``.  Every weight has degree
-      ``|shape|``, so the value is one integer sum of ``count * prod a ** mult``
-      over ``D ** |shape|``;
-    * tropical: the min over the table of ``sum mult * value``;
-    * polynomial: when every entry of x is a single monomial over the
-      denominator 1, as in ``VarMatrix.symbolic`` and its transpose, each
-      weight is one term of the result, written straight into its
-      :class:`SparseLoopPoly`: its packed key is the integer sum of
-      ``mult * key`` over its entries, and the degree of the result is at
-      most ``|shape|`` times the largest degree of an entry.  Otherwise each
-      weight is a product in the ring, as for any other ring.
-
-    The empty table is the zero of the ring.
+    * rational: the entries as ``a / D`` with one D; the route multiplies
+      and adds the integers a, and divides by ``D ** |shape|`` once;
+    * tropical: the same recursion in min-plus integers;
+    * polynomial, when every entry is one monomial with coefficient 1 over
+      the denominator 1 (``VarMatrix.symbolic`` and its transpose): a
+      state's value is the list of packed keys of the fillings ending in it
+      (a product of monomials adds their keys), and the result counts the
+      keys of the last column;
+    * otherwise: ring products and sums.
     """
     if not table:
+        return x.ring.one
+    if not table[-1]:
         return x.ring.zero
     entries = _weight_entries(x, r)
     if entries is None:
-        return _evaluate_products(table, x, r)
+        return _transfer_products(table, lambda v: x.xc(v[0], v[1] + r - 1), x.ring.one)
     if x.ring.name == "tropical":
-        return _evaluate_tropical(table, entries)
-    degree = sum(e for _, e in table[0][0])
+        return TropNumber(_transfer_tropical(table, entries))
+    cells = sum(len(column[0][0]) for column in table)
     if x.ring.name == "rational":
-        return _evaluate_rational(table, *entries, degree)
-    return _evaluate_monomials(table, *entries, degree)
+        ints, D = entries
+        return Fraction(_transfer_products(table, ints.__getitem__, 1), D ** cells)
+    return _transfer_monomials(table, *entries, cells)
 
 
 def _weight_entries(x, r: int):
-    """The entries of x at anchor color r, keyed by (row, color) as in
-    ``x.xc`` at anchor color 1, in the form that :func:`evaluate_weights`
-    reads for the ring of x: ``(integer numerators, D)`` (rational), the
-    min-plus integers (tropical), or ``(packed keys, coefficients other
-    than 1, largest degree)`` when every polynomial entry is one monomial
-    over the denominator 1.  None means that each weight is a product in
-    the ring.  Made once per (point, r), None included."""
+    """The entries of x at anchor r, keyed by (row, anchor-1 color), as the
+    ring's route of :func:`evaluate_weights` reads them: ``(integer
+    numerators, D)``, min-plus integers, ``(packed keys, largest degree)``,
+    or None for ring products.  Made once per (point, r), None included."""
     memo = x.memo("weight_entries")
     if r in memo:
         return memo[r]
@@ -320,57 +334,50 @@ def _weight_entries(x, r: int):
     elif ring == "tropical":
         entries = {v: a.value for v, a in values.items()}
     elif ring == "polynomial" and all(
-        a.is_polynomial and len(a.num.terms) == 1 for a in values.values()
+        a.is_polynomial and list(a.num.terms.values()) == [1] for a in values.values()
     ):
-        keys, coeffs = {}, {}
-        for v, a in values.items():
-            ((keys[v], c),) = a.num.terms.items()
-            if c != 1:
-                coeffs[v] = c
-        entries = (keys, coeffs, max(a.num.degree for a in values.values()))
+        keys = {v: next(iter(a.num.terms)) for v, a in values.items()}
+        entries = (keys, max(a.num.degree for a in values.values()))
     else:
         entries = None
     memo[r] = entries
     return entries
 
 
-def _evaluate_rational(table, ints: dict, D: int, degree: int) -> Fraction:
-    total = 0
-    for weight, count in table:
-        term = count
-        for v, e in weight:
-            term *= ints[v] ** e
-        total += term
-    return Fraction(total, D ** degree)
+def _transfer_products(table, get, one):
+    """The recursion in products and sums of the values ``get(item)``."""
+    values = []
+    for column in table:
+        new = []
+        for items, preds in column:
+            value = reduce(add, map(values.__getitem__, preds)) if preds else one
+            for v in items:
+                value = value * get(v)
+            new.append(value)
+        values = new
+    return reduce(add, values)
 
 
-def _evaluate_tropical(table, values: dict) -> TropNumber:
-    return TropNumber(min(sum(e * values[v] for v, e in weight) for weight, _ in table))
+def _transfer_tropical(table, ints: dict) -> int:
+    values: list = []
+    for column in table:
+        values = [
+            min(map(values.__getitem__, preds), default=0) + sum(map(ints.__getitem__, items))
+            for items, preds in column
+        ]
+    return min(values)
 
 
-def _evaluate_monomials(table, keys, coeffs, entry_degree: int, degree: int) -> PolyFraction:
-    """Every weight of the table, of the given degree, as one term: its key
-    is the sum of ``mult * key`` over its entries' packed monomial keys, and
-    no entry has degree above ``entry_degree``."""
+def _transfer_monomials(table, keys: dict, entry_degree: int, cells: int) -> PolyFraction:
+    values: list = [[0]]
+    for column in table:
+        new = []
+        for items, preds in column:
+            key = sum(map(keys.__getitem__, items))
+            new.append([k + key for p in preds or (0,) for k in values[p]])
+        values = new
     terms: dict = {}
     get = terms.get
-    for weight, count in table:
-        key = 0
-        for v, e in weight:
-            key += e * keys[v]
-            if v in coeffs:
-                count *= coeffs[v] ** e
-        terms[key] = get(key, 0) + count
-    if 0 in terms.values():
-        terms = {k: c for k, c in terms.items() if c}
-    return PolyFraction(SparseLoopPoly(terms, degree * entry_degree))
-
-
-def _evaluate_products(table, x, r: int):
-    total = x.ring.zero
-    for weight, count in table:
-        term = x.ring.from_int(count)
-        for (i, color), e in weight:
-            term = term * x.xc(i, color + r - 1) ** e
-        total = total + term
-    return total
+    for k in chain.from_iterable(values):
+        terms[k] = get(k, 0) + 1
+    return PolyFraction(SparseLoopPoly(terms, cells * entry_degree))

@@ -101,8 +101,8 @@ def ssyt_sum(shape: ColoredSkewShape, x: VarMatrix):
         raise ValueError("color modulus of shape and point disagree")
     if x.ring.name == "polynomial" and shape.size > POLY_CELL_CAP:
         raise ValueError(f"symbolic tableau sum capped at {POLY_CELL_CAP} cells")
-    weights = ssyt_weight_vectors(shape.lam, shape.mu, shape.n, x.m)
-    return evaluate_weights(weights, x, shape.r)
+    transfer = ssyt_weight_vectors(shape.lam, shape.mu, shape.n, x.m)
+    return evaluate_weights(transfer, x, shape.r)
 
 
 def barred_skew_schur(lam, mu, r: int, x: VarMatrix):

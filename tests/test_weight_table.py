@@ -1,16 +1,20 @@
-"""Weight tables: the per-ring evaluator against a per-tableau product loop.
+"""Column transfers: the per-ring evaluator against a per-tableau product loop.
 
 The oracles enumerate the tableaux themselves (skew, or cylindric) and
 multiply one product per tableau in the point's ring, so they check the
-table and its evaluation together.  Their products cost microseconds each
-in the polynomial ring, so the polynomial points stop at m, n <= 3; the
+transfer and its evaluation together.  Their products cost microseconds
+each in the polynomial ring, so the polynomial points stop at m, n <= 3; the
 jacobi-trudi acceptance criterion checks the symbolic sums at m = n = 4
 against the determinant route.
 """
 
+import sys
+import tracemalloc
+
 import pytest
 
-from loopsym import cylindric
+from loopsym import cylindric, partitions, schur
+from loopsym.energy import staircase
 from loopsym.partitions import (
     ColoredSkewShape,
     conjugate,
@@ -55,13 +59,26 @@ def symbolic_with_corner(m, n, poly):
     return VarMatrix(rows, POLYNOMIAL)
 
 
+def ones(m, n):
+    return VarMatrix.rationals([[1] * n for _ in range(m)])
+
+
 @pytest.mark.parametrize("m,n", SIZES)
 def test_table_counts_sum_to_tableau_count(m, n):
+    """At the all-ones point the transfer counts the tableaux.  Each state
+    is a strictly increasing filling of its column, colored at anchor 1."""
+    x = ones(m, n)
     for shape in skew_corpus(n):
-        rows = table(shape, m)
-        assert sum(count for _, count in rows) == len(ssyt_columns(shape.lam, shape.mu, m))
-        assert len({w for w, _ in rows}) == len(rows)
-        assert all(sum(e for _, e in w) == shape.size for w, _ in rows)
+        transfer = table(shape, m)
+        assert evaluate_weights(transfer, x, shape.r) == len(ssyt_columns(shape.lam, shape.mu, m)), shape
+        anchored = ColoredSkewShape(shape.lam, shape.mu, 1, n)
+        columns = [(c, lo, hi) for c, (lo, hi) in enumerate(shape.columns(), start=1) if lo < hi]
+        assert len(transfer) == len(columns)
+        for column, (c, lo, hi) in zip(transfer, columns):
+            for items, _ in column:
+                entries = [entry for entry, _ in items]
+                assert len(entries) == hi - lo and entries == sorted(set(entries))
+                assert [color for _, color in items] == [anchored.color(i, c) for i in range(lo + 1, hi + 1)]
 
 
 @pytest.mark.parametrize("m,n", SIZES)
@@ -123,15 +140,90 @@ def test_point_entries_are_made_once_per_anchor_color(monkeypatch):
     assert x.memo("weight_entries") == {1: None, 2: None, 3: None}
 
 
+SMALL_POINTS = (
+    VarMatrix.rationals([[1, 2], [3, 4]]),
+    VarMatrix.tropical([[1, 2], [3, 4]]),
+    VarMatrix.symbolic(2, 2),
+    symbolic_with_corner(2, 2, SparseLoopPoly.variable(1, 1) + SparseLoopPoly.const(2)),
+)
+
+
 def test_empty_table_is_zero():
+    """A column taller than m has no state: the last column of the
+    transfer is empty, and the sum is zero."""
     shape = ColoredSkewShape((4, 4, 4), (), 1, 2)  # a column of 3 cells, entries <= 2
-    assert table(shape, 2) == ()
-    for x in (
-        VarMatrix.rationals([[1, 2], [3, 4]]),
-        VarMatrix.tropical([[1, 2], [3, 4]]),
-        VarMatrix.symbolic(2, 2),
-    ):
-        assert evaluate_weights((), x, 1) == x.ring.zero
+    transfer = table(shape, 2)
+    assert len(transfer) == 4 and transfer[-1] == ()
+    for x in SMALL_POINTS:
+        assert evaluate_weights(transfer, x, 1) == x.ring.zero
+        assert cylindric.cyl_schur(cylindric.CylShape(1, (1, 1, 1), (), 1, 2), x) == x.ring.zero
+
+
+def test_empty_shape_is_one():
+    """A shape without cells has one filling, the empty one: its transfer
+    has no columns, and sums to one."""
+    assert table(ColoredSkewShape((), (), 1, 2), 2) == table(ColoredSkewShape((2, 1), (2, 1), 1, 2), 2) == ()
+    for x in SMALL_POINTS:
+        for lam in ((), (2, 1)):
+            shape = ColoredSkewShape(lam, lam, 1, 2)
+            assert evaluate_weights(table(shape, 2), x, 1) == x.ring.one, shape
+        for lam in ((), (2, 2)):
+            assert cylindric.cyl_schur(cylindric.CylShape(2, lam, lam, 1, 2), x) == x.ring.one, lam
+
+
+@pytest.mark.parametrize("ring", ["rational", "tropical"])
+def test_energy_staircase_at_4x4_matches_oracle(ring):
+    """The energy's stretched staircase (9, 6, 3) at m = n = 4: 4,096
+    tableaux, in every anchor color."""
+    assert staircase(4, 4) == (9, 6, 3)
+    x = VarMatrix.random(4, 4, trial_rng(2, 44)) if ring == "rational" else VarMatrix.tropical(tropical_point(4, 4))
+    for r in range(1, 5):
+        shape = ColoredSkewShape((9, 6, 3), (), r, 4)
+        assert evaluate_weights(table(shape, 4), x, r) == oracle(shape, x), r
+
+
+def test_no_library_route_enumerates_tableaux(monkeypatch):
+    """With the tableau enumeration made to raise and the shape caches
+    emptied, every skew and cylindric sum of the corpora at m, n <= 3 still
+    evaluates, to the same value."""
+    points = [VarMatrix.random(m, n, trial_rng(3, 10 * m + n)) for m in (2, 3) for n in (2, 3)]
+
+    def sums():
+        return [
+            [schur.ssyt_sum(shape, x) for shape in skew_corpus(x.n)]
+            + [cylindric.cyl_schur(shape, x) for shape in cylindric_corpus(x.n)]
+            for x in points
+        ]
+
+    want = sums()
+
+    def refuse(*args):
+        raise AssertionError("a library route enumerated tableaux")
+
+    holders = [module for name, module in sys.modules.items() if name.startswith("loopsym") and hasattr(module, "ssyt_columns")]
+    assert partitions in holders
+    for module in holders:
+        monkeypatch.setattr(module, "ssyt_columns", refuse)
+    ssyt_weight_vectors.cache_clear()
+    cylindric.cyl_weight_vectors.cache_clear()
+    assert sums() == want
+
+
+def test_skew_tables_of_the_corpora_stay_under_10_mb():
+    """The cached transfers of skew_corpus(n), n <= 4, at m = 4, as
+    tracemalloc counts them."""
+    corpora = [skew_corpus(n) for n in range(1, 5)]  # built before tracing
+    ssyt_weight_vectors.cache_clear()
+    partitions._column_fillings.cache_clear()
+    tracemalloc.start()
+    try:
+        for corpus in corpora:
+            for shape in corpus:
+                ssyt_weight_vectors(shape.lam, shape.mu, shape.n, 4)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size < 10_000_000, size
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +273,11 @@ def cyl_oracle(shape, x):
 
 @pytest.mark.parametrize("m,n", SIZES)
 def test_cylindric_table_counts_sum_to_tableau_count(m, n):
+    """At the all-ones point the cylindric transfer counts the cylindric
+    tableaux."""
+    x = ones(m, n)
     for shape in cylindric_corpus(n):
-        rows = cylindric.cyl_weight_vectors(shape.k, shape.lam, shape.mu, n, m)
-        assert sum(count for _, count in rows) == len(cyl_fillings(shape, m)), shape
-        assert len({w for w, _ in rows}) == len(rows)
-        assert all(sum(e for _, e in w) == shape.size for w, _ in rows)
+        assert cylindric.cyl_schur(shape, x) == len(cyl_fillings(shape, m)), shape
 
 
 @pytest.mark.parametrize("m,n", SIZES)
