@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
 from loopsym import cylindric, energy, gt, schur
@@ -142,13 +141,11 @@ def _matrix_to_json(M) -> list:
 
 
 def _value_to_json(v):
-    if isinstance(v, Fraction):
-        return format_rational(v)
-    if hasattr(v, "value"):
+    """A ``Fraction`` as its text; a ``TropNumber`` as its int, or ``null``
+    for the tropical zero."""
+    if isinstance(v, TropNumber):
         return v.value if v else None
-    if hasattr(v, "num"):
-        return repr(v)
-    return str(v)
+    return format_rational(v)
 
 
 def _varmatrix_to_json(x: VarMatrix) -> list:

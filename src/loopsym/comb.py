@@ -105,10 +105,8 @@ def burge(a) -> tuple:
 # tableaux <-> integer patterns
 
 
-def gt_of_tableau(tab, height: int, width: int | None = None) -> GTPattern:
+def gt_of_tableau(tab, height: int, width: int) -> GTPattern:
     """Integer pattern of a tableau: entry (i, j) counts cells <= j in row i."""
-    if width is None:
-        width = max(1, len(tab))
     entries = {}
     for i, j in GTPattern.domain(width, height):
         count = 0

@@ -11,29 +11,31 @@ min-plus ``TROP_INF``, a ``PolyFraction`` with zero numerator and a
 test.  Whirls, bidiagonal factors and elementary matrices are ordinary
 dense matrices; only their zeros cost nothing.
 
-All cofactor expansion goes through one memoized Laplace routine,
-:func:`_det_laplace`.  It expands along the first row of a matrix given by
-an entry function on row and column labels, skips the entries and
-sub-determinants that are zero by the same truthiness test, and stores
-every sub-determinant in a cache the caller owns, keyed on its labels.
-:func:`minor` up to size four and :meth:`Matrix.det` up to size four run
-it on a cache kept with the matrix (``Matrix._minors``, made on first use)
-and keyed on the literal 1-based labels, so every flag minor, Q-invariant
+Every minor is a Laplace expansion.  :func:`_det_laplace` expands along
+the first row of a matrix given by an entry function on row and column
+labels, skips the entries and sub-determinants that are zero by the same
+truthiness test, and stores every sub-determinant in a cache the caller
+owns, keyed on its labels.  :func:`minor` (and :meth:`Matrix.det` through
+it), :meth:`PeriodicMatrix.minor` and :func:`tpoly_minor` reach it through
+one checked entry, :func:`_minor`, which sorts the labels, rejects
+mismatched sizes, returns the ring's one for an empty minor, refuses the
+min-plus domain with :class:`NeedsSubtraction` and passes the matrix's own
+cache (``_minors``, made on first use).  So every flag minor, Q-invariant
 minor and barred minor of one matrix shares its sub-minors and repeats
-with the others.  :meth:`PeriodicMatrix.minor` runs it at every size with
-one cache per matrix; the Jacobi-Trudi determinants in :mod:`loopsym.schur`
-run it with a cache per point.  Fraction-free Bareiss elimination, not
-memoized, still runs in :meth:`Matrix.det` above size four: the larger
-minors (through ``submatrix(...).det()``), windows, t-polynomial minors
-and oracles.  Both are exact.  Minors of matrices over the min-plus domain
-raise :class:`NeedsSubtraction`.
+with the others, and so do the minors of one periodic or folded matrix;
+the Jacobi-Trudi determinants in :mod:`loopsym.schur` run
+:func:`_det_laplace` with a cache per point.  A folded matrix has entries
+in t, so its minors never divide.  The one exception is a dense
+:func:`minor` above size four, which runs fraction-free Bareiss
+elimination, not memoized; only evaluations of large matrices and test
+oracles reach it.  Both are exact.
 """
 
 from __future__ import annotations
 
 from loopsym.semifield import DegeneratePoint, Ring, SemifieldError
 
-_LAPLACE_MAX = 4  # larger determinants run Bareiss elimination
+_LAPLACE_MAX = 4  # larger dense minors run Bareiss elimination
 
 
 class MinorShapeError(SemifieldError):
@@ -46,8 +48,8 @@ class MinorShapeError(SemifieldError):
 class Matrix:
     """Immutable rectangular matrix over a ring of semifield values.
 
-    ``_minors``, the sub-minor cache of :func:`minor` and :meth:`det`, is
-    created on first use, so a matrix that is only multiplied carries none.
+    ``_minors``, the sub-minor cache of its minors, is created on first
+    use, so a matrix that is only multiplied carries none.
     """
 
     __slots__ = ("rows", "nrows", "ncols", "ring", "_minors")
@@ -59,12 +61,6 @@ class Matrix:
         if any(len(r) != self.ncols for r in self.rows):
             raise ValueError("ragged matrix")
         self.ring = ring
-
-    @classmethod
-    def identity(cls, k: int, ring: Ring) -> "Matrix":
-        return cls(
-            [[ring.one if i == j else ring.zero for j in range(k)] for i in range(k)], ring
-        )
 
     @classmethod
     def elementary(cls, k: int, i: int, a, ring: Ring) -> "Matrix":
@@ -108,20 +104,8 @@ class Matrix:
     def det(self):
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        self.ring.require_subtraction()
-        if self.nrows == 0:
-            return self.ring.one
-        if self.nrows <= _LAPLACE_MAX:
-            labels = tuple(range(1, self.nrows + 1))
-            return _det_laplace(labels, self.ring, labels, self.entry, self._minor_cache())
-        return _det_bareiss(self.rows, self.ring)
-
-    def _minor_cache(self) -> dict:
-        try:
-            return self._minors
-        except AttributeError:
-            self._minors = {}
-            return self._minors
+        labels = range(1, self.nrows + 1)
+        return minor(self, labels, labels)
 
     def __eq__(self, other) -> bool:
         return (
@@ -188,7 +172,8 @@ def _det_laplace(R: tuple, ring: Ring, C: tuple, entry, cache: dict):
 
 
 def _det_bareiss(rows, ring: Ring):
-    """Fraction-free Bareiss elimination; divisions are exact."""
+    """Fraction-free Bareiss elimination; divisions are exact.  Its one
+    caller is :func:`minor`, for dense minors above size four."""
     a = [list(r) for r in rows]
     n = len(a)
     zero, one = ring.zero, ring.one
@@ -212,22 +197,40 @@ def _det_bareiss(rows, ring: Ring):
     return d if sign > 0 else zero - d
 
 
-def minor(A: Matrix, I, J):
-    """Determinant of the submatrix with rows I and columns J (1-based).
+def _minor(M, I, J, bareiss: bool = False):
+    """The minor of M (a :class:`Matrix` or a :class:`PeriodicMatrix`) on
+    rows I and columns J, in any order: the one checked entry into
+    :func:`_det_laplace`, run on the cache kept with M.
 
-    Up to size four it shares one cache with every other minor of A.
+    Raises :class:`MinorShapeError` when the sizes differ, then
+    ``IndexError`` for labels outside a :class:`Matrix`, then
+    :class:`NeedsSubtraction` in the min-plus domain.  With ``bareiss``,
+    a minor above size four runs :func:`_det_bareiss` instead.
     """
     I, J = tuple(sorted(I)), tuple(sorted(J))
     if len(I) != len(J):
         raise MinorShapeError()
     if not I:
-        return A.ring.one
-    if I[0] < 1 or J[0] < 1 or I[-1] > A.nrows or J[-1] > A.ncols:
+        return M.ring.one
+    if isinstance(M, Matrix) and (I[0] < 1 or J[0] < 1 or I[-1] > M.nrows or J[-1] > M.ncols):
         raise IndexError("minor indices out of bounds")
-    if len(I) > _LAPLACE_MAX:
-        return A.submatrix(I, J).det()
-    A.ring.require_subtraction()
-    return _det_laplace(I, A.ring, J, A.entry, A._minor_cache())
+    M.ring.require_subtraction()
+    if bareiss and len(I) > _LAPLACE_MAX:
+        return _det_bareiss(M.submatrix(I, J).rows, M.ring)
+    try:
+        cache = M._minors
+    except AttributeError:
+        cache = M._minors = {}
+    return _det_laplace(I, M.ring, J, M.entry, cache)
+
+
+def minor(A: Matrix, I, J):
+    """Determinant of the submatrix with rows I and columns J (1-based).
+
+    Up to size four it shares one cache with every other minor of A;
+    above, it runs Bareiss elimination.
+    """
+    return _minor(A, I, J, bareiss=True)
 
 
 def flag_minor(A: Matrix, I):
@@ -284,29 +287,6 @@ class TPoly:
                 out[i + j] = out[i + j] + a * b
         return TPoly(out, self.ring)
 
-    def __truediv__(self, other: "TPoly") -> "TPoly":
-        """Exact polynomial division (used only inside Bareiss pivoting)."""
-        if not other.coeffs:
-            raise ZeroDivisionError("division by zero t-polynomial")
-        zero = self.ring.zero
-        rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            if all(c == zero for c in rem):
-                return TPoly([], self.ring)
-            raise ValueError("inexact t-polynomial division")
-        q = [zero] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + len(other.coeffs) - 1] / lead
-            q[k] = c
-            if c != zero:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        if any(c != zero for c in rem):
-            raise ValueError("inexact t-polynomial division")
-        return TPoly(q, self.ring)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TPoly) and self.coeffs == other.coeffs
 
@@ -332,11 +312,11 @@ class PeriodicMatrix:
     ``[1, n]``; periodicity supplies every other entry.  Entries above the
     main block diagonal, and entries below the last stored block, are zero.
 
-    Minors are memoized per matrix: ``_minors`` holds every minor and
-    sub-minor computed so far, keyed on its literal sorted row and column
-    indices.  Index sets that differ by a translation stay distinct keys,
-    so a translated minor is computed afresh and comparing it with the
-    original still checks periodicity.
+    Minors are memoized per matrix: ``_minors``, made on first use, holds
+    every minor and sub-minor computed so far, keyed on its literal sorted
+    row and column indices.  Index sets that differ by a translation stay
+    distinct keys, so a translated minor is computed afresh and comparing
+    it with the original still checks periodicity.
     """
 
     __slots__ = ("n", "blocks", "ring", "_minors")
@@ -350,7 +330,6 @@ class PeriodicMatrix:
             if b.nrows != n or b.ncols != n:
                 raise ValueError("blocks must be n x n")
         self.ring = self.blocks[0].ring
-        self._minors: dict = {}
 
     def entry(self, i: int, j: int):
         s = (j - 1) // self.n
@@ -365,13 +344,7 @@ class PeriodicMatrix:
         return Matrix([[self.entry(i, j) for j in J] for i in I], self.ring)
 
     def minor(self, I, J):
-        I, J = tuple(I), tuple(J)
-        if len(I) != len(J):
-            raise MinorShapeError()
-        if not I:
-            return self.ring.one
-        self.ring.require_subtraction()
-        return _det_laplace(tuple(sorted(I)), self.ring, tuple(sorted(J)), self.entry, self._minors)
+        return _minor(self, I, J)
 
 
 def fold(P: PeriodicMatrix) -> Matrix:
@@ -386,13 +359,9 @@ def fold(P: PeriodicMatrix) -> Matrix:
 
 
 def tpoly_minor(F: Matrix, I, J) -> TPoly:
-    """The full t-polynomial minor of a folded matrix."""
-    I, J = tuple(I), tuple(J)
-    if len(I) != len(J):
-        raise MinorShapeError()
-    if not I:
-        return F.ring.one
-    return F.submatrix(sorted(I), sorted(J)).det()
+    """The full t-polynomial minor of a folded matrix, by Laplace expansion
+    at every size."""
+    return _minor(F, I, J)
 
 
 # ---------------------------------------------------------------------------

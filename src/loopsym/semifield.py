@@ -427,6 +427,6 @@ def trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(seed * 1_000_003 + trial)
 
 
-def random_rational(rng: random.Random, lo: int = 1, hi: int = 20) -> Fraction:
-    """Random positive rational p/q with p, q uniform in [lo, hi]."""
-    return Fraction(rng.randint(lo, hi), rng.randint(lo, hi))
+def random_rational(rng: random.Random) -> Fraction:
+    """Random positive rational p/q with p, q uniform in [1, 20]."""
+    return Fraction(rng.randint(1, 20), rng.randint(1, 20))

@@ -50,6 +50,10 @@ def det_cofactor(rows):
     return total
 
 
+def identity(k, ring):
+    return Matrix([[ring.one if i == j else ring.zero for j in range(k)] for i in range(k)], ring)
+
+
 def rand_matrix(k, rng):
     return [[random_rational(rng) for _ in range(k)] for _ in range(k)]
 
@@ -63,7 +67,7 @@ def test_det_matches_cofactor_oracle_up_to_5():
 
 
 def test_minor_identity_and_bounds():
-    I3 = Matrix.identity(3, RATIONAL)
+    I3 = identity(3, RATIONAL)
     assert minor(I3, [1, 2], [1, 2]) == Fraction(1)
     assert minor(I3, [], []) == Fraction(1)
     with pytest.raises(MinorShapeError):
@@ -250,7 +254,7 @@ def product_factors(k, ring, value, rng):
         Matrix([[ring.zero] * k for _ in range(k)], ring),
         whirl(vec, ring),
         phi_factor(vec[rng.randrange(k):], k, ring),
-        Matrix.elementary(k, rng.randint(1, k - 1), value(), ring) if k > 1 else Matrix.identity(1, ring),
+        Matrix.elementary(k, rng.randint(1, k - 1), value(), ring) if k > 1 else identity(1, ring),
     ]
 
 
@@ -407,18 +411,83 @@ def tpoly_det_oracle(rows):
 
 
 def test_tpoly_minor_coeff_vs_expansion_oracle():
+    """At 3 x 3, and at 5 x 5 and 6 x 6, the sizes that once ran Bareiss
+    elimination: random and folded matrices, and a minor of each."""
+    from loopsym.schur import folded_matrix
+
     rng = trial_rng(1, 7)
     n = 3
+    tring = tpoly_ring(RATIONAL)
     tring_rows = [
         [TPoly([random_rational(rng) for _ in range(rng.randint(1, 3))], RATIONAL) for _ in range(n)]
         for _ in range(n)
     ]
-    F = Matrix(tring_rows, tpoly_ring(RATIONAL))
+    F = Matrix(tring_rows, tring)
     want = tpoly_det_oracle(tring_rows)
     got = tpoly_minor(F, range(1, n + 1), range(1, n + 1))
     assert got == want
     sub = [row[1:] for row in tring_rows[:2]]
     assert tpoly_minor(F, [1, 2], [2, 3]) == tpoly_det_oracle(sub)
+    for n in (5, 6):
+        rows = [
+            [TPoly([random_rational(rng) for _ in range(rng.randint(1, 3))], RATIONAL) for _ in range(n)]
+            for _ in range(n)
+        ]
+        rows[rng.randrange(n)][rng.randrange(n)] = tring.zero
+        F = Matrix(rows, tring)
+        assert tpoly_minor(F, range(n, 0, -1), range(1, n + 1)) == tpoly_det_oracle(rows)
+        F = folded_matrix(VarMatrix.random(3, n, rng))
+        assert tpoly_minor(F, range(1, n + 1), range(1, n + 1)) == tpoly_det_oracle(F.rows)
+        J = [j for j in range(1, n + 1) if j != 2]
+        sub = [[row[j - 1] for j in J] for row in F.rows[1:]]
+        assert tpoly_minor(F, range(2, n + 1), J) == tpoly_det_oracle(sub)
+
+
+def test_every_minor_entry_checks_shape_then_bounds_then_domain():
+    """Periodic and folded minors raise as dense minors do: a size
+    mismatch first, then labels outside a dense matrix, then the min-plus
+    domain, at every size; an empty minor is the ring's one."""
+    P = PeriodicMatrix(2, [identity(2, RATIONAL), identity(2, RATIONAL)])
+    F = fold(P)
+    for M, minor_of in ((P, P.minor), (F, lambda I, J: tpoly_minor(F, I, J))):
+        assert minor_of([], []) == M.ring.one
+        with pytest.raises(MinorShapeError):
+            minor_of([1], [1, 2])
+        with pytest.raises(MinorShapeError):
+            minor_of([0, 3], [1])
+    with pytest.raises(IndexError):
+        tpoly_minor(F, [3], [1])
+    with pytest.raises(IndexError):
+        tpoly_minor(F, [1, 2], [0, 1])
+    T = PeriodicMatrix(2, [identity(2, TROPICAL)])
+    for k in (1, 5):
+        with pytest.raises(NeedsSubtraction):
+            T.minor(range(1, k + 1), range(1, k + 1))
+
+
+def test_folded_suites_run_without_bareiss(monkeypatch):
+    """The suites that take folded minors of size five and more pass with
+    Bareiss elimination patched to raise: every t-polynomial minor expands
+    by Laplace."""
+    from loopsym import linalg
+    from loopsym.verify import run_suite
+
+    def refuse(rows, ring):
+        raise AssertionError(f"Bareiss elimination on a {len(rows)} x {len(rows)} {ring.name} matrix")
+
+    sizes = []
+    laplace = linalg._det_laplace
+
+    def recorded(R, ring, C, entry, cache):
+        if isinstance(ring.one, TPoly):
+            sizes.append(len(R))
+        return laplace(R, ring, C, entry, cache)
+
+    monkeypatch.setattr(linalg, "_det_bareiss", refuse)
+    monkeypatch.setattr(linalg, "_det_laplace", recorded)
+    for name, n in (("cylindric", 4), ("folded", 4), ("folded", 5), ("paper-examples", 4)):
+        assert run_suite(name, 4, n, 1, 0).failures == [], (name, n)
+    assert max(sizes) >= 5
 
 
 def test_build_uv_identity_on_antidiagonal():
@@ -429,8 +498,8 @@ def test_build_uv_identity_on_antidiagonal():
     ]
     N = Matrix(rows, RATIONAL)
     U, V = build_UV(N, 3)
-    assert U == Matrix.identity(3, RATIONAL)
-    assert V == Matrix.identity(3, RATIONAL)
+    assert U == identity(3, RATIONAL)
+    assert V == identity(3, RATIONAL)
 
 
 def test_build_uv_antidiagonalizes_exactly():
