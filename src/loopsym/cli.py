@@ -120,17 +120,17 @@ def _point_of_size(data, mode: str, m: int | None, n: int) -> VarMatrix:
 
 
 def _pattern_from_json(data, mode: str) -> gt.GTPattern:
-    """A cocharge pattern; cocharge reads row k for every k <= n, so m >= n."""
+    """A cocharge pattern; cocharge reads row k for every k <= n, so m >= n.
+    Its entries, keyed ``"i,j"``, are read as matrix entries are."""
     m, n = (_int(data[key], key, 1) for key in ("m", "n"))
     if m < n:
         raise ValueError(f"cocharge needs m >= n, got m={m} n={n}")
-    _object(data["entries"], "pattern entries")
-    if mode == "tropical":
-        return gt.GTPattern.from_json(data, TROPICAL)
-    z = gt.GTPattern.from_json(data, RATIONAL)
-    if any(v <= 0 for v in z.entries.values()):
-        raise ValueError("pattern entries must be positive rationals")
-    return z
+    entries = {}
+    for key, v in _object(data["entries"], "pattern entries").items():
+        i, j = (_int(t, "pattern key") for t in key.split(","))
+        entries[(i, j)] = _value(v, mode, "entry")
+    ring = TROPICAL if mode == "tropical" else RATIONAL
+    return gt.GTPattern(m, n, entries, ring)
 
 
 def _matrix_to_json(M) -> list:
@@ -146,6 +146,11 @@ def _value_to_json(v):
     if isinstance(v, TropNumber):
         return v.value if v else None
     return format_rational(v)
+
+
+def _pattern_to_json(z: gt.GTPattern) -> dict:
+    entries = {f"{i},{j}": _value_to_json(v) for (i, j), v in sorted(z.entries.items())}
+    return {"m": z.m, "n": z.n, "entries": entries}
 
 
 def _varmatrix_to_json(x: VarMatrix) -> list:
@@ -172,7 +177,7 @@ def cmd_eval(args) -> int:
     out: dict = {"target": target, "mode": mode}
     if target == "grsk":
         P, Q = gt.grsk(_matrix_from_json(data, mode))
-        out["P"], out["Q"] = P.to_json(), Q.to_json()
+        out["P"], out["Q"] = _pattern_to_json(P), _pattern_to_json(Q)
         out["glued"] = _matrix_to_json(gt.glue(P, Q))
     elif target == "loop-schur":
         m, n = _int(data["m"], "m", 1), _int(data["n"], "n", 1)

@@ -63,7 +63,7 @@ class CylShape(ColoredSkewShape):
             raise ValueError(f"not {k}-cylindric inside modulus {n}: {self.lam}, {self.mu}")
         object.__setattr__(self, "k", k)
 
-    def translate_cell(self, cell, steps: int = 1):
+    def translate_cell(self, cell, steps: int):
         """Image of a cell under the generating translation, applied steps times."""
         i, j = cell
         return (i - steps * (self.n - self.k), j + steps * self.k)

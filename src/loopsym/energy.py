@@ -85,10 +85,8 @@ def tau_lp(x: VarMatrix, N: int, r: int, a: int | None = None, b: int | None = N
     return total
 
 
-def sigma_lp(x: VarMatrix, N: int, r: int, a: int | None = None, b: int | None = None):
+def sigma_lp(x: VarMatrix, N: int, r: int, a: int, b: int):
     """Same sum with the first value exempt from the multiplicity cap."""
-    if a is None:
-        a, b = 1, x.m
     total = x.ring.zero
     d = 0
     while N - d * x.n >= 0:

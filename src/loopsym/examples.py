@@ -158,7 +158,7 @@ def run_paper_examples(ck: Check, seed: int) -> None:
 
     # -- ten highway paths -----------------------------------------------------
     x53 = VarMatrix.random(5, 3, rng)
-    fams = paths._families(5, (5,), (2,))
+    fams = paths.families(5, (5,), (2,))
     ck.expect(len(fams) == 10, "ten-highway-paths", count=len(fams))
     ck.expect(
         paths.highway_minor(x53, [5], [2]) == schur.loop_e(x53, 2, 2),

@@ -12,7 +12,7 @@ from loopsym.crystal import readout, whirl
 from loopsym.linalg import Matrix, flag_minor, minor
 from loopsym.paths import highway_minor
 from loopsym.points import VarMatrix
-from loopsym.semifield import DegeneratePoint, Ring, format_rational, parse_rational
+from loopsym.semifield import DegeneratePoint, Ring
 
 
 class GTPattern:
@@ -61,27 +61,6 @@ class GTPattern:
 
     def __repr__(self) -> str:
         return f"GTPattern(m={self.m}, n={self.n})"
-
-    # -- JSON ------------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "entries": {
-                f"{i},{j}": format_rational(v) if self.ring.name == "rational" else v.value
-                for (i, j), v in sorted(self.entries.items())
-            },
-        }
-
-    @classmethod
-    def from_json(cls, data: dict, ring: Ring) -> "GTPattern":
-        entries = {}
-        for key, val in data["entries"].items():
-            i, j = (int(t) for t in key.split(","))
-            val = str(val)
-            entries[(i, j)] = parse_rational(val) if ring.name == "rational" else ring.from_int(int(val))
-        return cls(int(data["m"]), int(data["n"]), entries, ring)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ min-plus domain with :class:`NeedsSubtraction` and passes the matrix's own
 cache (``_minors``, made on first use).  So every flag minor, Q-invariant
 minor and barred minor of one matrix shares its sub-minors and repeats
 with the others, and so do the minors of one periodic or folded matrix;
-the Jacobi-Trudi determinants in :mod:`loopsym.schur` run
-:func:`_det_laplace` with a cache per point.  A folded matrix has entries
-in t, so its minors never divide.  The one exception is a dense
+the Jacobi-Trudi determinants in :mod:`loopsym.schur` are minors of the
+periodic matrix that a point keeps.  A folded matrix has entries in t, so
+its minors never divide.  The one exception is a dense
 :func:`minor` above size four, which runs fraction-free Bareiss
 elimination, not memoized; only evaluations of large matrices and test
 oracles reach it.  Both are exact.
@@ -91,9 +91,6 @@ class Matrix:
                     acc[j] = t if s is None else s + t
             out.append([zero if v is None else v for v in acc])
         return Matrix(out, self.ring)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.rows)), self.ring)
 
     def submatrix(self, I, J) -> "Matrix":
         return Matrix([[self.rows[i - 1][j - 1] for j in J] for i in I], self.ring)

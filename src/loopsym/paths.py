@@ -28,7 +28,7 @@ from loopsym.semifield import Ring
 
 
 @lru_cache(maxsize=None)
-def _families(layers: int, I: tuple, J: tuple, floor: tuple | None = None) -> tuple:
+def families(layers: int, I: tuple, J: tuple, floor: tuple | None = None) -> tuple:
     """Weight keys of every non-intersecting family of paths I[a] -> J[a]
     through ``layers`` bidiagonal layers.
 
@@ -41,7 +41,7 @@ def _families(layers: int, I: tuple, J: tuple, floor: tuple | None = None) -> tu
     """
     if not I:
         return ((),)
-    families: list[tuple] = []
+    found: list[tuple] = []
     keys: list[tuple] = []
 
     def walk(a: int, t: int, s: int, profile: list, below: tuple | None):
@@ -51,7 +51,7 @@ def _families(layers: int, I: tuple, J: tuple, floor: tuple | None = None) -> tu
         profile.append(s)
         if t == layers:
             if a + 1 == len(I):
-                families.append(tuple(keys))
+                found.append(tuple(keys))
             else:
                 walk(a + 1, 0, I[a + 1], [], tuple(profile))
         elif floor is not None and s < floor[t]:
@@ -65,7 +65,7 @@ def _families(layers: int, I: tuple, J: tuple, floor: tuple | None = None) -> tu
         profile.pop()
 
     walk(0, 0, I[0], [], None)
-    return tuple(families)
+    return tuple(found)
 
 
 def _evaluate(layers: int, I, J, keyval, ring: Ring, floor: tuple | None = None):
@@ -75,7 +75,7 @@ def _evaluate(layers: int, I, J, keyval, ring: Ring, floor: tuple | None = None)
     if len(I) != len(J):
         raise ValueError("path-family minor needs |I| == |J|")
     total = ring.zero
-    for fam in _families(layers, I, J, floor):
+    for fam in families(layers, I, J, floor):
         term = ring.one
         for key in fam:
             term = term * keyval(*key)

@@ -8,8 +8,9 @@ the row variable of color ``r`` (mod n), the entry ``x_i^j`` with
 ``j = r - i + 1`` mod n.
 
 A point also carries the memos of work that depends only on it, such as
-the generator table of :func:`loopsym.schur.jacobi_trudi`: ``x.memo(owner)``
-is a dict made on first use and freed with the point.  A point's rows are
+the periodic generator matrix of :func:`loopsym.schur.unfolded_matrix`,
+whose minors are the Jacobi-Trudi determinants: ``x.memo(owner)`` is a
+dict made on first use and freed with the point.  A point's rows are
 tuples of immutable values, so the same object always holds the same
 entries; two equal but distinct points keep separate memos.
 """

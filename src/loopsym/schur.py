@@ -14,7 +14,7 @@ from itertools import combinations
 from math import ceil
 
 from loopsym.crystal import col_whirl_matrix, row_whirl_matrix
-from loopsym.linalg import Matrix, PeriodicMatrix, _det_laplace, build_UV, fold
+from loopsym.linalg import Matrix, PeriodicMatrix, build_UV, fold
 from loopsym.partitions import (
     ColoredSkewShape,
     conjugate,
@@ -111,37 +111,16 @@ def barred_skew_schur(lam, mu, r: int, x: VarMatrix):
 
 
 def jacobi_trudi(shape: ColoredSkewShape, x: VarMatrix):
-    """Determinant route to the skew Schur function.
+    """Determinant route to the skew Schur function: the minor of
+    :func:`unfolded_matrix` on the rows and columns that :func:`maya_sets`
+    reads off the conjugate partitions.
 
-    With alpha_i = lam'_i - i and beta_j = mu'_j - j (i, j counted from 0),
-    entry (i, j) is ``loop_e(x, alpha_i - beta_j, r + beta_j)``.  So every
-    shape's determinant is a minor of one generator matrix per point and
-    anchor color: the point's memo keeps each generator once, keyed on
-    (degree, color mod n), and one sub-minor cache per anchor color r, keyed
-    as in :func:`loopsym.linalg._det_laplace`.  Only the determinant route
-    uses these memos; the tableau route of :func:`ssyt_sum` shares nothing
-    with them.
+    Every shape's determinant at one point is a minor of the same periodic
+    matrix, so all of them share that matrix's sub-minor cache.  The tableau
+    route of :func:`ssyt_sum` shares nothing with it.
     """
     x.ring.require_subtraction("Jacobi-Trudi determinant")
-    lamc = conjugate(shape.lam)
-    muc = conjugate(shape.mu)
-    ell = len(lamc)
-    if ell == 0:
-        return x.ring.one
-    muc = muc + (0,) * (ell - len(muc))
-    generators, n, r = x.memo("jt_generators"), x.n, shape.r
-
-    def entry(a: int, b: int):
-        key = (a - b, (r + b) % n)
-        e = generators.get(key)
-        if e is None:
-            e = generators[key] = loop_e(x, a - b, r + b)
-        return e
-
-    alphas = tuple(lamc[i] - i for i in range(ell))
-    betas = tuple(muc[j] - j for j in range(ell))
-    minors = x.memo("jt_minors").setdefault(r, {})
-    return _det_laplace(alphas, x.ring, betas, entry, minors)
+    return unfolded_matrix(x).minor(*maya_sets(shape.lam, shape.mu, shape.r, x.m, x.n))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +142,15 @@ def default_band_depth(m: int, n: int) -> int:
 
 
 def unfolded_matrix(x: VarMatrix) -> PeriodicMatrix:
-    """The n-periodic matrix with entry (i, j) = E_{m+j-i} of color i."""
+    """The n-periodic matrix with entry (i, j) = E_{m+j-i} of color i.
+
+    It is built once per point and kept in ``x.memo("unfolded_matrix")``,
+    so every minor taken at the point (the Jacobi-Trudi determinants among
+    them) shares the matrix's one sub-minor cache.
+    """
+    memo = x.memo("unfolded_matrix")
+    if "matrix" in memo:
+        return memo["matrix"]
     n = x.n
     blocks = []
     for d in range(default_band_depth(x.m, n) + 1):
@@ -172,7 +159,8 @@ def unfolded_matrix(x: VarMatrix) -> PeriodicMatrix:
             for i in range(1, n + 1)
         ]
         blocks.append(Matrix(rows, x.ring))
-    return PeriodicMatrix(n, blocks)
+    memo["matrix"] = PeriodicMatrix(n, blocks)
+    return memo["matrix"]
 
 
 def folded_matrix(x: VarMatrix) -> Matrix:
@@ -272,11 +260,7 @@ def q_invariant(x: VarMatrix, i: int, j: int):
 def reduced_q_invariant(x: VarMatrix, i: int, j: int):
     lam, mu, color, K = q_shape(x.m, x.n, i, j)
     val = ssyt_sum(ColoredSkewShape(lam, mu, color, x.n), x)
-    return val / (shape_invariant(x, j + 1) * shape_invariant(x, n_plus(x, K)))
-
-
-def n_plus(x: VarMatrix, K: int) -> int:
-    return x.n + 1 - K
+    return val / (shape_invariant(x, j + 1) * shape_invariant(x, x.n + 1 - K))
 
 
 # ---------------------------------------------------------------------------

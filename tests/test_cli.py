@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 
 from loopsym import cli, cylindric, energy, schur
 from loopsym.cli import EVAL_TARGETS, POLYNOMIAL_TARGETS, main
+from loopsym.gt import GTPattern
 from loopsym.points import VarMatrix
+from loopsym.semifield import RATIONAL, TROPICAL, trial_rng
 from loopsym.verify import cylindric_corpus, skew_corpus
 
 
@@ -207,6 +209,35 @@ def test_eval_bad_input_is_usage_error(target, mode, data, message, capsys, monk
     assert code == 2
     assert out == ""
     assert message in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "mode, bad, message",
+    [
+        ("tropical", "1.5", "entry must be an integer, got '1.5'"),
+        ("rational", "-1", "entry must be a positive rational, got '-1'"),
+    ],
+)
+def test_pattern_and_matrix_entries_share_one_reader(mode, bad, message, capsys, monkeypatch):
+    """A bad cocharge pattern entry reads as a bad matrix entry does."""
+    inputs = (
+        ("cocharge", {"m": 2, "n": 2, "entries": {"1,1": bad, "1,2": "2", "2,2": "3"}}),
+        ("energy", {"entries": [[bad, "2"], ["3", "4"]]}),
+    )
+    for target, data in inputs:
+        code, out, err = run_cli(["eval", target, "--mode", mode], json.dumps(data), capsys, monkeypatch)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n"), target
+
+
+@pytest.mark.parametrize("mode", ["rational", "tropical"])
+def test_pattern_json_roundtrip(mode):
+    rng = trial_rng(3, 9)
+    ring = RATIONAL if mode == "rational" else TROPICAL
+    entries = {}
+    for key in GTPattern.domain(3, 2):
+        entries[key] = ring.from_int(rng.randint(1, 9)) / ring.from_int(rng.randint(1, 9))
+    z = GTPattern(3, 2, entries, ring)
+    assert cli._pattern_from_json(json.loads(json.dumps(cli._pattern_to_json(z))), mode) == z
 
 
 def test_eval_tropical_e_reads_c_as_an_integer(capsys, monkeypatch):

@@ -76,7 +76,7 @@ def test_capped_sequences():
     assert tau_lp(x, 0, 2) == Fraction(1)
     assert tau_lp(x, -1, 2) == Fraction(0)
     # N < n: no full cycle fits, so the capped and uncapped sums agree
-    assert sigma_lp(x, 2, 3) == tau_lp(x, 2, 3)
+    assert sigma_lp(x, 2, 3, 1, x.m) == tau_lp(x, 2, 3)
 
 
 def test_sigma_product_factors():

@@ -133,12 +133,6 @@ def test_decoration_routes_and_splitting():
         assert decoration_mat(x) == rhs
 
 
-def test_pattern_json_roundtrip():
-    rng = trial_rng(3, 9)
-    z = rand_pattern(2, 3, rng)
-    assert GTPattern.from_json(z.to_json(), RATIONAL) == z
-
-
 def test_grsk_suite_records_exhausted_resampling(monkeypatch):
     from loopsym import gt
     from loopsym.verify import RESAMPLE_CAP, run_suite

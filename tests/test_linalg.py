@@ -349,7 +349,9 @@ def test_periodic_minor_memo_matches_window_det():
 
 def test_jacobi_trudi_suite_catches_a_broken_translate(monkeypatch):
     """One entry with a row index above n loses periodicity; the periodic
-    minors must see it, so their memo may not identify translated index sets."""
+    minors must see it, so their memo may not identify translated index sets.
+    The Jacobi-Trudi determinants are minors of the same periodic matrix, so
+    the symbolic check sees the broken entry as well."""
     from loopsym.verify import run_suite
 
     n = 2
@@ -362,8 +364,30 @@ def test_jacobi_trudi_suite_catches_a_broken_translate(monkeypatch):
     assert run_suite("jacobi-trudi", 2, n, 1, 0).failures == []
     monkeypatch.setattr(PeriodicMatrix, "entry", broken)
     failures = run_suite("jacobi-trudi", 2, n, 1, 0).failures
-    assert any(f["check"] == "minor-translation" for f in failures)
-    assert {f["check"] for f in failures} <= {"periodic-minor", "minor-translation"}
+    checks = {f["check"] for f in failures}
+    assert {"minor-translation", "jt-symbolic"} <= checks <= {"periodic-minor", "minor-translation", "jt-symbolic"}
+
+
+def test_jacobi_trudi_builds_one_periodic_matrix_per_point(monkeypatch):
+    """Every Jacobi-Trudi determinant at a point is a minor of one periodic
+    matrix, built on first use; an equal but distinct point builds its own."""
+    from loopsym import schur
+    from loopsym.verify import skew_corpus
+
+    builds = []
+
+    def counted(n, blocks):
+        builds.append(n)
+        return PeriodicMatrix(n, blocks)
+
+    monkeypatch.setattr(schur, "PeriodicMatrix", counted)
+    a = VarMatrix.random(3, 2, trial_rng(1, 11))
+    a_again = VarMatrix(a.rows, RATIONAL)
+    for point in (a, a_again, a):
+        for shape in skew_corpus(2):
+            schur.jacobi_trudi(shape, point)
+    assert builds == [2, 2]
+    assert schur.unfolded_matrix(a) is not schur.unfolded_matrix(a_again)
 
 
 def test_fold_unfold_roundtrip():

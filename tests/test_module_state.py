@@ -1,7 +1,9 @@
 """No function of the package rebinds module state or imports a module:
 per-shape tables live in ``lru_cache``s, per-point memos on the point
 (``VarMatrix.memo``), and every import is at the top of its module, so the
-import graph is the one that the module headers show."""
+import graph is the one that the module headers show.  No module reaches
+into another for an underscore name, so each module's private names can
+change without looking beyond it."""
 
 import ast
 from pathlib import Path
@@ -65,4 +67,55 @@ def test_no_function_imports_a_module():
 
 def test_no_module_rebinds_its_globals():
     found = {p.stem: global_statements(p.read_text()) for p in SRC.glob("*.py")}
+    assert {module: names for module, names in found.items() if names} == {}
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_reads(source: str, module: str) -> list:
+    """``line:other._name`` for each underscore name (not a dunder) that the
+    module ``module`` imports from another ``loopsym`` module, or reads as an
+    attribute of one that it imported whole."""
+    tree = ast.parse(source)
+    whole = {}  # local name -> the loopsym module it is bound to
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "loopsym":
+            whole.update({alias.asname or alias.name: alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("loopsym."):
+            other = node.module.split(".")[1]
+            if other != module:
+                found += [f"{node.lineno}:{other}.{a.name}" for a in node.names if is_private(a.name)]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname and alias.name.startswith("loopsym."):
+                    whole[alias.asname] = alias.name.split(".")[1]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and is_private(node.attr):
+            other = whole.get(node.value.id)
+            if other is not None and other != module:
+                found.append(f"{node.lineno}:{other}.{node.attr}")
+    return sorted(found)
+
+
+def test_private_reads_are_found():
+    source = (
+        "from loopsym import paths, schur as sc\n"
+        "import loopsym.linalg as la\n"
+        "from loopsym.linalg import _det_laplace, minor\n"
+        "from loopsym.gt import _own\n"
+        "def f(x):\n"
+        "    return paths._families(x), sc.__name__, la._minor(x), minor(x)\n"
+        "class Box:\n"
+        "    _slot = 1\n"
+        "    def get(self):\n"
+        "        return self._slot\n"
+    )
+    assert private_reads(source, "gt") == ["3:linalg._det_laplace", "6:linalg._minor", "6:paths._families"]
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = {p.stem: private_reads(p.read_text(), p.stem) for p in SRC.glob("*.py")}
     assert {module: names for module, names in found.items() if names} == {}

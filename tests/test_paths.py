@@ -8,7 +8,7 @@ from loopsym.linalg import minor
 from loopsym.paths import (
     HighwayFamily,
     UnderwayComplement,
-    _families,
+    families,
     gamma_minor,
     highway_minor,
     underway_minor,
@@ -29,7 +29,7 @@ def test_single_path_counts_are_binomial():
     m, n = 4, 3
     for i in range(1, 3 * n):
         for j in range(1, 3 * n):
-            fams = _families(m, (i,), (j,))
+            fams = families(m, (i,), (j,))
             k = m + j - i
             want = math.comb(m, k) if 0 <= k <= m else 0
             assert len(fams) == want
@@ -38,7 +38,7 @@ def test_single_path_counts_are_binomial():
 def test_ten_paths_example():
     rng = trial_rng(5, 0)
     x = VarMatrix.random(5, 3, rng)
-    fams = _families(5, (5,), (2,))
+    fams = families(5, (5,), (2,))
     assert len(fams) == 10
     assert highway_minor(x, [5], [2]) == loop_e(x, 2, 2)
 
