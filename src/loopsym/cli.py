@@ -11,7 +11,8 @@ objects where objects are expected, a non-empty rectangular matrix, sizes of
 at least 1, integers where integers are expected, and well-formed positive
 rationals (min-plus values are integers of either sign); a missing or
 unreadable ``--input`` file is a usage error too, and so are a missing
-field (the message names it), a ``cocharge`` pattern with m < n, and a
+field (the message names it), a ``cocharge`` pattern with m < n or with
+a key that is not ``"i,j"`` (the message names the key), and a
 ``loop-schur`` or ``cyl-schur`` point ``x`` whose size disagrees with the
 fields ``m`` (when given) and ``n``.
 ``--mode polynomial`` is a usage error for every target but ``loop-schur``
@@ -127,17 +128,17 @@ def _pattern_from_json(data, mode: str) -> gt.GTPattern:
         raise ValueError(f"cocharge needs m >= n, got m={m} n={n}")
     entries = {}
     for key, v in _object(data["entries"], "pattern entries").items():
-        i, j = (_int(t, "pattern key") for t in key.split(","))
+        parts = key.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"pattern key must be 'i,j', got {key!r}")
+        i, j = (_int(t, "pattern key") for t in parts)
         entries[(i, j)] = _value(v, mode, "entry")
     ring = TROPICAL if mode == "tropical" else RATIONAL
     return gt.GTPattern(m, n, entries, ring)
 
 
 def _matrix_to_json(M) -> list:
-    return [
-        [_value_to_json(M.entry(i, j)) for j in range(1, M.ncols + 1)]
-        for i in range(1, M.nrows + 1)
-    ]
+    return [[_value_to_json(v) for v in row] for row in M.rows]
 
 
 def _value_to_json(v):
@@ -151,10 +152,6 @@ def _value_to_json(v):
 def _pattern_to_json(z: gt.GTPattern) -> dict:
     entries = {f"{i},{j}": _value_to_json(v) for (i, j), v in sorted(z.entries.items())}
     return {"m": z.m, "n": z.n, "entries": entries}
-
-
-def _varmatrix_to_json(x: VarMatrix) -> list:
-    return [[_value_to_json(x.x(i, j)) for j in range(1, x.n + 1)] for i in range(1, x.m + 1)]
 
 
 def _read_input(path: str) -> str:
@@ -228,7 +225,7 @@ def cmd_eval(args) -> int:
             y = apply_e(x, _int(data["i"], "i"), _value(data["c"], mode, "c"))
         else:
             y = apply_e_bar(x, _int(data["j"], "j"), _value(data["c"], mode, "c"))
-        out["result"] = _varmatrix_to_json(y)
+        out["result"] = _matrix_to_json(y)
     json.dump(out, sys.stdout, indent=2, sort_keys=True)
     print()
     return 0

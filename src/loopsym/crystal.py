@@ -42,7 +42,7 @@ def readout(M: Matrix, i: int) -> CrystalReadout:
     sub = M.entry(i + 1, i)
     if sub == M.ring.zero:
         raise DegeneratePoint("degenerate-point: vanishing subdiagonal entry")
-    gamma = tuple(M.entry(k, k) for k in range(1, M.nrows + 1))
+    gamma = tuple(M.entry(k, k) for k in range(1, M.m + 1))
     return CrystalReadout(gamma, M.entry(i + 1, i + 1) / sub, M.entry(i, i) / sub)
 
 

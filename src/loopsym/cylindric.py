@@ -207,7 +207,7 @@ def cyl_maya(lam, mu, r: int, k: int, m: int, n: int):
     taken with conjugates padded to length k; d_star is the total shift of
     the sink set minus that of the source set.
     """
-    I, J = maya_sets(lam, mu, r, m, n, ell=k)
+    I, J = maya_sets(lam, mu, r, m, ell=k)
     return _reduce_mod(I, n), _reduce_mod(J, n), _d_star(J, n) - _d_star(I, n)
 
 

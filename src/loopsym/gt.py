@@ -231,5 +231,5 @@ def decoration_mat(x: VarMatrix):
     total = x.ring.zero
     for i in range(1, x.m + 1):
         for j in range(1, x.n + 1):
-            total = total + x.x(i, j)
+            total = total + x.entry(i, j)
     return total

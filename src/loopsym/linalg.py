@@ -1,6 +1,10 @@
 """Dense matrices over a semifield, exact determinants and minors, and the
 n-periodic / folded matrix machinery.
 
+:class:`Matrix` is the one dense matrix type, with sizes ``m`` and ``n``
+and 1-based ``entry(i, j)``; a point, :class:`loopsym.points.VarMatrix`,
+is a subclass that adds colored accessors.
+
 Products skip zeros.  :meth:`Matrix.__mul__` forms each row of the result
 only from the nonzero entries of the left row times the nonzero entries of
 the matching rows of the right factor, and an entry with no such term is
@@ -46,19 +50,20 @@ class MinorShapeError(SemifieldError):
 
 
 class Matrix:
-    """Immutable rectangular matrix over a ring of semifield values.
+    """Immutable m x n matrix over a ring of semifield values; equality is
+    entry-wise, and exact because every value type's ``==`` is.
 
     ``_minors``, the sub-minor cache of its minors, is created on first
     use, so a matrix that is only multiplied carries none.
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "ring", "_minors")
+    __slots__ = ("rows", "m", "n", "ring", "_minors")
 
     def __init__(self, rows, ring: Ring):
         self.rows = tuple(tuple(r) for r in rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
+        self.m = len(self.rows)
+        self.n = len(self.rows[0]) if self.rows else 0
+        if any(len(r) != self.n for r in self.rows):
             raise ValueError("ragged matrix")
         self.ring = ring
 
@@ -72,16 +77,19 @@ class Matrix:
     def entry(self, i: int, j: int):
         return self.rows[i - 1][j - 1]
 
+    def transpose(self):
+        return type(self)(tuple(zip(*self.rows)), self.ring)
+
     def __mul__(self, other: "Matrix") -> "Matrix":
         """Matrix product over the nonzero entries only (see the module
         docstring for why that is exact in every semifield)."""
-        if self.ncols != other.nrows:
+        if self.n != other.m:
             raise ValueError("dimension mismatch in matrix product")
         zero = self.ring.zero
         support = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
         out = []
         for row in self.rows:
-            acc = [None] * other.ncols
+            acc = [None] * other.n
             for a, terms in zip(row, support):
                 if not a:
                     continue
@@ -95,29 +103,17 @@ class Matrix:
     def submatrix(self, I, J) -> "Matrix":
         return Matrix([[self.rows[i - 1][j - 1] for j in J] for i in I], self.ring)
 
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
     def det(self):
-        if not self.is_square():
+        if self.m != self.n:
             raise ValueError("determinant of a non-square matrix")
-        labels = range(1, self.nrows + 1)
+        labels = range(1, self.m + 1)
         return minor(self, labels, labels)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and all(
-                self.rows[i][j] == other.rows[i][j]
-                for i in range(self.nrows)
-                for j in range(self.ncols)
-            )
-        )
+        return isinstance(other, Matrix) and self.rows == other.rows
 
     def __repr__(self) -> str:
-        return f"Matrix({self.nrows}x{self.ncols}, {self.ring.name})"
+        return f"{type(self).__name__}({self.m}x{self.n}, {self.ring.name})"
 
 
 def _det_laplace(R: tuple, ring: Ring, C: tuple, entry, cache: dict):
@@ -209,7 +205,7 @@ def _minor(M, I, J, bareiss: bool = False):
         raise MinorShapeError()
     if not I:
         return M.ring.one
-    if isinstance(M, Matrix) and (I[0] < 1 or J[0] < 1 or I[-1] > M.nrows or J[-1] > M.ncols):
+    if isinstance(M, Matrix) and (I[0] < 1 or J[0] < 1 or I[-1] > M.m or J[-1] > M.n):
         raise IndexError("minor indices out of bounds")
     M.ring.require_subtraction()
     if bareiss and len(I) > _LAPLACE_MAX:
@@ -295,7 +291,7 @@ def tpoly_ring(base: Ring) -> Ring:
     """Ring descriptor for polynomials in t over ``base``."""
     zero = TPoly([], base)
     one = TPoly([base.one], base)
-    return Ring(f"t-poly/{base.name}", zero, one, lambda k: TPoly([base.from_int(k)], base), base.has_subtraction)
+    return Ring(f"t-poly/{base.name}", zero, one, base.has_subtraction)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +320,7 @@ class PeriodicMatrix:
         if not self.blocks:
             raise ValueError("need at least one block")
         for b in self.blocks:
-            if b.nrows != n or b.ncols != n:
+            if b.m != n or b.n != n:
                 raise ValueError("blocks must be n x n")
         self.ring = self.blocks[0].ring
 
@@ -384,7 +380,7 @@ def _uv_entry_v(N: Matrix, i: int, j: int, n: int):
 
 
 def _inverse_upper_unitriangular(T: Matrix) -> Matrix:
-    k = T.nrows
+    k = T.m
     ring = T.ring
     inv = [[ring.one if i == j else ring.zero for j in range(k)] for i in range(k)]
     for col in range(k):
@@ -406,9 +402,9 @@ def build_UV(N: Matrix, m: int) -> tuple[Matrix, Matrix]:
     uni-triangular and U*N*V has the block form with an identity in the
     lower-left corner.
     """
-    n = N.nrows
+    n = N.m
     ring = N.ring
-    if not N.is_square():
+    if N.n != n:
         raise ValueError("build_UV wants a square matrix")
     if m >= n:
         U = [[_uv_entry_u(N, i, j, n) if i <= j else ring.zero for j in range(1, n + 1)] for i in range(1, n + 1)]

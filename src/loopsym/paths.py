@@ -88,13 +88,13 @@ def highway_minor(x: VarMatrix, I, J):
     rows J; layer t is column t + 1 and a straight step on row s takes the
     entry of column t + 1 in the color of s."""
     n = x.n
-    return _evaluate(x.m, I, J, lambda t, s: x.x(t + 1, (s - 1) % n + 1), x.ring)
+    return _evaluate(x.m, I, J, lambda t, s: x.entry(t + 1, (s - 1) % n + 1), x.ring)
 
 
 def underway_minor(x: VarMatrix, A, B):
     """Sum over non-intersecting underway families between column sets;
     layer t is row t + 1 and a straight step on column s takes x_s^{t+1}."""
-    return _evaluate(x.n, A, B, lambda t, s: x.x(s, t + 1), x.ring)
+    return _evaluate(x.n, A, B, lambda t, s: x.entry(s, t + 1), x.ring)
 
 
 def gamma_minor(z, I, J):
@@ -159,7 +159,7 @@ class HighwayFamily:
             rows = self._profile(a)
             for c in range(1, self.m + 1):
                 if c not in self.rises[a]:
-                    term = term * x.x(c, ((rows[c - 1] - 1) % self.n) + 1)
+                    term = term * x.entry(c, ((rows[c - 1] - 1) % self.n) + 1)
         return term
 
 
@@ -255,7 +255,7 @@ class UnderwayComplement:
                 kind2, r2, c2 = path[idx + 1]
                 if kind1 == "v" and kind2 == "v" and c1 == c2:
                     # passed straight through (r1 - 1, c1)
-                    term = term * x.x(c1, ((r1 - 2) % self.n) + 1)
+                    term = term * x.entry(c1, ((r1 - 2) % self.n) + 1)
         return term
 
     def crossings(self, boundary_row: int) -> tuple:

@@ -1,7 +1,9 @@
 """The m-by-n array of variable values that every evaluation runs over.
 
-A :class:`VarMatrix` holds entries ``x_i^j`` (row ``i`` in ``[1, m]``,
-column ``j`` in ``[1, n]``) in one of the three value domains.  The colored
+A :class:`VarMatrix` is a :class:`loopsym.linalg.Matrix` whose entry
+``x_i^j`` is ``entry(i, j)`` (row ``i`` in ``[1, m]``, column ``j`` in
+``[1, n]``), in one of the three value domains; it adds the constructors
+of each domain and accessors by row, column and color.  The colored
 accessor ``xc(i, r)`` translates between the natural entry grid and the
 color superscript convention used by the loop symmetric functions: it is
 the row variable of color ``r`` (mod n), the entry ``x_i^j`` with
@@ -19,29 +21,22 @@ from __future__ import annotations
 
 import random
 
+from loopsym.linalg import Matrix
 from loopsym.semifield import (
     POLYNOMIAL,
     RATIONAL,
     TROPICAL,
     PolyFraction,
-    Ring,
     TropNumber,
     random_rational,
 )
 
 
-class VarMatrix:
-    """Rectangular array of semifield values with colored accessors."""
+class VarMatrix(Matrix):
+    """A point: a :class:`~loopsym.linalg.Matrix` of semifield values with
+    colored accessors and per-point memos."""
 
-    __slots__ = ("m", "n", "rows", "ring", "_memos")
-
-    def __init__(self, rows, ring: Ring):
-        self.rows = tuple(tuple(r) for r in rows)
-        self.m = len(self.rows)
-        self.n = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.n for r in self.rows):
-            raise ValueError("ragged variable matrix")
-        self.ring = ring
+    __slots__ = ("_memos",)
 
     # -- constructors ------------------------------------------------------
 
@@ -65,10 +60,6 @@ class VarMatrix:
         return cls([[random_rational(rng) for _ in range(n)] for _ in range(m)], RATIONAL)
 
     # -- accessors ----------------------------------------------------------
-
-    def x(self, i: int, j: int):
-        """Entry x_i^j, 1-based."""
-        return self.rows[i - 1][j - 1]
 
     def xc(self, i: int, r: int):
         """Row variable of row i and color r (superscript mod n)."""
@@ -95,29 +86,9 @@ class VarMatrix:
     def col(self, j: int) -> tuple:
         return tuple(r[j - 1] for r in self.rows)
 
-    def transpose(self) -> "VarMatrix":
-        return VarMatrix(tuple(zip(*self.rows)), self.ring)
-
     def with_rows(self, updates: dict) -> "VarMatrix":
         """Copy with rows replaced; ``updates`` maps 1-based row index to a row."""
         rows = [list(r) for r in self.rows]
         for i, r in updates.items():
             rows[i - 1] = list(r)
         return VarMatrix(rows, self.ring)
-
-    # -- misc ----------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VarMatrix)
-            and self.m == other.m
-            and self.n == other.n
-            and all(
-                self.rows[i][j] == other.rows[i][j]
-                for i in range(self.m)
-                for j in range(self.n)
-            )
-        )
-
-    def __repr__(self) -> str:
-        return f"VarMatrix({self.m}x{self.n}, {self.ring.name})"

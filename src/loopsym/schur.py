@@ -120,7 +120,7 @@ def jacobi_trudi(shape: ColoredSkewShape, x: VarMatrix):
     route of :func:`ssyt_sum` shares nothing with it.
     """
     x.ring.require_subtraction("Jacobi-Trudi determinant")
-    return unfolded_matrix(x).minor(*maya_sets(shape.lam, shape.mu, shape.r, x.m, x.n))
+    return unfolded_matrix(x).minor(*maya_sets(shape.lam, shape.mu, shape.r, x.m))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,7 @@ def folded_matrix(x: VarMatrix) -> Matrix:
     return fold(unfolded_matrix(x))
 
 
-def maya_sets(lam, mu, r: int, m: int, n: int, ell: int | None = None):
+def maya_sets(lam, mu, r: int, m: int, ell: int | None = None):
     """Shifted conjugate supports (I, J) indexing the skew Schur minor.
 
     With conjugates padded to length ell, I collects mu'_a - a + 1 + r and
@@ -310,7 +310,7 @@ def theorem_det_formula(shape: ColoredSkewShape, x: VarMatrix):
     norm = shape.normalize_empty_columns()
     if not corner_color_ok(norm, x.m):
         raise NotPseudoEnergy()
-    I, J = maya_sets(norm.lam, norm.mu, norm.r, x.m, x.n)
+    I, J = maya_sets(norm.lam, norm.mu, norm.r, x.m)
     val = reduced_unfolded_matrix(x).minor(I, J)
     direct = ssyt_sum(norm, x)
     if val != direct:

@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
-from typing import Callable
 
 Rational = Fraction
 
@@ -216,10 +215,6 @@ class SparseLoopPoly:
             degree += e
         return cls({key: coeff} if coeff else {}, degree)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -307,9 +302,9 @@ class PolyFraction:
     def __init__(self, num: SparseLoopPoly, den: SparseLoopPoly | None = None):
         if den is None or den.terms == _POLY_ONE.terms:
             den = _POLY_ONE  # a denominator 1 is always this object; see _times
-        elif den.is_zero:
+        elif not den:
             raise ZeroDivisionError("polynomial fraction with zero denominator")
-        if num.is_zero:
+        if not num:
             den = _POLY_ONE
         elif num.terms == den.terms:
             num = _POLY_ONE
@@ -341,12 +336,12 @@ class PolyFraction:
         return PolyFraction(-self.num, self.den)
 
     def __mul__(self, other: "PolyFraction") -> "PolyFraction":
-        if self.num.is_zero or other.num.is_zero:
+        if not self.num or not other.num:
             return PolyFraction(SparseLoopPoly.const(0))
         return PolyFraction(self.num * other.num, _times(self.den, other.den))
 
     def __truediv__(self, other: "PolyFraction") -> "PolyFraction":
-        if other.num.is_zero:
+        if not other.num:
             raise ZeroDivisionError("division by zero polynomial fraction")
         return PolyFraction(self.num * other.den, self.den * other.num)
 
@@ -362,7 +357,7 @@ class PolyFraction:
         return _times(self.num, other.den) == _times(other.num, self.den)
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero
+        return bool(self.num)
 
     def __repr__(self) -> str:
         if self.is_polynomial:
@@ -393,7 +388,6 @@ class Ring:
     name: str
     zero: object
     one: object
-    from_int: Callable
     has_subtraction: bool
 
     def require_subtraction(self, what: str = "determinant") -> None:
@@ -401,9 +395,9 @@ class Ring:
             raise NeedsSubtraction(what)
 
 
-RATIONAL = Ring("rational", Fraction(0), Fraction(1), Fraction, True)
-TROPICAL = Ring("tropical", TROP_INF, TropNumber(0), TropNumber, False)
-POLYNOMIAL = Ring("polynomial", PolyFraction.const(0), PolyFraction.const(1), PolyFraction.const, True)
+RATIONAL = Ring("rational", Fraction(0), Fraction(1), True)
+TROPICAL = Ring("tropical", TROP_INF, TropNumber(0), False)
+POLYNOMIAL = Ring("polynomial", PolyFraction.const(0), PolyFraction.const(1), True)
 
 
 # ---------------------------------------------------------------------------

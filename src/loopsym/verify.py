@@ -347,7 +347,7 @@ def suite_jacobi_trudi(ck: Check, m: int, n: int, trials: int, seed: int) -> Non
             direct = schur.ssyt_sum(shape, xs)
             det = schur.jacobi_trudi(shape, xs)
             ck.expect(det == direct, "jt-symbolic", shape=shape)
-            I, J = schur.maya_sets(shape.lam, shape.mu, shape.r, mm, nn)
+            I, J = schur.maya_sets(shape.lam, shape.mu, shape.r, mm)
             minor_IJ = Mt.minor(I, J)
             ck.expect(minor_IJ == schur.ssyt_sum(shape, xr), "periodic-minor", shape=shape)
             ck.expect(
@@ -381,7 +381,7 @@ def suite_pseudo_energy(ck: Check, m: int, n: int, trials: int, seed: int) -> No
                 ck.expect(schur.reduced_q_invariant(y, *ij) == rq[ij], "reduced-q-invariance", j=j, q=ij)
         # Maya-set predicate equivalence on shapes without empty columns
         for shape in corpus + tuple(s for s in skew_corpus(nn) if not s.has_empty_columns())[:200]:
-            I, J = schur.maya_sets(shape.lam, shape.mu, shape.r, mm, nn)
+            I, J = schur.maya_sets(shape.lam, shape.mu, shape.r, mm)
             ck.expect(
                 schur.corner_color_ok(shape, mm) == (schur.n_final(I, nn) and schur.n_initial(J, nn)),
                 "corner-vs-maya", shape=shape,

@@ -23,7 +23,7 @@ from loopsym import cli, cylindric, energy, schur
 from loopsym.cli import EVAL_TARGETS, POLYNOMIAL_TARGETS, main
 from loopsym.gt import GTPattern
 from loopsym.points import VarMatrix
-from loopsym.semifield import RATIONAL, TROPICAL, trial_rng
+from loopsym.semifield import RATIONAL, TROPICAL, TropNumber, trial_rng
 from loopsym.verify import cylindric_corpus, skew_corpus
 
 
@@ -202,6 +202,18 @@ Q42 = [["1", "2"], ["3", "1"], ["2", "5"], ["1", "1"]]
         ("loop-schur", "tropical", {"m": 3, "n": 2, "lambda": [1], "r": 1, "x": {"entries": Q33}}, "n=2 disagrees"),
         ("cyl-schur", "rational", {"m": 3, "n": 2, "k": 1, "lambda": [1, 1], "r": 1, "x": POINT}, "m=3 disagrees"),
         ("cyl-schur", "tropical", {"n": 3, "k": 1, "lambda": [1, 1], "r": 1, "x": {"entries": Q42}}, "n=3 disagrees"),
+        (
+            "cocharge",
+            "rational",
+            {"m": 2, "n": 2, "entries": {"1,1,1": "1", "1,2": "2", "2,2": "3"}},
+            "pattern key must be 'i,j', got '1,1,1'",
+        ),
+        (
+            "cocharge",
+            "rational",
+            {"m": 2, "n": 2, "entries": {"1": "1", "1,2": "2", "2,2": "3"}},
+            "pattern key must be 'i,j', got '1'",
+        ),
     ],
 )
 def test_eval_bad_input_is_usage_error(target, mode, data, message, capsys, monkeypatch):
@@ -232,10 +244,10 @@ def test_pattern_and_matrix_entries_share_one_reader(mode, bad, message, capsys,
 @pytest.mark.parametrize("mode", ["rational", "tropical"])
 def test_pattern_json_roundtrip(mode):
     rng = trial_rng(3, 9)
-    ring = RATIONAL if mode == "rational" else TROPICAL
+    ring, value = (RATIONAL, Fraction) if mode == "rational" else (TROPICAL, TropNumber)
     entries = {}
     for key in GTPattern.domain(3, 2):
-        entries[key] = ring.from_int(rng.randint(1, 9)) / ring.from_int(rng.randint(1, 9))
+        entries[key] = value(rng.randint(1, 9)) / value(rng.randint(1, 9))
     z = GTPattern(3, 2, entries, ring)
     assert cli._pattern_from_json(json.loads(json.dumps(cli._pattern_to_json(z))), mode) == z
 

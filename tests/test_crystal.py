@@ -44,7 +44,7 @@ def basic_readout(vec, i: int) -> CrystalReadout:
 
 def test_whirl_shape():
     W = whirl([Fraction(2)], RATIONAL)
-    assert W.nrows == 1 and W.entry(1, 1) == Fraction(2)
+    assert W.m == 1 and W.entry(1, 1) == Fraction(2)
     W = whirl([Fraction(1), Fraction(2), Fraction(3)], RATIONAL)
     assert W.entry(2, 1) == Fraction(1) and W.entry(3, 2) == Fraction(1)
     assert W.entry(1, 2) == Fraction(0)
@@ -66,7 +66,7 @@ def test_row_product_entries_are_generators():
             for rows in combinations(range(1, m + 1), k):
                 term = Fraction(1)
                 for t, i in enumerate(rows):
-                    term *= x.x(i, ((r + t - i) % n) + 1)
+                    term *= x.entry(i, ((r + t - i) % n) + 1)
                 total += term
             return total
 
@@ -176,7 +176,7 @@ def test_apply_e_subtraction_free_axioms():
         for n in range(1, 5)
     ]
     points += [
-        (VarMatrix.symbolic(m, n), POLYNOMIAL.from_int(2), POLYNOMIAL.from_int(3))
+        (VarMatrix.symbolic(m, n), PolyFraction.const(2), PolyFraction.const(3))
         for m in range(2, 4)
         for n in range(1, 4)
     ]
@@ -226,16 +226,16 @@ def test_symbolic_3x3_composite_evaluates_to_the_rational_composite():
 
     sym = composite(VarMatrix.symbolic(3, 3), PolyFraction.const(2), PolyFraction.const(3))
     entries = {
-        (i, j): [(list(p.items()), p.degree) for p in (sym.x(i, j).num, sym.x(i, j).den)]
+        (i, j): [(list(p.items()), p.degree) for p in (sym.entry(i, j).num, sym.entry(i, j).den)]
         for i in range(1, 4)
         for j in range(1, 4)
     }
     for t in range(3):
         x = VarMatrix.random(3, 3, trial_rng(2, 12 + t))
         want = composite(x, Fraction(2), Fraction(3))
-        values = {(i, j): x.x(i, j) for i in range(1, 4) for j in range(1, 4)}
+        values = {(i, j): x.entry(i, j) for i in range(1, 4) for j in range(1, 4)}
         for (i, j), (num, den) in entries.items():
-            assert evaluate(*num, values) / evaluate(*den, values) == want.x(i, j), (t, i, j)
+            assert evaluate(*num, values) / evaluate(*den, values) == want.entry(i, j), (t, i, j)
 
 
 def test_r_matrix_swaps_singletons():

@@ -136,8 +136,8 @@ def test_cyl_maya_worked_example_and_roundtrip():
         J = tuple(sorted(rng.sample(range(1, n + 1), k)))
         mu = partition_from_sources(I, k, n)
         lam = partition_from_sinks(J, k, m, n)
-        Iw, _ = maya_sets(mu, mu, k, m, n, ell=k)
-        _, Jw = maya_sets(lam, (), k, m, n, ell=k)
+        Iw, _ = maya_sets(mu, mu, k, m, ell=k)
+        _, Jw = maya_sets(lam, (), k, m, ell=k)
         assert tuple(sorted(Iw)) == I
         assert tuple(sorted(Jw)) == J
 
@@ -148,8 +148,8 @@ def test_strip_removal_shifts_sink_data():
 
     sh = CylShape(5, (5, 5, 5, 5, 2, 1), (2,), 5, 7)
     lam_flat = border_strip_removed(sh.lam, 5, 7)
-    _, J1 = maya_sets(sh.lam, (), sh.r, 4, 7, ell=5)
-    _, J2 = maya_sets(lam_flat, (), sh.r, 4, 7, ell=5)
+    _, J1 = maya_sets(sh.lam, (), sh.r, 4, ell=5)
+    _, J2 = maya_sets(lam_flat, (), sh.r, 4, ell=5)
     red = lambda S: tuple(sorted(((j - 1) % 7) + 1 for j in S))
     dstar = lambda S: sum((((j - 1) % 7) + 1 - j) // 7 for j in S)
     assert red(J1) == red(J2)

@@ -98,7 +98,7 @@ def test_grsk_from_insertion_matrices():
         assert (Pt, Qt) == (Q, P)
         assert P.shape() == Q.shape()
         G = glue(P, Q)
-        assert G.nrows == m and G.ncols == n
+        assert G.m == m and G.n == n
 
 
 def test_grsk_intertwines_operators():

@@ -122,11 +122,11 @@ TPOLY_ENTRIES = st.lists(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)
 
 
 @st.composite
-def sparse_rows(draw, ring, size, ncols=None):
-    """``size`` rows of ``ncols`` (default ``size``) columns; each row is
+def sparse_rows(draw, ring, size, width=None):
+    """``size`` rows of ``width`` (default ``size``) columns; each row is
     zero up to a drawn lead column (one past the end: a zero row), then
     nonzero there, then any entries, zeros included."""
-    ncols = size if ncols is None else ncols
+    width = size if width is None else width
     if ring is RATIONAL:
         nonzero = RATIONAL_ENTRIES
         anything = st.one_of(st.just(Fraction(0)), RATIONAL_ENTRIES)
@@ -135,11 +135,11 @@ def sparse_rows(draw, ring, size, ncols=None):
         anything = TPOLY_ENTRIES
     rows = []
     for _ in range(size):
-        lead = draw(st.integers(0, ncols))
+        lead = draw(st.integers(0, width))
         row = [ring.zero] * lead
-        if lead < ncols:
+        if lead < width:
             row.append(draw(nonzero))
-            row += draw(st.lists(anything, min_size=ncols - lead - 1, max_size=ncols - lead - 1))
+            row += draw(st.lists(anything, min_size=width - lead - 1, max_size=width - lead - 1))
         rows.append(row)
     return rows
 
@@ -162,7 +162,7 @@ def test_laplace_skips_zeros_and_matches_leibniz(data, ring, size):
 def test_laplace_cache_shared_across_column_sets(data, ring, size):
     """Two determinants of one entry function over different column sets,
     in one cache, are each right."""
-    rows = data.draw(sparse_rows(ring, size, ncols=size + 2))
+    rows = data.draw(sparse_rows(ring, size, width=size + 2))
     cols = list(combinations(range(1, size + 3), size))
     first, second = data.draw(st.permutations(cols))[:2]
     cache = {}
@@ -221,11 +221,11 @@ def test_minor_memo_never_crosses_matrices():
 def dense_product(A, B):
     """Independent oracle: the dense triple loop, every sum started at zero."""
     rows = []
-    for i in range(A.nrows):
+    for i in range(A.m):
         row = []
-        for j in range(B.ncols):
+        for j in range(B.n):
             acc = A.ring.zero
-            for k in range(A.ncols):
+            for k in range(A.n):
                 acc = acc + A.rows[i][k] * B.rows[k][j]
             row.append(acc)
         rows.append(row)

@@ -3,7 +3,9 @@ per-shape tables live in ``lru_cache``s, per-point memos on the point
 (``VarMatrix.memo``), and every import is at the top of its module, so the
 import graph is the one that the module headers show.  No module reaches
 into another for an underscore name, so each module's private names can
-change without looking beyond it."""
+change without looking beyond it.  Only ``linalg.Matrix`` sets a matrix's
+``rows``, so every matrix, a point included, is built by its one
+constructor."""
 
 import ast
 from pathlib import Path
@@ -119,3 +121,41 @@ def test_private_reads_are_found():
 def test_no_module_reads_another_modules_private_names():
     found = {p.stem: private_reads(p.read_text(), p.stem) for p in SRC.glob("*.py")}
     assert {module: names for module, names in found.items() if names} == {}
+
+
+def rows_writers(source: str, module: str) -> list:
+    """``module.Class`` for each class whose code assigns ``self.rows``."""
+    return [
+        f"{module}.{cls.name}"
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        and any(
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and node.attr == "rows"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            for node in ast.walk(cls)
+        )
+    ]
+
+
+def test_rows_writers_are_found():
+    source = (
+        "class Grid:\n"
+        "    def __init__(self, rows):\n"
+        "        self.rows, self.size = tuple(rows), len(rows)\n"
+        "class Point(Grid):\n"
+        "    def first(self):\n"
+        "        return self.rows[0]\n"
+        "class Copy:\n"
+        "    def take(self, other):\n"
+        "        other.rows = ()\n"
+        "        self.rows = other.rows\n"
+    )
+    assert rows_writers(source, "grid") == ["grid.Grid", "grid.Copy"]
+
+
+def test_only_the_matrix_class_sets_rows():
+    found = [name for p in sorted(SRC.glob("*.py")) for name in rows_writers(p.read_text(), p.stem)]
+    assert found == ["linalg.Matrix"]

@@ -39,7 +39,7 @@ from loopsym.verify import skew_corpus
 def test_single_color_is_classical():
     rng = trial_rng(4, 0)
     x = VarMatrix.random(4, 1, rng)
-    vals = [x.x(i, 1) for i in range(1, 5)]
+    vals = [x.entry(i, 1) for i in range(1, 5)]
     from itertools import combinations
 
     for k in range(5):
@@ -111,7 +111,7 @@ def test_jacobi_trudi_matches_tableaux_rationally():
                 for r in range(1, n + 1):
                     s = ColoredSkewShape(lam, mu, r, n)
                     assert jacobi_trudi(s, x) == ssyt_sum(s, x)
-                    assert Mt.minor(*maya_sets(lam, mu, r, m, n)) == ssyt_sum(s, x)
+                    assert Mt.minor(*maya_sets(lam, mu, r, m)) == ssyt_sum(s, x)
 
 
 def fresh_jacobi_trudi(shape, x):
@@ -155,7 +155,7 @@ def test_jacobi_trudi_matches_fresh_determinant_symbolically(m, n):
 
 
 def test_maya_sets_worked_example():
-    assert maya_sets((4, 4, 4, 1), (2, 2), 6, 5, 4) == ((3, 4, 7, 8), (1, 2, 3, 5))
+    assert maya_sets((4, 4, 4, 1), (2, 2), 6, 5) == ((3, 4, 7, 8), (1, 2, 3, 5))
 
 
 def test_initial_final_predicates():
@@ -186,7 +186,7 @@ def test_corner_color_equivalent_to_index_structure():
                 s = ColoredSkewShape(lam, mu, r, n)
                 if s.has_empty_columns() or s.size == 0:
                     continue
-                I, J = maya_sets(lam, mu, r, m, n)
+                I, J = maya_sets(lam, mu, r, m)
                 assert corner_color_ok(s, m) == (n_final(I, n) and n_initial(J, n))
                 count += 1
     assert count >= 200

@@ -5,7 +5,7 @@ import pytest
 
 from loopsym import comb, crystal, cylindric, energy, examples, gt, schur, verify
 from loopsym.partitions import partitions_in_box
-from loopsym.semifield import trial_rng
+from loopsym.semifield import VerificationFailure, trial_rng
 from loopsym.verify import SUITES, run_suite
 
 SEED = 7
@@ -113,6 +113,38 @@ def test_worked_determinant_failure_keeps_its_label_and_witness(monkeypatch):
     (worked,) = [f for f in report.failures if f["check"] == "worked-53-determinant"]
     assert {"shape", "det", "tableaux"} <= set(worked)
     assert "reduced determinant disagrees" in worked["error"]
+
+
+def test_paper_examples_record_each_checked_identity_under_its_label(monkeypatch):
+    """paper-examples runs the checked determinant identities inside
+    Check.run: a failure in one is recorded under its label with the shape,
+    and every later example still runs."""
+    original = verify.Check.expect
+
+    def run_paper_examples():
+        labels = []
+
+        def spy(self, ok, label, **witness):
+            labels.append(label)
+            original(self, ok, label, **witness)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify.Check, "expect", spy)
+            return run_suite("paper-examples", 2, 2, 1, 0), labels
+
+    clean, every_label = run_paper_examples()
+    assert clean.passed
+
+    def fails(shape, x):
+        raise VerificationFailure("injected", {"shape": shape})
+
+    monkeypatch.setattr(schur, "theorem_det_formula", fails)
+    monkeypatch.setattr(cylindric, "cyl_jt_check", fails)
+    report, labels = run_paper_examples()
+    wrapped = ["worked-reduced-determinant", "cylinder-folded-determinant", "staircase-reduced-determinant"]
+    assert [(f["check"], f["error"]) for f in report.failures] == [(w, "injected") for w in wrapped]
+    assert all("shape" in f for f in report.failures)
+    assert labels == [label for label in every_label if label not in wrapped]
 
 
 @pytest.mark.parametrize(
