@@ -204,11 +204,11 @@ def cmd_eval(args) -> int:
             x = _point_of_size(data, mode, m, n)
             out["value"] = _value_to_json(cylindric.cyl_schur(shape, x))
     elif target == "energy":
-        out["value"] = _value_to_json(energy.energy(_matrix_from_json(data, mode)))
+        out["value"] = _value_to_json(energy.energy_tableaux(_matrix_from_json(data, mode)))
     elif target == "cocharge":
         out["value"] = _value_to_json(energy.geometric_cocharge(_pattern_from_json(data, mode)))
     elif target == "central-charge":
-        out["value"] = _value_to_json(energy.central_charge(_matrix_from_json(data, mode)))
+        out["value"] = _value_to_json(energy.central_charge_qinv(_matrix_from_json(data, mode)))
     elif target == "q-invariant":
         x = _matrix_from_json(data["x"], mode)
         i, j = _int(data["i"], "i"), _int(data["j"], "j")

@@ -10,7 +10,7 @@ letter j + 1.
 
 from __future__ import annotations
 
-from loopsym.energy import energy
+from loopsym.energy import energy_tableaux
 from loopsym.gt import GTPattern, grsk
 from loopsym.points import VarMatrix
 from loopsym.semifield import TROPICAL, TropNumber
@@ -215,5 +215,5 @@ def trop_grsk(a) -> tuple[GTPattern, GTPattern]:
 
 
 def trop_energy(a) -> int:
-    """Min-plus energy of an integer matrix, its three routes cross-checked."""
-    return energy(VarMatrix.tropical(a)).value
+    """Min-plus energy of an integer matrix, by the staircase tableau sum."""
+    return energy_tableaux(VarMatrix.tropical(a)).value

@@ -104,7 +104,7 @@ def apply_e(x: VarMatrix, i: int, c) -> VarMatrix:
     D_1 = x_{i+1}^1 and S_1 = 1, and no matrix product is formed.
     """
     if not 1 <= i <= x.m - 1:
-        raise ValueError(f"row operator index {i} out of range")
+        raise ValueError(f"row operator index i = {i} out of range")
     cols = [x.col(j) for j in range(1, x.n + 1)]
     D, S = cols[0][i], x.ring.one
     eps = [D / S]  # eps[k - 1] is epsilon of the first k columns
@@ -123,6 +123,8 @@ def apply_e(x: VarMatrix, i: int, c) -> VarMatrix:
 
 def apply_e_bar(x: VarMatrix, j: int, c) -> VarMatrix:
     """Geometric crystal operator on columns j, j+1 of the matrix."""
+    if not 1 <= j <= x.n - 1:
+        raise ValueError(f"column operator index j = {j} out of range")
     return apply_e(x.transpose(), j, c).transpose()
 
 
@@ -161,13 +163,15 @@ def geometric_r(xvec, yvec, ring: Ring) -> tuple[tuple, tuple]:
 def row_r(x: VarMatrix, i: int) -> VarMatrix:
     """Swap-with-dressing of rows i, i+1 by the R-matrix."""
     if not 1 <= i <= x.m - 1:
-        raise ValueError(f"row R index {i} out of range")
+        raise ValueError(f"row R index i = {i} out of range")
     first, second = geometric_r(x.row(i), x.row(i + 1), x.ring)
     return x.with_rows({i: first, i + 1: second})
 
 
 def col_r(x: VarMatrix, j: int) -> VarMatrix:
     """Swap-with-dressing of columns j, j+1 by the R-matrix."""
+    if not 1 <= j <= x.n - 1:
+        raise ValueError(f"column R index j = {j} out of range")
     return row_r(x.transpose(), j).transpose()
 
 

@@ -1,10 +1,13 @@
-"""Geometric energy, its product formula, central charge, geometric
+"""Geometric energy, its product formulas, central charge, geometric
 cocharge, and the triangular-pattern sum formula for the cocharge factors.
 
 The energy is the Schur sum of the stretched staircase with anchor color n;
 the cocharge factors are sums of minors of the factorization matrix of a
 triangular pattern, computed through determinants over a field and through
-layered path families in min-plus mode.
+layered path families in min-plus mode.  Each route is its own function and
+none calls another to check itself: the CLI evaluates the energy by
+``energy_tableaux`` and the central charge by ``central_charge_qinv``, and
+the verify suites compare the routes.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from loopsym.schur import (
     shape_invariant,
     ssyt_sum,
 )
-from loopsym.semifield import VerificationFailure
 
 
 def staircase(m: int, n: int) -> tuple:
@@ -104,18 +106,6 @@ def energy_sigma_product(x: VarMatrix):
     return total
 
 
-def energy(x: VarMatrix):
-    """Geometric energy, cross-checked against the product forms."""
-    val = energy_tableaux(x)
-    prod = energy_product(x)
-    sig = energy_sigma_product(x)
-    if val != prod or val != sig:
-        raise VerificationFailure(
-            "energy routes disagree", {"tableaux": val, "minors": prod, "sigma": sig}
-        )
-    return val
-
-
 # ---------------------------------------------------------------------------
 # decorated rectangles and central charge
 
@@ -181,18 +171,6 @@ def central_charge_qinv(x: VarMatrix):
     return total
 
 
-def central_charge(x: VarMatrix):
-    """Central charge by decorated rectangles, cross-checked against the
-    Q-invariant form."""
-    val = central_charge_decoration(x)
-    other = central_charge_qinv(x)
-    if val != other:
-        raise VerificationFailure(
-            "central charge routes disagree", {"decoration": val, "invariants": other}
-        )
-    return val
-
-
 # ---------------------------------------------------------------------------
 # geometric cocharge
 
@@ -241,39 +219,24 @@ def geometric_cocharge(z: GTPattern):
 
 @lru_cache(maxsize=None)
 def kb_patterns(k: int) -> tuple:
-    """The (k-1)! triangular arrays indexing the cocharge factor terms.
+    """The (k-1)! triangular arrays indexing the cocharge factor terms, in
+    sorted order.
 
     Entries p[i, j] for 1 <= i <= j <= k-1 satisfy the triangular
     inequalities, drop by at most one along rows, pin p[i,i] between
-    p[i,k-1] - 1 and p[i+1,k-1], and vanish at the corner.  Patterns are
-    produced both from the diagonal-jump vectors and by a bounded lattice
-    scan; the two constructions must agree.
+    p[i,k-1] - 1 and p[i+1,k-1], and vanish at the corner.  Each pattern
+    is built diagonal by diagonal from its jump vector c: diagonal i
+    (entries p[i, i..k-1], top to bottom) has its first c_i entries equal
+    to a and the rest a + 1, with a maximal subject to the row-drop
+    condition against diagonal i + 1 and the anchor bound
+    p[i, i] <= p[i+1, k-1]; the rightmost diagonal is the single zero.
     """
     if k < 2:
         raise ValueError("need k >= 2")
-    from_c = _kb_from_jump_vectors(k)
-    brute = _kb_brute_force(k)
-    if set(from_c) != set(brute):
-        raise VerificationFailure(
-            "triangular pattern constructions disagree",
-            {"k": k, "jump": len(from_c), "scan": len(brute)},
-        )
-    return tuple(sorted(brute))
-
-
-def _kb_from_jump_vectors(k: int):
-    """Build each pattern diagonal by diagonal from its jump vector.
-
-    Diagonal i (entries p[i, i..k-1], top to bottom) has its first c_i
-    entries equal to a and the rest a + 1, with a maximal subject to the
-    row-drop condition against diagonal i + 1 and the anchor bound
-    p[i, i] <= p[i+1, k-1]; the rightmost diagonal is the single zero.
-    """
     out = []
     ranges = [range(0, k - 1 - i + 1) for i in range(1, k)]
     for c in product(*ranges):
         p = {(k - 1, k - 1): 0}
-        complete = True
         for i in range(k - 2, 0, -1):
             length = k - i
             ci = c[i - 1]
@@ -289,62 +252,11 @@ def _kb_from_jump_vectors(k: int):
                 if best is None or a > best[0]:
                     best = (a, vals)
             if best is None:
-                complete = False
                 break
             p.update(best[1])
-        if complete and _kb_valid(p, k):
+        else:
             out.append(tuple(sorted(p.items())))
-    return out
-
-
-def _kb_valid(p: dict, k: int) -> bool:
-    for i in range(1, k):
-        for j in range(i, k - 1):
-            if p[(i, j + 1)] < p[(i, j)]:
-                return False
-            if (i + 1, j + 1) in p and p[(i, j)] < p[(i + 1, j + 1)]:
-                return False
-        for j in range(i + 1, k):
-            if p[(i, j)] - 1 > p[(i + 1, j)]:
-                return False
-    for i in range(1, k - 1):
-        if not (p[(i, k - 1)] - 1 <= p[(i, i)] <= p[(i + 1, k - 1)]):
-            return False
-    return p[(k - 1, k - 1)] == 0
-
-
-def _kb_brute_force(k: int):
-    """Lattice scan with interval pruning from the local inequalities (the
-    anchor bounds prune column k - 1, filled after every p[i,i])."""
-    cells = [(i, j) for j in range(1, k) for i in range(1, j + 1)]
-    out = []
-
-    def rec(idx: int, p: dict):
-        if idx == len(cells):
-            if _kb_valid(p, k):
-                out.append(tuple(sorted(p.items())))
-            return
-        i, j = cells[idx]
-        lo, hi = 0, k - 1
-        if j > i:
-            lo = max(lo, p[(i, j - 1)])
-        if i > 1:
-            lo = max(lo, p[(i - 1, j)] - 1)
-            if j > i:
-                hi = min(hi, p[(i - 1, j - 1)])
-        if j == k - 1 and i < k - 1:
-            hi = min(hi, p[(i, i)] + 1)
-        if j == k - 1 and i > 1:
-            lo = max(lo, p[(i - 1, i - 1)])
-        if (i, j) == (k - 1, k - 1):
-            hi = min(hi, 0)
-        for v in range(lo, hi + 1):
-            p[(i, j)] = v
-            rec(idx + 1, p)
-        p.pop((i, j), None)
-
-    rec(0, {})
-    return out
+    return tuple(sorted(out))
 
 
 def kb_weight(z: GTPattern, p) -> object:

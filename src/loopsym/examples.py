@@ -3,7 +3,9 @@
 Each check replays one concrete computation with explicitly stated
 expected values (small matrices of rational-function entries, index sets,
 weight tables, insertion outputs).  All comparisons are exact; random
-points, where used, come from the given seed.
+points, where used, come from the given seed.  ``check_reduced_determinant``
+is the one comparison of the reduced determinantal formula with the tableau
+sum; the det-formula suite uses it too.
 """
 
 from __future__ import annotations
@@ -28,6 +30,33 @@ from loopsym.semifield import (
 
 if TYPE_CHECKING:
     from loopsym.verify import Check
+
+
+def check_reduced_determinant(ck: Check, label: str, shape: ColoredSkewShape, x: VarMatrix, then=None) -> None:
+    """Compare ``schur.theorem_det_formula`` at a corner-color shape with the
+    tableau sum, inside ``ck.run`` under ``label``; when they agree, ``then``
+    (if given) is called with the minor."""
+
+    def run():
+        det = schur.theorem_det_formula(shape, x)
+        tableaux = schur.ssyt_sum(shape, x)
+        if det != tableaux:
+            ck.fail(
+                label, "reduced determinant disagrees with tableau sum", shape=shape, det=det, tableaux=tableaux
+            )
+        elif then is not None:
+            then(det)
+
+    ck.run(run, label, shape=shape)
+
+
+def check_energy_routes(ck: Check, x: VarMatrix, point: str):
+    """The tableau-sum energy at x, compared with the minor-product and
+    sigma-product routes."""
+    val = energy.energy_tableaux(x)
+    ck.expect(val == energy.energy_product(x), "energy-minor-product", point=point)
+    ck.expect(val == energy.energy_sigma_product(x), "energy-sigma-product", point=point)
+    return val
 
 
 def run_paper_examples(ck: Check, seed: int) -> None:
@@ -202,15 +231,15 @@ def run_paper_examples(ck: Check, seed: int) -> None:
     )
 
     # -- central charge on a square point ---------------------------------------
-    cc = energy.central_charge(x33)
     ck.expect(
-        cc
+        energy.central_charge_qinv(x33)
         == zq(1, 2) / zq(1, 1) + zq(1, 3) / zq(1, 2) + zq(2, 3) / zq(2, 2)
         + zq(1, 1) / zq(2, 2) + zq(1, 2) / zq(2, 3) + zq(2, 2) / zq(3, 3) + zq(3, 3),
         "central-charge-laurent",
     )
     ck.expect(
-        cc == rq11 + rq12 + schur.loop_e(x33, 1, 3), "central-charge-invariants"
+        energy.central_charge_decoration(x33) == rq11 + rq12 + schur.loop_e(x33, 1, 3),
+        "central-charge-invariants",
     )
 
     # -- worked reduced determinant (five rows, three colors) -------------------
@@ -220,11 +249,10 @@ def run_paper_examples(ck: Check, seed: int) -> None:
     rq22b = schur.reduced_q_invariant(x53b, 2, 2)
     s2, s3 = schur.shape_invariant(x53b, 2), schur.shape_invariant(x53b, 3)
 
-    def worked_reduced_determinant():
-        val53 = schur.theorem_det_formula(shape53, x53b)
-        ck.expect(val53 == rq12b * rq22b * s3 * s3 - rq12b * s2, "worked-reduced-determinant")
-
-    ck.run(worked_reduced_determinant, "worked-reduced-determinant", shape=shape53)
+    check_reduced_determinant(
+        ck, "worked-reduced-determinant", shape53, x53b,
+        lambda det: ck.expect(det == rq12b * rq22b * s3 * s3 - rq12b * s2, "worked-reduced-determinant"),
+    )
 
     # -- full folded determinant lists elementary symmetric functions -----------
     F53 = schur.folded_matrix(x53b)
@@ -310,7 +338,7 @@ def run_paper_examples(ck: Check, seed: int) -> None:
     )
 
     # -- energy product display ---------------------------------------------------
-    D = energy.energy(x45)
+    D = check_energy_routes(ck, x45, "x45")
     D1 = (
         d45([2, 3, 4], [1, 2, 3])
         + x45.pi(1) * (d45([2, 4], [1, 2]) + d45([3, 4], [1, 3]))
@@ -323,12 +351,11 @@ def run_paper_examples(ck: Check, seed: int) -> None:
     # six-row, two-color energy through the reduced determinant
     x62 = VarMatrix.random(6, 2, rng)
     stair = ColoredSkewShape((5, 4, 3, 2, 1), (), 2, 2)
-
-    def staircase_reduced_determinant():
-        det = schur.theorem_det_formula(stair, x62)
-        ck.expect(det == energy.energy(x62), "staircase-reduced-determinant")
-
-    ck.run(staircase_reduced_determinant, "staircase-reduced-determinant", shape=stair)
+    D62 = check_energy_routes(ck, x62, "x62")
+    check_reduced_determinant(
+        ck, "staircase-reduced-determinant", stair, x62,
+        lambda det: ck.expect(det == D62, "staircase-reduced-determinant"),
+    )
 
     # -- cocharge factor displays --------------------------------------------------
     z4 = gt.GTPattern(

@@ -2,9 +2,11 @@
 reports.
 
 Every suite checks a family of exact identities at desk-scale bounds and
-reports each failure with a witness sufficient to replay it.  The suites
-built on random rational points draw them in ``Check.points``, at every
-size 2 <= mm <= m, 2 <= nn <= n, in one of two schemes:
+reports each failure with a witness sufficient to replay it.  The library
+computes each quantity by one route; every comparison of two routes is a
+labelled check here or in ``examples``.  The suites built on random
+rational points draw them in ``Check.points``, at every size
+2 <= mm <= m, 2 <= nn <= n, in one of two schemes:
 
 * trial suites draw ``trials`` points per size; point t is the first draw
   of ``trial_rng(seed, t)``, the same stream at every size;
@@ -19,8 +21,9 @@ point is one ``exception`` failure with that witness, and the next point is
 checked; ``run_suite`` records an exception that escapes a suite elsewhere
 the same way and still returns the report.  A check run through
 ``Check.run`` that raises is recorded under its own label, with the witness
-of a failed identity (``VerificationFailure.witness``) under every key that
-the record does not already have.  Where a random parameter c makes a move
+of a failed identity (``VerificationFailure.witness``, which only
+``cylindric``'s checks raise) under every key that the record does not
+already have.  Where a random parameter c makes a move
 degenerate (a vanishing minor), ``_resample_move`` draws a new c, at most
 ten times, and records a failure with its witness when every draw is
 degenerate.
@@ -36,7 +39,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from loopsym import comb, crystal, cylindric, energy, gt, schur
-from loopsym.examples import run_paper_examples
+from loopsym.examples import check_reduced_determinant, run_paper_examples
 from loopsym.linalg import Matrix, PeriodicMatrix, minor
 from loopsym.partitions import (
     ColoredSkewShape,
@@ -145,8 +148,8 @@ def _resample_move(ck: Check, move, rng, label: str, **witness):
 
 
 # ---------------------------------------------------------------------------
-# shape corpora: each depends only on its arguments, so it is built once per
-# process and returned as a tuple that no caller can change
+# shape and pattern corpora: each depends only on its arguments, so it is
+# built once per process and returned as a tuple that no caller can change
 
 
 @lru_cache(maxsize=None)
@@ -193,6 +196,60 @@ def cylindric_corpus(n: int, max_cells: int = 10) -> tuple:
                     for r in range(1, n + 1):
                         out.append(cylindric.CylShape(k, lam, mu, r, n))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def kb_lattice_scan(k: int) -> tuple:
+    """The sorted triangular patterns of ``energy.kb_patterns(k)``, found by
+    a lattice scan with interval pruning from the local inequalities (the
+    anchor bounds prune column k - 1, filled after every p[i,i])."""
+    cells = [(i, j) for j in range(1, k) for i in range(1, j + 1)]
+    out = []
+
+    def rec(idx: int, p: dict):
+        if idx == len(cells):
+            if _kb_valid(p, k):
+                out.append(tuple(sorted(p.items())))
+            return
+        i, j = cells[idx]
+        lo, hi = 0, k - 1
+        if j > i:
+            lo = max(lo, p[(i, j - 1)])
+        if i > 1:
+            lo = max(lo, p[(i - 1, j)] - 1)
+            if j > i:
+                hi = min(hi, p[(i - 1, j - 1)])
+        if j == k - 1 and i < k - 1:
+            hi = min(hi, p[(i, i)] + 1)
+        if j == k - 1 and i > 1:
+            lo = max(lo, p[(i - 1, i - 1)])
+        if (i, j) == (k - 1, k - 1):
+            hi = min(hi, 0)
+        for v in range(lo, hi + 1):
+            p[(i, j)] = v
+            rec(idx + 1, p)
+        p.pop((i, j), None)
+
+    rec(0, {})
+    return tuple(sorted(out))
+
+
+def _kb_valid(p: dict, k: int) -> bool:
+    """Whether the array p, keyed (i, j) for 1 <= i <= j <= k-1, satisfies
+    the inequalities of ``energy.kb_patterns``."""
+    for i in range(1, k):
+        for j in range(i, k - 1):
+            if p[(i, j + 1)] < p[(i, j)]:
+                return False
+            if (i + 1, j + 1) in p and p[(i, j)] < p[(i + 1, j + 1)]:
+                return False
+        for j in range(i + 1, k):
+            if p[(i, j)] - 1 > p[(i + 1, j)]:
+                return False
+    for i in range(1, k - 1):
+        if not (p[(i, k - 1)] - 1 <= p[(i, i)] <= p[(i + 1, k - 1)]):
+            return False
+    return p[(k - 1, k - 1)] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +451,7 @@ def suite_det_formula(ck: Check, m: int, n: int, trials: int, seed: int) -> None
     def point(t, rng, x):
         nn = x.n
         for shape in corner_corpus(x.m, nn):
-            ck.run(lambda s=shape: schur.theorem_det_formula(s, x), "reduced-determinant", shape=shape)
+            check_reduced_determinant(ck, "reduced-determinant", shape, x)
         # the reduced periodic matrix is the two-sided dressing of the plain one
         U, V = schur.anti_diagonalizing_pair(x)
         Mt = schur.unfolded_matrix(x)
@@ -419,14 +476,13 @@ def suite_det_formula(ck: Check, m: int, n: int, trials: int, seed: int) -> None
     x = VarMatrix.random(5, 3, rng)
     shape = ColoredSkewShape((4, 3, 3, 1), (2,), 2, 3)
 
-    def worked():
-        val = schur.theorem_det_formula(shape, x)
+    def worked(det):
         rq12 = schur.reduced_q_invariant(x, 1, 2)
         rq22 = schur.reduced_q_invariant(x, 2, 2)
         s2, s3 = schur.shape_invariant(x, 2), schur.shape_invariant(x, 3)
-        ck.expect(val == rq12 * rq22 * s3 * s3 - rq12 * s2, "worked-53-determinant", shape=shape)
+        ck.expect(det == rq12 * rq22 * s3 * s3 - rq12 * s2, "worked-53-determinant", shape=shape)
 
-    ck.run(worked, "worked-53-determinant", shape=shape)
+    check_reduced_determinant(ck, "worked-53-determinant", shape, x, worked)
 
 
 def suite_sum_of_minors(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
@@ -638,9 +694,9 @@ def suite_energy(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
 
 def suite_cocharge(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
     for k in range(2, 8):
-        ck.expect(
-            len(energy.kb_patterns(k)) == math.factorial(k - 1), "pattern-count", k=k
-        )
+        patterns = energy.kb_patterns(k)
+        ck.expect(len(patterns) == math.factorial(k - 1), "pattern-count", k=k)
+        ck.expect(patterns == kb_lattice_scan(k), "patterns-equal-lattice-scan", k=k)
     for mm in range(2, max(m, 5) + 1):
         for t in range(trials):
             rng = trial_rng(seed, t)
@@ -696,9 +752,12 @@ def suite_tropical(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
         a = [[rng.randint(0, 4) for _ in range(nn)] for _ in range(mm)]
         a.sort(key=sum)
         Pp, Qp = comb.burge(a)
+        d = comb.trop_energy(a)
+        ck.expect(d == comb.cocharge(Qp), "energy-tropicalizes-to-cocharge", a=a)
+        x = VarMatrix.tropical(a)
         ck.expect(
-            comb.trop_energy(a) == comb.cocharge(Qp),
-            "energy-tropicalizes-to-cocharge", a=a,
+            d == energy.energy_product(x).value == energy.energy_sigma_product(x).value,
+            "energy-three-routes-min-plus", a=a,
         )
 
 

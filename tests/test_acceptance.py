@@ -54,9 +54,9 @@ CRITERIA = [
       ("central-charge", dict(m=4, n=4, trials=TRIALS))]),
     (10, "energy: tableau, minor-product, and capped-sequence routes agree",
      [("energy", dict(m=4, n=4, trials=TRIALS))]),
-    (11, "cocharge factors equal pattern sums; (k-1)! patterns",
+    (11, "cocharge factors equal pattern sums; (k-1)! patterns, equal to the lattice scan",
      [("cocharge", dict(m=4, n=4, trials=TRIALS))]),
-    (12, "min-plus: insertion, energy, and cocharge bridges",
+    (12, "min-plus: insertion, energy, and cocharge bridges; three energy routes agree",
      [("tropical", dict(m=4, n=4, trials=TRIALS))]),
     (13, "worked-example regression corpus",
      [("paper-examples", dict(m=4, n=4, trials=TRIALS))]),

@@ -6,6 +6,7 @@ import errno
 import functools
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -57,6 +58,30 @@ def test_eval_energy_single_row(capsys, monkeypatch):
     code, out, _ = run_cli(["eval", "energy"], data, capsys, monkeypatch)
     assert code == 0
     assert json.loads(out)["value"] == "1"
+
+
+@pytest.mark.parametrize("mode", ["rational", "tropical"])
+def test_eval_energy_and_central_charge_equal_the_other_routes(mode, capsys, monkeypatch):
+    """eval computes one route of each; the others must give its answer."""
+    routes = {
+        "energy": (energy.energy_product, energy.energy_sigma_product),
+        "central-charge": (energy.central_charge_decoration,),
+    }
+    rng = trial_rng(21, 0)
+    for m, n in itertools.product(range(2, 5), repeat=2):
+        if mode == "rational":
+            x = VarMatrix.random(m, n, rng)
+            rows = [[str(v) for v in row] for row in x.rows]
+        else:
+            rows = [[rng.randint(-3, 5) for _ in range(n)] for _ in range(m)]
+            x = VarMatrix.tropical(rows)
+        point = json.dumps({"entries": rows})
+        for target, others in routes.items():
+            code, out, err = run_cli(["eval", target, "--mode", mode], point, capsys, monkeypatch)
+            assert code == 0, err
+            got = json.loads(out)["value"]
+            got = Fraction(got) if mode == "rational" else TROPICAL.zero if got is None else TropNumber(got)
+            assert all(got == route(x) for route in others), (target, m, n)
 
 
 def test_eval_tropical_grsk(capsys, monkeypatch):
@@ -214,6 +239,13 @@ Q42 = [["1", "2"], ["3", "1"], ["2", "5"], ["1", "1"]]
             {"m": 2, "n": 2, "entries": {"1": "1", "1,2": "2", "2,2": "3"}},
             "pattern key must be 'i,j', got '1'",
         ),
+        ("R", "rational", {"i": 0, "x": POINT}, "row R index i = 0 out of range"),
+        ("R", "rational", {"i": 2, "x": POINT}, "row R index i = 2 out of range"),
+        ("e", "rational", {"i": 2, "c": "2", "x": POINT}, "row operator index i = 2 out of range"),
+        ("e", "tropical", {"i": 0, "c": 1, "x": {"entries": [[1, 2], [3, 4]]}}, "row operator index i = 0"),
+        ("ebar", "rational", {"j": 0, "c": "2", "x": POINT}, "column operator index j = 0 out of range"),
+        ("ebar", "rational", {"j": 2, "c": "2", "x": POINT}, "column operator index j = 2 out of range"),
+        ("ebar", "rational", {"j": 3, "c": "2", "x": {"entries": Q42}}, "column operator index j = 3"),
     ],
 )
 def test_eval_bad_input_is_usage_error(target, mode, data, message, capsys, monkeypatch):
@@ -543,8 +575,8 @@ def symbolic_central_charge(m, n):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(m=st.integers(1, 3), n=st.integers(1, 3), data=st.data())
 def test_tropical_central_charge_is_trop_min_of_the_polynomial(m, n, data):
-    """Both routes of the min-plus central charge tropicalize the symbolic
-    Q-invariant route."""
+    """The min-plus central charge that eval computes tropicalizes the
+    symbolic Q-invariant route."""
     grid = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
     ints = {v: data.draw(st.integers(-4, 6)) for v in grid}
     point = {"entries": [[ints[i, j] for j in range(1, n + 1)] for i in range(1, m + 1)]}

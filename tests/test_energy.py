@@ -8,12 +8,10 @@ import pytest
 from loopsym.crystal import apply_e_bar, row_r
 from loopsym.energy import (
     beta,
-    central_charge,
     central_charge_decoration,
     central_charge_qinv,
     decorated_rectangle_down,
     decorated_rectangle_up,
-    energy,
     energy_product,
     energy_sigma_product,
     energy_tableaux,
@@ -44,7 +42,7 @@ def test_staircase_and_tiny_energies():
     assert staircase(4, 3) == (6, 4, 2)
     rng = trial_rng(7, 0)
     x1 = VarMatrix.random(1, 3, rng)
-    assert energy(x1) == Fraction(1)
+    assert energy_tableaux(x1) == energy_product(x1) == energy_sigma_product(x1) == Fraction(1)
     x2 = VarMatrix.random(2, 3, rng)
     from loopsym.schur import loop_h
 
@@ -55,7 +53,8 @@ def test_energy_routes_and_determinant_oracle():
     rng = trial_rng(7, 1)
     for m, n in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (3, 4)]:
         x = VarMatrix.random(m, n, rng)
-        d = energy(x)
+        d = energy_tableaux(x)
+        assert d == energy_product(x) == energy_sigma_product(x)
         assert d == jacobi_trudi(ColoredSkewShape(staircase(m, n), (), n, n), x)
 
 
@@ -101,13 +100,13 @@ def test_sigma_product_factors():
     prod = x.ring.one
     for f in factors:
         prod = prod * f
-    assert energy(x) == prod == energy_sigma_product(x)
+    assert energy_tableaux(x) == prod == energy_sigma_product(x)
 
 
 def test_central_charge_routes_and_tiny_case():
     rng = trial_rng(7, 5)
     x21 = VarMatrix.random(2, 1, rng)
-    assert central_charge(x21) == reduced_q_invariant(x21, 1, 1)
+    assert central_charge_decoration(x21) == central_charge_qinv(x21) == reduced_q_invariant(x21, 1, 1)
     for m, n in [(2, 2), (3, 3), (4, 3), (3, 4)]:
         x = VarMatrix.random(m, n, rng)
         assert central_charge_decoration(x) == central_charge_qinv(x)
@@ -121,7 +120,7 @@ def test_central_charge_square_example():
         + reduced_q_invariant(x, 1, 2)
         + loop_e(x, 1, 3)
     )
-    assert central_charge(x) == want
+    assert central_charge_decoration(x) == want
 
 
 def test_central_charge_invariance():

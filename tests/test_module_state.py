@@ -5,7 +5,9 @@ import graph is the one that the module headers show.  No module reaches
 into another for an underscore name, so each module's private names can
 change without looking beyond it.  Only ``linalg.Matrix`` sets a matrix's
 ``rows``, so every matrix, a point included, is built by its one
-constructor."""
+constructor.  No function of ``energy``, ``schur``, ``comb``, ``gt`` or
+``crystal`` raises ``VerificationFailure``: each computes one route, and the
+verify suites compare routes."""
 
 import ast
 from pathlib import Path
@@ -159,3 +161,45 @@ def test_rows_writers_are_found():
 def test_only_the_matrix_class_sets_rows():
     found = [name for p in sorted(SRC.glob("*.py")) for name in rows_writers(p.read_text(), p.stem)]
     assert found == ["linalg.Matrix"]
+
+
+NO_CHECKS = ("energy", "schur", "comb", "gt", "crystal")
+
+
+def verification_raises(source: str) -> list:
+    """``line:function`` for each ``raise`` of a ``VerificationFailure``
+    (called, bare or as a module attribute) inside a function."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            if name == "VerificationFailure":
+                found.append(f"{node.lineno}:{func.name}")
+    return sorted(set(found))
+
+
+def test_verification_raises_are_found():
+    source = (
+        "from loopsym import semifield\n"
+        "from loopsym.semifield import VerificationFailure\n"
+        "def value(x):\n"
+        "    if x:\n"
+        "        raise VerificationFailure('routes disagree', {'x': x})\n"
+        "    return x\n"
+        "class Box:\n"
+        "    def check(self):\n"
+        "        raise semifield.VerificationFailure\n"
+        "def other(x):\n"
+        "    raise ValueError('not a check')\n"
+    )
+    assert verification_raises(source) == ["5:value", "9:check"]
+
+
+def test_library_routes_raise_no_verification_failure():
+    found = {m: verification_raises((SRC / f"{m}.py").read_text()) for m in NO_CHECKS}
+    assert {module: lines for module, lines in found.items() if lines} == {}

@@ -258,11 +258,12 @@ def test_pseudo_energy_invariance_sample():
             assert ssyt_sum(s, apply_e_bar(x, j, c)) == base
 
 
-def test_theorem_det_formula_checks_and_errors():
+def test_theorem_det_formula_worked_value_and_errors():
     rng = trial_rng(4, 11)
     x = VarMatrix.random(5, 3, rng)
     s = ColoredSkewShape((4, 3, 3, 1), (2,), 2, 3)
     val = theorem_det_formula(s, x)
+    assert val == ssyt_sum(s, x)
     rq12 = reduced_q_invariant(x, 1, 2)
     rq22 = reduced_q_invariant(x, 2, 2)
     s2, s3 = shape_invariant(x, 2), shape_invariant(x, 3)

@@ -5,7 +5,7 @@ import pytest
 
 from loopsym import comb, crystal, cylindric, energy, examples, gt, schur, verify
 from loopsym.partitions import partitions_in_box
-from loopsym.semifield import VerificationFailure, trial_rng
+from loopsym.semifield import TropNumber, VerificationFailure, trial_rng
 from loopsym.verify import SUITES, run_suite
 
 SEED = 7
@@ -113,6 +113,31 @@ def test_worked_determinant_failure_keeps_its_label_and_witness(monkeypatch):
     (worked,) = [f for f in report.failures if f["check"] == "worked-53-determinant"]
     assert {"shape", "det", "tableaux"} <= set(worked)
     assert "reduced determinant disagrees" in worked["error"]
+
+
+def test_off_by_one_min_plus_sigma_product_fails_the_tropical_suite(monkeypatch):
+    """The library's min-plus energy is the tableau route alone; the suite
+    compares the other two routes with it."""
+    original = energy.energy_sigma_product
+
+    def off_by_one(x):
+        val = original(x)
+        return val if x.ring.has_subtraction else val * TropNumber(1)
+
+    monkeypatch.setattr(energy, "energy_sigma_product", off_by_one)
+    report = run_suite("tropical", 4, 4, 1, 0)
+    assert len(report.failures) == 100
+    assert {f["check"] for f in report.failures} == {"energy-three-routes-min-plus"}
+
+
+def test_jump_vectors_that_drop_a_pattern_fail_the_cocharge_suite(monkeypatch):
+    """kb_patterns builds its patterns from jump vectors alone; the suite
+    compares them with the lattice scan."""
+    original = energy.kb_patterns
+    monkeypatch.setattr(energy, "kb_patterns", lambda k: original(k)[:-1] if k == 6 else original(k))
+    report = run_suite("cocharge", 2, 2, 1, 0)
+    scan = [f for f in report.failures if f["check"] == "patterns-equal-lattice-scan"]
+    assert [f["k"] for f in scan] == ["6"]
 
 
 def test_paper_examples_record_each_checked_identity_under_its_label(monkeypatch):
