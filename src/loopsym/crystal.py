@@ -25,20 +25,24 @@ class CrystalReadout:
     phi: object
 
 
-def whirl(vec, ring: Ring) -> Matrix:
-    """Lower bidiagonal matrix with the vector on the diagonal and 1s below."""
+def whirl(vec, ring: Ring, below=None) -> Matrix:
+    """Lower bidiagonal matrix with the vector on the diagonal and ``below``
+    (the ring's one by default) under it.  With ``below = d`` it is d times
+    the whirl of vec / d."""
     k = len(vec)
+    below = ring.one if below is None else below
     rows = [[ring.zero] * k for _ in range(k)]
     for i in range(k):
         rows[i][i] = vec[i]
         if i + 1 < k:
-            rows[i + 1][i] = ring.one
+            rows[i + 1][i] = below
     return Matrix(rows, ring)
 
 
 def readout(M: Matrix, i: int) -> CrystalReadout:
     """gamma, epsilon_i and phi_i of a whirl product M: its diagonal, and
-    M[i+1, i+1] and M[i, i] over the subdiagonal entry M[i+1, i]."""
+    M[i+1, i+1] and M[i, i] over the subdiagonal entry M[i+1, i].  Its
+    callers check that 1 <= i < M.m, each in the words of its own index."""
     sub = M.entry(i + 1, i)
     if sub == M.ring.zero:
         raise DegeneratePoint("degenerate-point: vanishing subdiagonal entry")
@@ -83,11 +87,15 @@ def basic_e(vec, i: int, c) -> tuple:
 
 def product_readout(x: VarMatrix, i: int) -> CrystalReadout:
     """Readout of the row structure: from the m x m column-whirl product."""
+    if not 1 <= i <= x.m - 1:
+        raise ValueError(f"row operator index i = {i} out of range")
     return readout(col_whirl_matrix(x), i)
 
 
 def bar_readout(x: VarMatrix, j: int) -> CrystalReadout:
     """Readout of the column structure (the row structure of the transpose)."""
+    if not 1 <= j <= x.n - 1:
+        raise ValueError(f"column operator index j = {j} out of range")
     return product_readout(x.transpose(), j)
 
 

@@ -186,30 +186,45 @@ def beta(z: GTPattern, i: int):
     return num / den
 
 
-def sigma_k(z: GTPattern, k: int):
-    """Sum over subsets X of [2, k-1] of beta_k^(k-2-|X|) times the minor
-    with rows X + {k} and columns {1} + X; minors via determinants over a
-    field, via layered families in min-plus mode."""
-    if k < 2 or k > z.n:
-        raise ValueError(f"cocharge factor index {k} out of range")
-    use_paths = not z.ring.has_subtraction
-    M = None if use_paths else phi_matrix(z)
-    bk = beta(z, k)
+def _pattern_minor(z: GTPattern):
+    """The minors of the pattern's factorization matrix, as a function of
+    (I, J): determinants of its phi-matrix, built here once, over a field;
+    layered-family sums in min-plus mode."""
+    if not z.ring.has_subtraction:
+        return lambda I, J: gamma_minor(z, I, J)
+    M = phi_matrix(z)
+    return lambda I, J: minor(M, I, J)
+
+
+def _sigma(z: GTPattern, k: int, pattern_minor):
     total = z.ring.zero
+    bk = beta(z, k)
     for size in range(0, k - 1):
         for X in combinations(range(2, k), size):
             I = sorted(set(X) | {k})
             J = sorted({1} | set(X))
-            mv = gamma_minor(z, I, J) if use_paths else minor(M, I, J)
-            total = total + bk ** (k - 2 - size) * mv
+            total = total + bk ** (k - 2 - size) * pattern_minor(I, J)
     return total
 
 
+def sigma_k(z: GTPattern, k: int):
+    """Sum over subsets X of [2, k-1] of beta_k^(k-2-|X|) times the minor
+    with rows X + {k} and columns {1} + X; minors via determinants over a
+    field, via layered families in min-plus mode.  Each call builds the
+    pattern's phi-matrix afresh; :func:`geometric_cocharge` builds it once
+    for all its factors."""
+    if k < 2 or k > z.n:
+        raise ValueError(f"cocharge factor index {k} out of range")
+    return _sigma(z, k, _pattern_minor(z))
+
+
 def geometric_cocharge(z: GTPattern):
-    """Product of the cocharge factors (1 for a height-1 pattern)."""
+    """Product of the cocharge factors (1 for a height-1 pattern), all
+    reading the minors of one phi-matrix."""
+    pattern_minor = _pattern_minor(z)
     total = z.ring.one
     for k in range(2, z.n + 1):
-        total = total * sigma_k(z, k)
+        total = total * _sigma(z, k, pattern_minor)
     return total
 
 

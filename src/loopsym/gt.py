@@ -8,11 +8,15 @@ A pattern of width m and height n stores entries ``z[i, j]`` for
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from operator import truediv
+
 from loopsym.crystal import readout, whirl
 from loopsym.linalg import Matrix, flag_minor, minor
 from loopsym.paths import highway_minor
 from loopsym.points import VarMatrix
-from loopsym.semifield import DegeneratePoint, Ring
+from loopsym.semifield import INTEGER, RATIONAL, DegeneratePoint, Ring
 
 
 class GTPattern:
@@ -85,21 +89,22 @@ def phi_matrix(z: GTPattern) -> Matrix:
     return M
 
 
-def _flag_ratios(m: int, n: int, ring: Ring, flag) -> GTPattern:
-    """The pattern whose entry (i, j) is flag(j, i) / flag(j, i + 1), where
-    flag(j, lo) is a flag minor whose rows start at lo."""
+def _flag_ratios(m: int, n: int, ring: Ring, flag, quotient) -> GTPattern:
+    """The pattern whose entry (i, j) is ``quotient(flag(j, i), flag(j, i + 1), j)``,
+    where flag(j, lo) is a flag minor whose rows start at lo and quotient
+    divides it by the next smaller one."""
     entries = {}
     for i, j in GTPattern.domain(m, n):
         den = flag(j, i + 1)
         if den == ring.zero:
             raise DegeneratePoint("degenerate-point: vanishing flag minor")
-        entries[(i, j)] = flag(j, i) / den
+        entries[(i, j)] = quotient(flag(j, i), den, j)
     return GTPattern(m, n, entries, ring)
 
 
 def psi_pattern(A: Matrix, m: int, n: int, ring: Ring) -> GTPattern:
     """Inverse of the factorization map: ratios of flag minors of A."""
-    return _flag_ratios(m, n, ring, lambda j, lo: flag_minor(A, range(lo, j + 1)))
+    return _flag_ratios(m, n, ring, lambda j, lo: flag_minor(A, range(lo, j + 1)), lambda a, b, j: a / b)
 
 
 def gt_apply_e(z: GTPattern, j: int, c) -> GTPattern:
@@ -118,22 +123,27 @@ def gt_apply_e(z: GTPattern, j: int, c) -> GTPattern:
 # geometric RSK
 
 
-def _prefix_flag_minors(x: VarMatrix) -> list:
-    """``flags[k](I)``, for 1 <= k <= m: the flag minor with rows I of the
-    product of the whirls of the first k rows of x, read as :func:`grsk`
-    describes."""
-    ring = x.ring
+def _prefix_flag_minors(x: VarMatrix) -> tuple:
+    """``(flags, quotient)``: ``flags[k](I)``, for 1 <= k <= m, is a flag
+    minor with rows I of the product of the whirls of the first k rows of x,
+    read as :func:`grsk` describes, and ``quotient(a, b, k)`` is the ratio of
+    two of them whose sizes differ by one."""
+    ring, rows, d, divide = x.ring, x.rows, x.ring.one, truediv
+    if ring is RATIONAL:
+        d = math.lcm(*(v.denominator for row in rows for v in row))
+        rows = [[v.numerator * (d // v.denominator) for v in row] for row in rows]
+        ring, divide = INTEGER, Fraction
     flags: list = [None]
     M = None
     for k in range(1, x.m + 1):
         if ring.has_subtraction:
-            W = whirl(x.row(k), ring)
+            W = whirl(rows[k - 1], ring, d)
             M = W if M is None else M * W
             flags.append(lambda I, M=M: flag_minor(M, I))
         else:
             prefix = VarMatrix(x.rows[:k], ring)
             flags.append(lambda I, p=prefix: highway_minor(p, I, range(1, len(I) + 1)))
-    return flags
+    return flags, lambda a, b, k: divide(a, b * d**k)
 
 
 def grsk(x: VarMatrix) -> tuple[GTPattern, GTPattern]:
@@ -148,11 +158,22 @@ def grsk(x: VarMatrix) -> tuple[GTPattern, GTPattern]:
     Lindstrom-Gessel-Viennot lemma the determinant is the subtraction-free
     sum over the non-intersecting highway families, whose min-plus value
     is the path sum.
+
+    Over a ring with subtraction the point is read as X / D.  At a rational
+    point D is the least common denominator of the entries, so D W_k, with
+    the integers X_k on the diagonal and D below it, is an integer matrix,
+    and so is the product N_k of the first k of them: its minors are
+    :data:`~loopsym.semifield.INTEGER` determinants, and a size-s flag minor
+    of the whirl product M_k is that of N_k over D^(ks).  A pattern entry,
+    the ratio of flag minors of M_k of sizes s and s - 1, is then one
+    ``Fraction(a, b * D^k)`` of flag minors a, b of N_k.  Any other ring
+    with subtraction, such as the polynomials, reads the point as its own
+    entries over D = 1.
     """
     m, n = x.m, x.n
-    flags = _prefix_flag_minors(x)
-    P = _flag_ratios(m, n, x.ring, lambda j, lo: flags[m](range(lo, j + 1)))
-    Q = _flag_ratios(n, m, x.ring, lambda k, lo: flags[k](range(lo, n + 1)))
+    flags, quotient = _prefix_flag_minors(x)
+    P = _flag_ratios(m, n, x.ring, lambda j, lo: flags[m](range(lo, j + 1)), lambda a, b, j: quotient(a, b, m))
+    Q = _flag_ratios(n, m, x.ring, lambda k, lo: flags[k](range(lo, n + 1)), quotient)
     return P, Q
 
 

@@ -32,12 +32,15 @@ periodic matrix that a point keeps.  A folded matrix has entries in t, so
 its minors never divide.  The one exception is a dense
 :func:`minor` above size four, which runs fraction-free Bareiss
 elimination, not memoized; only evaluations of large matrices and test
-oracles reach it.  Both are exact.
+oracles reach it.  Both are exact.  Bareiss divides, and ``/`` on two ints
+is a float, so a minor over :data:`~loopsym.semifield.INTEGER` (the
+integer form of a rational point that :func:`loopsym.gt.grsk` reads) runs
+Laplace at every size.
 """
 
 from __future__ import annotations
 
-from loopsym.semifield import DegeneratePoint, Ring, SemifieldError
+from loopsym.semifield import INTEGER, DegeneratePoint, Ring, SemifieldError
 
 _LAPLACE_MAX = 4  # larger dense minors run Bareiss elimination
 
@@ -221,9 +224,10 @@ def minor(A: Matrix, I, J):
     """Determinant of the submatrix with rows I and columns J (1-based).
 
     Up to size four it shares one cache with every other minor of A;
-    above, it runs Bareiss elimination.
+    above, it runs Bareiss elimination, except over the integers, where
+    every size shares the cache, because Bareiss divides.
     """
-    return _minor(A, I, J, bareiss=True)
+    return _minor(A, I, J, bareiss=A.ring is not INTEGER)
 
 
 def flag_minor(A: Matrix, I):

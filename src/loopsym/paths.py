@@ -6,7 +6,9 @@ Each of the three is a product of bidiagonal layers, and each minor-style
 operation is a sum over non-intersecting path families in it (a semiring
 sum of products, hence valid in min-plus mode as well).  One enumerator
 lists the families once per index data as weight keys ``(layer, strand)``;
-each minor maps the keys to the active variable values.
+each minor maps the keys to the active variable values.  In min-plus a
+minor is the min over the families of the integer sums of their key
+values, with one TropNumber made for the result.
 
 Conventions for the strip network: rows are integers increasing downward,
 interior columns are 1..m left to right; the vertex in row r, column c
@@ -21,10 +23,11 @@ down through.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from loopsym.points import VarMatrix
-from loopsym.semifield import Ring
+from loopsym.semifield import Ring, TropNumber
 
 
 @lru_cache(maxsize=None)
@@ -70,12 +73,21 @@ def families(layers: int, I: tuple, J: tuple, floor: tuple | None = None) -> tup
 
 def _evaluate(layers: int, I, J, keyval, ring: Ring, floor: tuple | None = None):
     """Semiring sum over the families I -> J of the products of
-    ``keyval(t, s)`` over their weight keys."""
+    ``keyval(t, s)`` over their weight keys.
+
+    In min-plus the sum is a min of integer sums: each key's value is read
+    once per call, and the one TropNumber made is the min (``TROP_INF``,
+    whose value is inf, when there is no family).
+    """
     I, J = tuple(sorted(I)), tuple(sorted(J))
     if len(I) != len(J):
         raise ValueError("path-family minor needs |I| == |J|")
+    fams = families(layers, I, J, floor)
+    if not ring.has_subtraction:
+        value = {key: keyval(*key).value for key in set().union(*fams)}.__getitem__
+        return TropNumber(min((sum(map(value, fam)) for fam in fams), default=math.inf))
     total = ring.zero
-    for fam in families(layers, I, J, floor):
+    for fam in fams:
         term = ring.one
         for key in fam:
             term = term * keyval(*key)

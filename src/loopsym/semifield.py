@@ -6,6 +6,13 @@ the matrix variables with formal quotients (:class:`PolyFraction`).  All
 three expose ``+``, ``*``, ``/`` and exact ``==``; only the first and last
 support ``-``.  Nothing in this package ever touches floating point.
 
+A fourth descriptor, :data:`INTEGER`, is no evaluation domain: it is the
+ring of Python ints in which a rational point is read after its
+denominators are cleared (see :func:`loopsym.gt.grsk`).  Ints have ``+``,
+``-``, ``*`` and ``==`` but no exact ``/``, so its determinants never divide
+(:func:`loopsym.linalg.minor`) and a quotient of two of its values is formed
+as a ``Fraction``.
+
 A monomial of :class:`SparseLoopPoly` is one packed int: the exponent of
 x_i^j sits in a 16-bit field (FIELD_BITS) at slot ``d(d+1)/2 + j - 1``,
 ``d = i + j - 2``, a pure function of (i, j).  A product of monomials is
@@ -63,8 +70,13 @@ class TropNumber:
     """An element of the integer min-plus semiring.
 
     Addition is ``min``, multiplication is integer ``+``, division is
-    integer ``-``.  ``TropNumber.INF`` is the additive identity (the
-    sentinel for an empty min); there is no additive inverse.
+    integer ``-``.  ``TROP_INF`` is the additive identity (the sentinel for
+    an empty min); there is no additive inverse.
+
+    The constructor validates its value.  ``+``, ``*`` and ``/`` build their
+    results with :func:`_trop`, without that check, because their operands
+    are already TropNumbers: the value of an int and inf under ``min``,
+    ``+`` and ``-`` is again an int or inf.
     """
 
     __slots__ = ("value",)
@@ -79,19 +91,22 @@ class TropNumber:
         return self.value == math.inf
 
     def __add__(self, other: "TropNumber") -> "TropNumber":
-        return TropNumber(min(self.value, other.value))
+        a, b = self.value, other.value
+        return _trop(a if a <= b else b)
 
     def __mul__(self, other: "TropNumber") -> "TropNumber":
-        if self.is_inf or other.is_inf:
+        a, b = self.value, other.value
+        if a == _INF or b == _INF:
             return TROP_INF
-        return TropNumber(self.value + other.value)
+        return _trop(a + b)
 
     def __truediv__(self, other: "TropNumber") -> "TropNumber":
-        if other.is_inf:
+        a, b = self.value, other.value
+        if b == _INF:
             raise ZeroDivisionError("division by the tropical zero")
-        if self.is_inf:
+        if a == _INF:
             return TROP_INF
-        return TropNumber(self.value - other.value)
+        return _trop(a - b)
 
     def __pow__(self, k: int) -> "TropNumber":
         if k == 0:
@@ -111,6 +126,17 @@ class TropNumber:
 
     def __repr__(self) -> str:
         return f"Trop({self.value})"
+
+
+_INF = math.inf
+_new_trop = object.__new__
+
+
+def _trop(value) -> TropNumber:
+    """The TropNumber of an int or inf already known to be one."""
+    t = _new_trop(TropNumber)
+    t.value = value
+    return t
 
 
 TROP_INF = TropNumber(math.inf)
@@ -398,6 +424,7 @@ class Ring:
 RATIONAL = Ring("rational", Fraction(0), Fraction(1), True)
 TROPICAL = Ring("tropical", TROP_INF, TropNumber(0), False)
 POLYNOMIAL = Ring("polynomial", PolyFraction.const(0), PolyFraction.const(1), True)
+INTEGER = Ring("integer", 0, 1, True)  # the integer form of a rational point; see the module docstring
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,16 @@ def test_eval_grsk_all_ones(capsys, monkeypatch):
     assert payload["glued"] == [["2", "1"], ["3", "1/2"], ["1", "1/3"]]
 
 
+GOLDEN = json.loads((Path(__file__).parent / "golden_eval.json").read_text())["requests"]
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["name"] for case in GOLDEN])
+def test_eval_output_is_pinned(case, capsys, monkeypatch):
+    """gRSK at 4x4 and 6x6 and geometric cocharge, in both modes, print
+    exactly what the Fraction and TropNumber routes printed."""
+    assert run_cli(case["argv"], case["input"], capsys, monkeypatch) == (0, case["stdout"], "")
+
+
 def test_eval_loop_schur_polynomial_mode(capsys, monkeypatch):
     data = json.dumps({"lambda": [4, 2], "mu": [], "r": 1, "m": 2, "n": 4})
     code, out, _ = run_cli(

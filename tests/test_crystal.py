@@ -297,3 +297,20 @@ def test_index_bounds():
         apply_e(x, 2, Fraction(2))
     with pytest.raises(ValueError):
         row_r(x, 0)
+
+
+@pytest.mark.parametrize(
+    "readout_of, index, message",
+    [
+        (weyl_reflection, 0, "row operator index i = 0 out of range"),
+        (weyl_reflection, 2, "row operator index i = 2 out of range"),
+        (bar_readout, 0, "column operator index j = 0 out of range"),
+        (bar_readout, 3, "column operator index j = 3 out of range"),
+    ],
+)
+def test_readouts_reject_an_index_out_of_range(readout_of, index, message):
+    """Index 0 would wrap to the last column, and an index past the end
+    would overrun it; both are usage errors in apply_e's words."""
+    x = VarMatrix.rationals([[1, 2, 3], [3, 4, 5]])
+    with pytest.raises(ValueError, match=message):
+        readout_of(x, index)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from loopsym import energy
 from loopsym.crystal import apply_e_bar, row_r
 from loopsym.energy import (
     beta,
@@ -26,11 +27,11 @@ from loopsym.energy import (
     staircase,
     tau_lp,
 )
-from loopsym.gt import GTPattern, decoration_gt, grsk
+from loopsym.gt import GTPattern, decoration_gt, grsk, phi_matrix
 from loopsym.partitions import ColoredSkewShape
 from loopsym.points import VarMatrix
 from loopsym.schur import jacobi_trudi, loop_e, reduced_q_invariant
-from loopsym.semifield import RATIONAL, random_rational, trial_rng
+from loopsym.semifield import RATIONAL, TROPICAL, TropNumber, random_rational, trial_rng
 
 
 def rand_pattern(m, rng):
@@ -172,6 +173,28 @@ def test_pattern_sum_equals_minor_sum():
         for k in range(2, 6):
             z = rand_pattern(k, rng)
             assert kb_sigma(z, k) == sigma_k(z, k)
+
+
+def test_geometric_cocharge_builds_one_phi_matrix(monkeypatch):
+    """Every cocharge factor reads the minors of one phi-matrix; min-plus
+    reads path families and builds none."""
+    built = []
+
+    def counted(z):
+        built.append(z)
+        return phi_matrix(z)
+
+    monkeypatch.setattr(energy, "phi_matrix", counted)
+    z = rand_pattern(4, trial_rng(7, 15))
+    value = geometric_cocharge(z)
+    assert len(built) == 1
+    assert value == math.prod((sigma_k(z, k) for k in range(2, 5)), start=Fraction(1))
+    assert all(kb_sigma(z, k) == sigma_k(z, k) for k in range(2, 5))
+    rng = trial_rng(7, 16)
+    zt = GTPattern(4, 4, {k: TropNumber(rng.randint(-9, 9)) for k in GTPattern.domain(4, 4)}, TROPICAL)
+    built.clear()
+    geometric_cocharge(zt)
+    assert built == []
 
 
 def test_sigma_depends_only_on_top_rows():

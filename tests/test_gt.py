@@ -19,6 +19,7 @@ from loopsym.gt import (
     psi_pattern,
 )
 from loopsym.points import VarMatrix
+from loopsym.schur import window_matrix
 from loopsym.semifield import RATIONAL, DegeneratePoint, random_rational, trial_rng
 
 
@@ -99,6 +100,24 @@ def test_grsk_from_insertion_matrices():
         assert P.shape() == Q.shape()
         G = glue(P, Q)
         assert G.m == m and G.n == n
+
+
+def test_rational_grsk_equals_the_fraction_route():
+    """grsk reads a rational point's flag minors over the integers; its
+    insertion pattern must equal the Fraction ratios of flag minors of the
+    whirl product, at sizes whose minors pass four rows."""
+    rng = trial_rng(22, 0)
+    for m in range(1, 7):
+        for n in range(1, 7):
+            x = VarMatrix.random(m, n, rng)
+            P, Q = grsk(x)
+            assert P == psi_pattern(window_matrix(x), m, n, RATIONAL)
+            assert all(type(v) is Fraction for z in (P, Q) for v in z.entries.values())
+
+
+def test_grsk_vanishing_flag_minor_is_degenerate():
+    with pytest.raises(DegeneratePoint, match="^degenerate-point: vanishing flag minor$"):
+        grsk(VarMatrix.rationals([[1, 0], [0, 1]]))
 
 
 def test_grsk_intertwines_operators():

@@ -23,6 +23,7 @@ from loopsym.linalg import (
 from loopsym.crystal import whirl
 from loopsym.points import VarMatrix
 from loopsym.semifield import (
+    INTEGER,
     POLYNOMIAL,
     RATIONAL,
     TROPICAL,
@@ -64,6 +65,22 @@ def test_det_matches_cofactor_oracle_up_to_5():
         for _ in range(8):
             rows = rand_matrix(k, rng)
             assert Matrix(rows, RATIONAL).det() == det_cofactor(rows)
+
+
+def test_integer_minors_expand_by_laplace_at_every_size(monkeypatch):
+    """Bareiss divides, and ``/`` makes a float of two ints, so an integer
+    minor above size four must stay in the Laplace expansion."""
+    from loopsym import linalg
+
+    def refuse(rows, ring):
+        raise AssertionError(f"Bareiss elimination on a {len(rows)} x {len(rows)} {ring.name} matrix")
+
+    monkeypatch.setattr(linalg, "_det_bareiss", refuse)
+    rng = trial_rng(1, 2)
+    for k in range(5, 8):
+        rows = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+        d = Matrix(rows, INTEGER).det()
+        assert type(d) is int and d == det_cofactor([[Fraction(v) for v in r] for r in rows])
 
 
 def test_minor_identity_and_bounds():

@@ -20,7 +20,7 @@ from loopsym.schur import (
     loop_e,
     unfolded_matrix,
 )
-from loopsym.semifield import RATIONAL, random_rational, trial_rng
+from loopsym.semifield import RATIONAL, TROP_INF, TROPICAL, TropNumber, random_rational, trial_rng
 
 
 def test_single_path_counts_are_binomial():
@@ -105,6 +105,45 @@ def test_gamma_triangular_and_random():
             I = sorted(rng.sample(range(1, n + 1), k))
             J = sorted(rng.sample(range(1, n + 1), k))
             assert gamma_minor(z, I, J) == minor(Phi, I, J)
+
+
+def trop_fold(fams, keyval):
+    """The min-plus sum over the families of the products of their key
+    values, one TropNumber operation at a time."""
+    total = TROP_INF
+    for fam in fams:
+        term = TropNumber(0)
+        for key in fam:
+            term = term * keyval(*key)
+        total = total + term
+    return total
+
+
+def test_min_plus_highway_and_gamma_minors_fold_their_families():
+    rng = trial_rng(5, 9)
+    for m, n in [(3, 2), (2, 3), (4, 4), (3, 5)]:
+        x = VarMatrix.tropical([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+        for _ in range(25):
+            k = rng.randint(1, 3)
+            I = tuple(sorted(rng.sample(range(1, 3 * n + 1), k)))
+            J = tuple(sorted(rng.sample(range(1, 3 * n + 1), k)))
+            want = trop_fold(families(m, I, J), lambda t, s: x.entry(t + 1, (s - 1) % n + 1))
+            assert highway_minor(x, I, J) == want
+        assert highway_minor(x, [1], [m + 2]) == TROP_INF  # no path runs down
+        z = GTPattern(m, n, {k: TropNumber(rng.randint(-9, 9)) for k in GTPattern.domain(m, n)}, TROPICAL)
+        depth = z.width
+        floor = tuple(depth - t for t in range(depth))
+
+        def keyval(t, s):
+            i = depth - t
+            return z.z(i, i) if s == i else z.z(i, s) / z.z(i, s - 1)
+
+        for _ in range(25):
+            k = rng.randint(1, n)
+            I = tuple(sorted(rng.sample(range(1, n + 1), k)))
+            J = tuple(sorted(rng.sample(range(1, n + 1), k)))
+            assert gamma_minor(z, I, J) == trop_fold(families(depth, I, J, floor), keyval)
+        assert gamma_minor(z, [1], [n]) == TROP_INF  # the matrix is lower triangular
 
 
 def test_complement_of_empty_family_covers_window():
