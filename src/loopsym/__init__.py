@@ -16,7 +16,6 @@ from loopsym.semifield import (
     SemifieldError,
     SparseLoopPoly,
     TropNumber,
-    VerificationFailure,
 )
 from loopsym.points import VarMatrix
 
@@ -29,7 +28,6 @@ __all__ = [
     "SparseLoopPoly",
     "TropNumber",
     "VarMatrix",
-    "VerificationFailure",
 ]
 
 __version__ = "0.1.0"

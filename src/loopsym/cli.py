@@ -91,7 +91,10 @@ def _value(v, mode: str, what: str):
     """A min-plus integer of either sign, or a positive rational."""
     if mode == "tropical":
         return TropNumber(_int(v, what))
-    q = parse_rational(str(v))
+    try:
+        q = parse_rational(str(v))
+    except ValueError as exc:
+        raise ValueError(f"{what} must be a positive rational, got {v!r} ({exc})") from None
     if q <= 0:
         raise ValueError(f"{what} must be a positive rational, got {v!r}")
     return q
@@ -248,7 +251,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"cannot write report {args.report}: {exc.strerror}") from None
     for r in reports:
         status = "pass" if r.passed else f"FAIL ({len(r.failures)})"
-        print(f"{r.suite:<16} {status:>10}  {r.elapsed_ms} ms")
+        print(f"{r.suite:<16} {status:>10}  {sum(r.checks.values()):>6} checks  {r.elapsed_ms} ms")
     return 0 if payload["passed"] else 1
 
 

@@ -17,8 +17,11 @@ column to the first), evaluated per ring by
 :func:`loopsym.partitions.evaluate_weights`.  The folded identities compare
 the signed t-coefficients of a folded minor with the strip ladder
 ``[shape, R(shape), ...]`` of :func:`strip_ladder`, in one loop.
-The work of :func:`cyl_jt_check` that depends only on the point (the folded
-matrix, its minors and the ladder outcomes) lives in the point's memo.
+Each ``*_check`` returns True when its identity holds and otherwise its
+first disagreement, as a dict with the message under ``error`` (the form
+that ``verify.Check.expect`` records).  The work of :func:`cyl_jt_check`
+that depends only on the point (the folded matrix, its minors and the
+ladder outcomes) lives in the point's memo.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from loopsym.partitions import (
 from loopsym.paths import underway_minor
 from loopsym.points import VarMatrix
 from loopsym.schur import folded_matrix, maya_sets, reduced_folded_matrix
-from loopsym.semifield import VerificationFailure
 
 
 def is_k_cylindric(lam, k: int, n: int) -> bool:
@@ -245,7 +247,7 @@ def _signed_coeff(poly, k: int, d: int, ring):
     return coeff if ((k - 1) * d) % 2 == 0 else ring.zero - coeff
 
 
-def cyl_jt_check(shape: CylShape, x: VarMatrix) -> None:
+def cyl_jt_check(shape: CylShape, x: VarMatrix):
     """Both directions of the folded determinant identity for the shape.
 
     Part 1: the tableau sum equals the signed t-coefficient of the reduced
@@ -254,8 +256,8 @@ def cyl_jt_check(shape: CylShape, x: VarMatrix) -> None:
     Part 1 runs for every shape.  The folded matrix, the minor per reduced
     index pair (I, J) and the outcome of part 2 per (I, J, k) depend only on
     the point and that key, so they are kept in the point's memo; many
-    shapes share their reduced index data, and a failed part 2 is raised
-    again, with a fresh traceback, for each shape that shares its key.
+    shapes share their reduced index data, and each of them returns the
+    one outcome of part 2 for its key.
     """
     k = shape.k
     Ihat, Jhat, dstar = cyl_maya(shape.lam, shape.mu, shape.r, k, x.m, shape.n)
@@ -268,40 +270,36 @@ def cyl_jt_check(shape: CylShape, x: VarMatrix) -> None:
     want = _signed_coeff(poly, k, dstar, x.ring)
     direct = cyl_schur(shape, x)
     if direct != want:
-        raise VerificationFailure(
-            "cylindric tableau sum disagrees with folded minor coefficient",
-            {"shape": shape, "tableaux": direct, "coeff": want, "d": dstar},
-        )
+        return {
+            "error": "cylindric tableau sum disagrees with folded minor coefficient",
+            "tableaux": direct, "coeff": want, "d": dstar,
+        }
     key = (Ihat, Jhat, k)
     if key not in memo:
-        try:
-            _expansion_check(Ihat, Jhat, k, x, poly)
-        except Exception as exc:
-            memo[key] = exc
-        else:
-            memo[key] = None
-    if memo[key] is not None:
-        raise memo[key].with_traceback(None)
+        memo[key] = _expansion_check(Ihat, Jhat, k, x, poly)
+    return memo[key]
 
 
-def _expansion_check(I, J, k: int, x: VarMatrix, poly) -> None:
+def _expansion_check(I, J, k: int, x: VarMatrix, poly):
     lam = partition_from_sinks(J, k, x.m, x.n)
     mu = partition_from_sources(I, k, x.n)
     rungs = strip_ladder(CylShape(k, lam, mu, k, x.n)) if contains(lam, mu) else []
-    _ladder_check(poly, k, rungs, x, "folded minor expansion disagrees with strip ladder", I=I, J=J)
+    return _ladder_check(poly, k, rungs, x, "folded minor expansion disagrees with strip ladder", I=I, J=J)
 
 
-def _ladder_check(poly, k: int, rungs, x: VarMatrix, message: str, **witness) -> None:
-    """The signed t^d coefficient of poly (see :func:`_signed_coeff`) is the
-    cylindric sum of rung d for every d, and zero past the last rung."""
+def _ladder_check(poly, k: int, rungs, x: VarMatrix, message: str, **witness):
+    """True when the signed t^d coefficient of poly (see :func:`_signed_coeff`)
+    is the cylindric sum of rung d for every d, and zero past the last rung;
+    otherwise the first disagreement."""
     for d in range(max(len(rungs) - 1, poly.degree) + 1):
         term = cyl_schur(rungs[d], x) if d < len(rungs) else x.ring.zero
         got = _signed_coeff(poly, k, d, x.ring)
         if got != term:
-            raise VerificationFailure(message, {**witness, "d": d, "coeff": got, "tableaux": term})
+            return {"error": message, **witness, "d": d, "coeff": got, "tableaux": term}
+    return True
 
 
-def bottom_left_ladder_check(x: VarMatrix, i: int, reduced: bool = False) -> None:
+def bottom_left_ladder_check(x: VarMatrix, i: int, reduced: bool = False):
     """The bottom-left folded minor lists the rectangle strip ladder up to
     rung max(0, m - 2i + 2); with ``reduced`` the reduced folded matrix
     replaces the plain one."""
@@ -312,15 +310,13 @@ def bottom_left_ladder_check(x: VarMatrix, i: int, reduced: bool = False) -> Non
     F = reduced_folded_matrix(x) if reduced else folded_matrix(x)
     poly = tpoly_minor(F, range(i, n + 1), range(1, n - i + 2))
     if k == 0:
-        if poly != F.ring.one:
-            raise VerificationFailure("empty bottom-left minor is not 1", {"i": i})
-        return
+        return poly == F.ring.one or {"error": "empty bottom-left minor is not 1"}
     top = max(0, m - 2 * i + 2)
     rungs = strip_ladder(CylShape(k, (k,) * (m - n + k), (), n, n)) if m - n + k >= 0 else []
-    _ladder_check(poly, k, rungs[: top + 1], x, "bottom-left folded ladder mismatch", i=i, reduced=reduced)
+    return _ladder_check(poly, k, rungs[: top + 1], x, "bottom-left folded ladder mismatch")
 
 
-def folded_minor_sum_check(x: VarMatrix, i: int, a: int, b: int) -> None:
+def folded_minor_sum_check(x: VarMatrix, i: int, a: int, b: int):
     """Each rung of the rectangle ladder equals a sum of barred-window
     minors over sliding index sets (variable rows a..b)."""
     m, n = x.m, x.n
@@ -340,7 +336,5 @@ def folded_minor_sum_check(x: VarMatrix, i: int, a: int, b: int) -> None:
             B = sorted(set(range(a, a + i - 1)) | set(X))
             total = total + underway_minor(x, A, B)
         if lhs != total:
-            raise VerificationFailure(
-                "folded sum of minors mismatch",
-                {"i": i, "a": a, "b": b, "d": d, "lhs": lhs, "rhs": total},
-            )
+            return {"error": "folded sum of minors mismatch", "d": d, "lhs": lhs, "rhs": total}
+    return True

@@ -8,7 +8,6 @@ A pattern of width m and height n stores entries ``z[i, j]`` for
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import truediv
 
@@ -130,9 +129,8 @@ def _prefix_flag_minors(x: VarMatrix) -> tuple:
     two of them whose sizes differ by one."""
     ring, rows, d, divide = x.ring, x.rows, x.ring.one, truediv
     if ring is RATIONAL:
-        d = math.lcm(*(v.denominator for row in rows for v in row))
-        rows = [[v.numerator * (d // v.denominator) for v in row] for row in rows]
-        ring, divide = INTEGER, Fraction
+        X, d = x.integer_form()
+        ring, rows, divide = INTEGER, X.rows, Fraction
     flags: list = [None]
     M = None
     for k in range(1, x.m + 1):
@@ -160,15 +158,15 @@ def grsk(x: VarMatrix) -> tuple[GTPattern, GTPattern]:
     is the path sum.
 
     Over a ring with subtraction the point is read as X / D.  At a rational
-    point D is the least common denominator of the entries, so D W_k, with
-    the integers X_k on the diagonal and D below it, is an integer matrix,
-    and so is the product N_k of the first k of them: its minors are
-    :data:`~loopsym.semifield.INTEGER` determinants, and a size-s flag minor
-    of the whirl product M_k is that of N_k over D^(ks).  A pattern entry,
-    the ratio of flag minors of M_k of sizes s and s - 1, is then one
-    ``Fraction(a, b * D^k)`` of flag minors a, b of N_k.  Any other ring
-    with subtraction, such as the polynomials, reads the point as its own
-    entries over D = 1.
+    point that is its ``integer_form()``: D is the least common denominator
+    of the entries, so D W_k, with the integers X_k on the diagonal and D
+    below it, is an integer matrix, and so is the product N_k of the first
+    k of them: its minors are :data:`~loopsym.semifield.INTEGER`
+    determinants, and a size-s flag minor of the whirl product M_k is that
+    of N_k over D^(ks).  A pattern entry, the ratio of flag minors of M_k of
+    sizes s and s - 1, is then one ``Fraction(a, b * D^k)`` of flag minors
+    a, b of N_k.  Any other ring with subtraction, such as the polynomials,
+    reads the point as its own entries over D = 1.
     """
     m, n = x.m, x.n
     flags, quotient = _prefix_flag_minors(x)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, combinations
-from math import lcm
 from operator import add, ge
 
 from loopsym.semifield import PolyFraction, SparseLoopPoly, TropNumber
@@ -321,16 +320,17 @@ def evaluate_weights(table, x, r: int) -> object:
 def _weight_entries(x, r: int):
     """The entries of x at anchor r, keyed by (row, anchor-1 color), as the
     ring's route of :func:`evaluate_weights` reads them: ``(integer
-    numerators, D)``, min-plus integers, ``(packed keys, largest degree)``,
-    or None for ring products.  Made once per (point, r), None included."""
+    numerators, D)`` of the point's ``integer_form()``, min-plus integers,
+    ``(packed keys, largest degree)``, or None for ring products.  Made once
+    per (point, r), None included."""
     memo = x.memo("weight_entries")
     if r in memo:
         return memo[r]
-    values = {(i, c): x.xc(i, c + r - 1) for i in range(1, x.m + 1) for c in range(1, x.n + 1)}
     ring = x.ring.name
+    X, D = x.integer_form() if ring == "rational" else (x, None)
+    values = {(i, c): X.xc(i, c + r - 1) for i in range(1, x.m + 1) for c in range(1, x.n + 1)}
     if ring == "rational":
-        D = lcm(*(a.denominator for a in values.values()))
-        entries = ({v: a.numerator * (D // a.denominator) for v, a in values.items()}, D)
+        entries = (values, D)
     elif ring == "tropical":
         entries = {v: a.value for v, a in values.items()}
     elif ring == "polynomial" and all(

@@ -12,17 +12,21 @@ the row variable of color ``r`` (mod n), the entry ``x_i^j`` with
 A point also carries the memos of work that depends only on it, such as
 the periodic generator matrix of :func:`loopsym.schur.unfolded_matrix`,
 whose minors are the Jacobi-Trudi determinants: ``x.memo(owner)`` is a
-dict made on first use and freed with the point.  A point's rows are
-tuples of immutable values, so the same object always holds the same
-entries; two equal but distinct points keep separate memos.
+dict made on first use and freed with the point.  One of them holds the
+integer form of a rational point, ``integer_form()``, which gRSK and the
+tableau sums read.  A point's rows are tuples of immutable values, so the
+same object always holds the same entries; two equal but distinct points
+keep separate memos.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 from loopsym.linalg import Matrix
 from loopsym.semifield import (
+    INTEGER,
     POLYNOMIAL,
     RATIONAL,
     TROPICAL,
@@ -79,6 +83,18 @@ class VarMatrix(Matrix):
         except AttributeError:
             memos = self._memos = {}
         return memos.setdefault(owner, {})
+
+    def integer_form(self) -> tuple:
+        """``(X, D)``: this rational point as X / D, where D is the least
+        common denominator of its entries and X the point of the integer
+        numerators over it, in :data:`~loopsym.semifield.INTEGER`.  Made
+        once per point."""
+        memo = self.memo("integer_form")
+        if not memo:
+            D = math.lcm(*(v.denominator for row in self.rows for v in row))
+            X = VarMatrix([[v.numerator * (D // v.denominator) for v in row] for row in self.rows], INTEGER)
+            memo["form"] = (X, D)
+        return memo["form"]
 
     def row(self, i: int) -> tuple:
         return self.rows[i - 1]

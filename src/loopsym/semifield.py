@@ -51,17 +51,6 @@ class DegeneratePoint(SemifieldError):
     """A minor that must be nonzero vanished at the sample point."""
 
 
-class VerificationFailure(AssertionError):
-    """An identity asserted by a checked operation failed.
-
-    ``witness`` carries whatever data is needed to replay the failure.
-    """
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 # ---------------------------------------------------------------------------
 # min-plus integers
 

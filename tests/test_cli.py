@@ -256,6 +256,14 @@ Q42 = [["1", "2"], ["3", "1"], ["2", "5"], ["1", "1"]]
         ("ebar", "rational", {"j": 0, "c": "2", "x": POINT}, "column operator index j = 0 out of range"),
         ("ebar", "rational", {"j": 2, "c": "2", "x": POINT}, "column operator index j = 2 out of range"),
         ("ebar", "rational", {"j": 3, "c": "2", "x": {"entries": Q42}}, "column operator index j = 3"),
+        ("e", "rational", {"i": 1, "c": "abc", "x": POINT}, "c must be a positive rational, got 'abc'"),
+        ("ebar", "rational", {"j": 1, "c": "1/0", "x": POINT}, "c must be a positive rational, got '1/0'"),
+        (
+            "energy",
+            "rational",
+            {"entries": [["Infinity", "1"], ["1", "1"]]},
+            "entry must be a positive rational, got 'Infinity'",
+        ),
     ],
 )
 def test_eval_bad_input_is_usage_error(target, mode, data, message, capsys, monkeypatch):

@@ -5,9 +5,9 @@ import graph is the one that the module headers show.  No module reaches
 into another for an underscore name, so each module's private names can
 change without looking beyond it.  Only ``linalg.Matrix`` sets a matrix's
 ``rows``, so every matrix, a point included, is built by its one
-constructor.  No function of ``energy``, ``schur``, ``comb``, ``gt`` or
-``crystal`` raises ``VerificationFailure``: each computes one route, and the
-verify suites compare routes."""
+constructor.  No module asserts or names ``AssertionError``: the library
+computes, and every comparison is a ``verify.Check.expect`` that records
+its outcome, which ``python -O`` cannot strip as it strips an ``assert``."""
 
 import ast
 from pathlib import Path
@@ -163,43 +163,36 @@ def test_only_the_matrix_class_sets_rows():
     assert found == ["linalg.Matrix"]
 
 
-NO_CHECKS = ("energy", "schur", "comb", "gt", "crystal")
-
-
-def verification_raises(source: str) -> list:
-    """``line:function`` for each ``raise`` of a ``VerificationFailure``
-    (called, bare or as a module attribute) inside a function."""
-    found = []
-    for func in ast.walk(ast.parse(source)):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for node in ast.walk(func):
-            exc = node.exc if isinstance(node, ast.Raise) else None
-            if isinstance(exc, ast.Call):
-                exc = exc.func
-            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
-            if name == "VerificationFailure":
-                found.append(f"{node.lineno}:{func.name}")
-    return sorted(set(found))
-
-
-def test_verification_raises_are_found():
-    source = (
-        "from loopsym import semifield\n"
-        "from loopsym.semifield import VerificationFailure\n"
-        "def value(x):\n"
-        "    if x:\n"
-        "        raise VerificationFailure('routes disagree', {'x': x})\n"
-        "    return x\n"
-        "class Box:\n"
-        "    def check(self):\n"
-        "        raise semifield.VerificationFailure\n"
-        "def other(x):\n"
-        "    raise ValueError('not a check')\n"
+def assertions(source: str) -> list:
+    """``line`` for each ``assert`` statement and each use of the name
+    ``AssertionError`` (bare or as an attribute)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Name) and node.id == "AssertionError")
+        or (isinstance(node, ast.Attribute) and node.attr == "AssertionError")
     )
-    assert verification_raises(source) == ["5:value", "9:check"]
 
 
-def test_library_routes_raise_no_verification_failure():
-    found = {m: verification_raises((SRC / f"{m}.py").read_text()) for m in NO_CHECKS}
+def test_assertions_are_found():
+    source = (
+        "import builtins\n"
+        "def value(x):\n"
+        "    assert x > 0, 'positive'\n"
+        "    return x\n"
+        "class Failed(AssertionError):\n"
+        "    pass\n"
+        "def check(f):\n"
+        "    try:\n"
+        "        f()\n"
+        "    except builtins.AssertionError:\n"
+        "        return False\n"
+        "    raise ValueError('asserted nothing')\n"
+    )
+    assert assertions(source) == [3, 5, 10]
+
+
+def test_no_module_asserts():
+    found = {p.stem: assertions(p.read_text()) for p in SRC.glob("*.py")}
     assert {module: lines for module, lines in found.items() if lines} == {}

@@ -1,11 +1,13 @@
-"""The verify harness: how every suite draws its sample points, and what an
-exception inside a suite becomes."""
+"""The verify harness: how every suite draws its sample points, what an
+exception inside a suite becomes, and what each check counts."""
+
+from itertools import product
 
 import pytest
 
 from loopsym import comb, crystal, cylindric, energy, examples, gt, schur, verify
 from loopsym.partitions import partitions_in_box
-from loopsym.semifield import TropNumber, VerificationFailure, trial_rng
+from loopsym.semifield import TropNumber, trial_rng
 from loopsym.verify import SUITES, run_suite
 
 SEED = 7
@@ -49,23 +51,24 @@ def test_sampling_scheme_is_pinned(suite, monkeypatch):
     assert seen == PINNED[suite]
 
 
-# one function each suite calls, made to raise once; only folded calls its function inside Check.run
+# one function each suite calls, made to raise once, and where that is recorded: under the
+# innermost check that encloses the call, or as ``exception`` when that is the point or the suite
 FAULTS = {
-    "crystal-axioms": (crystal, "product_readout"),
-    "r-matrix": (crystal, "weyl_reflection"),
-    "grsk": (gt, "grsk_transposed"),
-    "jacobi-trudi": (schur, "jacobi_trudi"),
-    "pseudo-energy": (schur, "reduced_q_invariant"),
-    "det-formula": (schur, "anti_diagonalizing_pair"),
-    "sum-of-minors": (schur, "barred_matrix"),
-    "cylindric": (crystal, "apply_e_bar"),
-    "folded": (cylindric, "folded_minor_sum_check"),
-    "decoration": (gt, "decoration_mat"),
-    "central-charge": (energy, "central_charge_qinv"),
-    "energy": (energy, "energy_sigma_product"),
-    "cocharge": (energy, "kb_sigma"),
-    "tropical": (comb, "trop_grsk"),
-    "paper-examples": (gt, "phi_matrix"),
+    "crystal-axioms": (crystal, "product_readout", "exception"),
+    "r-matrix": (crystal, "weyl_reflection", "reflection-equals-r"),
+    "grsk": (gt, "grsk_transposed", "row-column-routes"),
+    "jacobi-trudi": (schur, "jacobi_trudi", "jt-symbolic"),
+    "pseudo-energy": (schur, "reduced_q_invariant", "exception"),
+    "det-formula": (schur, "anti_diagonalizing_pair", "exception"),
+    "sum-of-minors": (schur, "barred_matrix", "exception"),
+    "cylindric": (crystal, "apply_e_bar", "cylindric-invariance"),
+    "folded": (cylindric, "folded_minor_sum_check", "folded-sum"),
+    "decoration": (gt, "decoration_mat", "decoration-splits"),
+    "central-charge": (energy, "central_charge_qinv", "two-routes"),
+    "energy": (energy, "energy_sigma_product", "three-routes"),
+    "cocharge": (energy, "kb_sigma", "pattern-sum-equals-minor-sum"),
+    "tropical": (comb, "trop_grsk", "grsk-tropicalizes-to-rsk"),
+    "paper-examples": (gt, "phi_matrix", "exception"),
 }
 UNSCAFFOLDED = ("cocharge", "tropical", "paper-examples")  # suites that draw no VarMatrix points
 
@@ -76,7 +79,7 @@ def test_every_suite_has_a_fault():
 
 @pytest.mark.parametrize("suite", list(FAULTS))
 def test_an_exception_is_a_recorded_failure_and_the_run_goes_on(suite, monkeypatch):
-    module, name = FAULTS[suite]
+    module, name, label = FAULTS[suite]
     original = getattr(module, name)
     drawn = []  # trial_rng calls so far: one per sample point
     calls = []  # len(drawn) at each call of the faulty function
@@ -94,10 +97,11 @@ def test_an_exception_is_a_recorded_failure_and_the_run_goes_on(suite, monkeypat
     monkeypatch.setattr(verify, "trial_rng", counting_rng)
     monkeypatch.setattr(module, name, raises_once)
     report = run_suite(suite, 2, 3, 1, 0)
-    assert [f["error"] for f in report.failures] == ["ZeroDivisionError: injected"]
+    assert [(f["check"], f["error"]) for f in report.failures] == [(label, "ZeroDivisionError: injected")]
     failure = report.failures[0]
     if suite in UNSCAFFOLDED:
-        assert failure["check"] == "exception"
+        # after a check that raised the suite goes on; an exception outside every check ends it
+        assert (len(calls) > 1) == (label != "exception")
         return
     # raised at the first point, with its witness; a later point was checked
     assert (failure["m"], failure["n"], failure.get("trial", "0")) == ("2", "2", "0")
@@ -105,7 +109,7 @@ def test_an_exception_is_a_recorded_failure_and_the_run_goes_on(suite, monkeypat
 
 
 def test_worked_determinant_failure_keeps_its_label_and_witness(monkeypatch):
-    """det-formula checks its worked 5 x 3 case inside Check.run: a wrong
+    """det-formula checks its worked 5 x 3 case in a labelled check: a wrong
     tableau sum there is a labelled failure with the identity's witness."""
     original = schur.ssyt_sum
     monkeypatch.setattr(schur, "ssyt_sum", lambda shape, x: original(shape, x) + 1)
@@ -141,35 +145,108 @@ def test_jump_vectors_that_drop_a_pattern_fail_the_cocharge_suite(monkeypatch):
 
 
 def test_paper_examples_record_each_checked_identity_under_its_label(monkeypatch):
-    """paper-examples runs the checked determinant identities inside
-    Check.run: a failure in one is recorded under its label with the shape,
+    """paper-examples runs each determinant identity inside its labelled
+    check: an exception in one is recorded under its label with the shape,
     and every later example still runs."""
-    original = verify.Check.expect
-
-    def run_paper_examples():
-        labels = []
-
-        def spy(self, ok, label, **witness):
-            labels.append(label)
-            original(self, ok, label, **witness)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(verify.Check, "expect", spy)
-            return run_suite("paper-examples", 2, 2, 1, 0), labels
-
-    clean, every_label = run_paper_examples()
+    clean = run_suite("paper-examples", 2, 2, 1, 0)
     assert clean.passed
 
     def fails(shape, x):
-        raise VerificationFailure("injected", {"shape": shape})
+        raise ValueError("injected")
 
     monkeypatch.setattr(schur, "theorem_det_formula", fails)
     monkeypatch.setattr(cylindric, "cyl_jt_check", fails)
-    report, labels = run_paper_examples()
+    report = run_suite("paper-examples", 2, 2, 1, 0)
     wrapped = ["worked-reduced-determinant", "cylinder-folded-determinant", "staircase-reduced-determinant"]
-    assert [(f["check"], f["error"]) for f in report.failures] == [(w, "injected") for w in wrapped]
+    assert [(f["check"], f["error"]) for f in report.failures] == [(w, "ValueError: injected") for w in wrapped]
     assert all("shape" in f for f in report.failures)
-    assert labels == [label for label in every_label if label not in wrapped]
+    # a worked reduced determinant is compared with its closed form only once it equals the tableau sum
+    skipped = {"worked-reduced-determinant": 1, "staircase-reduced-determinant": 1}
+    assert list(report.checks) == list(clean.checks)
+    assert report.checks == {label: count - skipped.get(label, 0) for label, count in clean.checks.items()}
+
+
+def test_an_exception_in_one_check_is_recorded_under_its_label_and_the_point_goes_on(monkeypatch):
+    """An exception planted in the test of one label at one sample point is
+    that label's failure, with the point's and the check's witness; every
+    label, that one included, keeps the count of a clean run."""
+    clean = run_suite("r-matrix", 3, 3, 2, SEED)
+    assert clean.passed
+    original = crystal.weyl_reflection
+    planted = []
+
+    def raises_at_one_point(x, i):
+        if (x.m, x.n, i) == (3, 3, 2) and not planted:
+            planted.append(x)
+            raise ZeroDivisionError("planted")
+        return original(x, i)
+
+    monkeypatch.setattr(crystal, "weyl_reflection", raises_at_one_point)
+    report = run_suite("r-matrix", 3, 3, 2, SEED)
+    (failure,) = report.failures
+    assert failure == {
+        "check": "reflection-equals-r", "error": "ZeroDivisionError: planted", "m": "3", "n": "3", "trial": "0", "i": "2",
+    }
+    assert report.checks == clean.checks and sum(clean.checks.values()) > 0
+
+
+def test_check_records_a_false_test_and_an_identity_witness():
+    """``False`` is a failure with the check's witness; a dict is the failed
+    identity's witness, which fills only the keys the record lacks."""
+    ck = verify.Check()
+    ck.where = {"m": 2}
+    assert ck.expect("same", lambda: True, i=1)
+    assert not ck.expect("false", lambda: False, i=1)
+    assert not ck.expect("witness", lambda: {"error": "disagree", "lhs": 3, "i": 9, "m": 9}, i=1)
+    assert not ck.expect("none", lambda: None)
+    assert ck.failures == [
+        {"check": "false", "m": "2", "i": "1"},
+        {"check": "witness", "m": "2", "i": "1", "error": "disagree", "lhs": "3"},
+        {"check": "none", "m": "2"},
+    ]
+    assert ck.checks == {"same": 1, "false": 1, "witness": 1, "none": 1}
+
+
+def _consistent(m, n, avec, bvec):
+    """The test by which the band decomposition used to skip a tuple after
+    counting it as a check: a copy kept as the oracle of minor_sum_tuples."""
+    d = len(avec) - 1
+    for k in range(1, d + 1):
+        if sum(avec[k:]) < sum(bvec[k:]):
+            return False
+        if avec[k] + bvec[k - 1] < 2 * n - m:
+            return False
+    for k in range(1, d + 1):
+        lo_k = n - avec[k] + 1
+        hi_k = m - (n - bvec[k - 1])
+        size = m - 2 * n + sum(avec[: k + 1]) - sum(bvec[: k - 1])
+        if size < 0 or size > max(0, hi_k - lo_k + 1):
+            return False
+    return True
+
+
+def test_sum_of_minors_checks_exactly_the_consistent_tuples(monkeypatch):
+    """At every size up to 4 x 4 the suite checks each consistent (a, b)
+    once, and nothing else."""
+    seen = []
+    original = verify._check_minor_sum
+
+    def spy(x, Mt, Mb, avec, bvec, crossings):
+        seen.append((x.m, x.n, avec, bvec))
+        return original(x, Mt, Mb, avec, bvec, crossings)
+
+    monkeypatch.setattr(verify, "_check_minor_sum", spy)
+    report = run_suite("sum-of-minors", 4, 4, 1, 0)
+    assert report.passed
+    want = []
+    for m, n in product(range(2, 5), repeat=2):
+        entries = range(max(0, n - m), n + 1)
+        for d in range(3):
+            for avec, bvec in product(product(entries, repeat=d + 1), repeat=2):
+                if sum(avec) == sum(bvec) and _consistent(m, n, avec, bvec):
+                    want.append((m, n, avec, bvec))
+    assert seen == want
+    assert report.checks["unfolded-sum"] == len(want) == 1089
 
 
 @pytest.mark.parametrize(
