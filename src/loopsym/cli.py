@@ -145,7 +145,7 @@ def _matrix_to_json(M) -> list:
 
 
 def _value_to_json(v):
-    """A ``Fraction`` as its text; a ``TropNumber`` as its int, or ``null``
+    """A ``Rational`` as its text; a ``TropNumber`` as its int, or ``null``
     for the tropical zero."""
     if isinstance(v, TropNumber):
         return v.value if v else None

@@ -85,11 +85,32 @@ def basic_e(vec, i: int, c) -> tuple:
 # product crystal on matrices (rows acted on by e_i, columns by e-bar_j)
 
 
+def _corner(x: VarMatrix, i: int, k: int) -> list:
+    """``(D, S)`` of the whirl product W of the first 1, ..., k columns of x:
+    D = W[i+1, i+1] and S = W[i+1, i].  A whirl is lower bidiagonal, so
+    they follow the running recurrence D_k = D_{k-1} x_{i+1}^k and
+    S_k = S_{k-1} x_i^k + D_{k-1}, with D_1 = x_{i+1}^1 and S_1 = 1, and no
+    matrix product is formed."""
+    row, below = x.rows[i - 1], x.rows[i]
+    D, S = below[0], x.ring.one
+    out = [(D, S)]
+    for j in range(1, k):
+        D, S = D * below[j], S * row[j] + D
+        out.append((D, S))
+    return out
+
+
 def product_readout(x: VarMatrix, i: int) -> CrystalReadout:
-    """Readout of the row structure: from the m x m column-whirl product."""
+    """Readout of the row structure: :func:`readout` of the m x m
+    column-whirl product, whose diagonal is the row products pi_k and whose
+    entries (i+1, i+1) and (i+1, i) end the recurrence of :func:`_corner`."""
     if not 1 <= i <= x.m - 1:
         raise ValueError(f"row operator index i = {i} out of range")
-    return readout(col_whirl_matrix(x), i)
+    S = _corner(x, i, x.n)[-1][1]
+    if S == x.ring.zero:
+        raise DegeneratePoint("degenerate-point: vanishing subdiagonal entry")
+    gamma = tuple(x.pi(k) for k in range(1, x.m + 1))
+    return CrystalReadout(gamma, gamma[i] / S, gamma[i - 1] / S)
 
 
 def bar_readout(x: VarMatrix, j: int) -> CrystalReadout:
@@ -106,19 +127,12 @@ def apply_e(x: VarMatrix, i: int, c) -> VarMatrix:
     absorbs c/c+ and the columns before it are acted on by
     c+ = (c*phi + eps) / (phi + eps), where phi = x_i^k is phi of the last
     column k and eps is epsilon of the whirl product W_{k-1} of the first
-    k-1 columns, eps = W[i+1, i+1] / W[i+1, i].  A whirl is lower
-    bidiagonal, so those two entries follow the running recurrence
-    D_k = D_{k-1} x_{i+1}^k and S_k = S_{k-1} x_i^k + D_{k-1}, with
-    D_1 = x_{i+1}^1 and S_1 = 1, and no matrix product is formed.
+    k-1 columns, eps = W[i+1, i+1] / W[i+1, i], read from :func:`_corner`.
     """
     if not 1 <= i <= x.m - 1:
         raise ValueError(f"row operator index i = {i} out of range")
     cols = [x.col(j) for j in range(1, x.n + 1)]
-    D, S = cols[0][i], x.ring.one
-    eps = [D / S]  # eps[k - 1] is epsilon of the first k columns
-    for col in cols[1:-1]:
-        D, S = D * col[i], S * col[i - 1] + D
-        eps.append(D / S)
+    eps = [D / S for D, S in _corner(x, i, x.n - 1)]  # eps[k - 1] is epsilon of the first k columns
     new_cols = list(cols)
     for k in range(len(cols) - 1, 0, -1):
         phi = cols[k][i - 1]

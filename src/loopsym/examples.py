@@ -11,7 +11,6 @@ suite uses it too.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING
 
@@ -23,6 +22,7 @@ from loopsym.semifield import (
     RATIONAL,
     TROPICAL,
     PolyFraction,
+    Rational,
     SparseLoopPoly,
     TropNumber,
     random_rational,
@@ -63,7 +63,7 @@ def run_paper_examples(ck: Check, seed: int) -> None:
     )
     Phi = gt.phi_matrix(z)
     zz = z.z
-    one, zero = Fraction(1), Fraction(0)
+    one, zero = RATIONAL.one, RATIONAL.zero
     expected = [
         [zz(1, 1), zero, zero, zero],
         [zz(2, 2), zz(1, 2) * zz(2, 2) / zz(1, 1), zero, zero],
@@ -94,7 +94,7 @@ def run_paper_examples(ck: Check, seed: int) -> None:
     ck.expect(
         "all-ones-insertion",
         lambda: [[Go.entry(i, j) for j in (1, 2)] for i in (1, 2, 3)]
-        == [[Fraction(2), Fraction(1)], [Fraction(3), Fraction(1, 2)], [Fraction(1), Fraction(1, 3)]],
+        == [[Rational(2), Rational(1)], [Rational(3), Rational(1, 2)], [Rational(1), Rational(1, 3)]],
     )
 
     # -- the (4,2) Schur sum with two variables and four colors ---------------
@@ -355,7 +355,7 @@ def run_paper_examples(ck: Check, seed: int) -> None:
     weights = sorted((energy.kb_weight(z4, p) for p in energy.kb_patterns(4)), key=str)
     table = sorted(
         [
-            Fraction(1),
+            RATIONAL.one,
             zf(1, 3) * zf(3, 3) / (zf(1, 4) * zf(4, 4)),
             zf(1, 3) ** 2 * zf(2, 3) * zf(3, 3) / (zf(1, 2) * zf(1, 4) * zf(2, 4) * zf(4, 4)),
             zf(1, 3) * zf(2, 2) * zf(2, 3) / (zf(1, 4) * zf(2, 4) * zf(4, 4)),

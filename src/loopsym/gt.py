@@ -8,14 +8,13 @@ A pattern of width m and height n stores entries ``z[i, j]`` for
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import truediv
 
 from loopsym.crystal import readout, whirl
 from loopsym.linalg import Matrix, flag_minor, minor
 from loopsym.paths import highway_minor
 from loopsym.points import VarMatrix
-from loopsym.semifield import INTEGER, RATIONAL, DegeneratePoint, Ring
+from loopsym.semifield import INTEGER, RATIONAL, DegeneratePoint, Rational, Ring
 
 
 class GTPattern:
@@ -130,7 +129,7 @@ def _prefix_flag_minors(x: VarMatrix) -> tuple:
     ring, rows, d, divide = x.ring, x.rows, x.ring.one, truediv
     if ring is RATIONAL:
         X, d = x.integer_form()
-        ring, rows, divide = INTEGER, X.rows, Fraction
+        ring, rows, divide = INTEGER, X.rows, Rational
     flags: list = [None]
     M = None
     for k in range(1, x.m + 1):
@@ -164,7 +163,7 @@ def grsk(x: VarMatrix) -> tuple[GTPattern, GTPattern]:
     k of them: its minors are :data:`~loopsym.semifield.INTEGER`
     determinants, and a size-s flag minor of the whirl product M_k is that
     of N_k over D^(ks).  A pattern entry, the ratio of flag minors of M_k of
-    sizes s and s - 1, is then one ``Fraction(a, b * D^k)`` of flag minors
+    sizes s and s - 1, is then one ``Rational(a, b * D^k)`` of flag minors
     a, b of N_k.  Any other ring with subtraction, such as the polynomials,
     reads the point as its own entries over D = 1.
     """

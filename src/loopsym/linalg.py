@@ -9,7 +9,7 @@ Products skip zeros.  :meth:`Matrix.__mul__` forms each row of the result
 only from the nonzero entries of the left row times the nonzero entries of
 the matching rows of the right factor, and an entry with no such term is
 the ring's zero.  That is exact in every domain, because the zero absorbs
-under multiplication and is neutral under addition: ``Fraction(0)``, the
+under multiplication and is neutral under addition: ``Rational(0)``, the
 min-plus ``TROP_INF``, a ``PolyFraction`` with zero numerator and a
 ``TPoly`` with no coefficients are all falsy, so truthiness is the zero
 test.  Whirls, bidiagonal factors and elementary matrices are ordinary
@@ -21,10 +21,11 @@ labels, skips the entries and sub-determinants that are zero by the same
 truthiness test, and stores every sub-determinant in a cache the caller
 owns, keyed on its labels.  :func:`minor` (and :meth:`Matrix.det` through
 it), :meth:`PeriodicMatrix.minor` and :func:`tpoly_minor` reach it through
-one checked entry, :func:`_minor`, which sorts the labels, rejects
-mismatched sizes, returns the ring's one for an empty minor, refuses the
-min-plus domain with :class:`NeedsSubtraction` and passes the matrix's own
-cache (``_minors``, made on first use).  So every flag minor, Q-invariant
+one checked entry, :func:`_minor`, which sorts the labels, returns a
+minor already in the matrix's own cache (``_minors``, made on first use),
+rejects mismatched sizes, returns the ring's one for an empty minor,
+refuses the min-plus domain with :class:`NeedsSubtraction` and passes the
+cache on.  So every flag minor, Q-invariant
 minor and barred minor of one matrix shares its sub-minors and repeats
 with the others, and so do the minors of one periodic or folded matrix;
 the Jacobi-Trudi determinants in :mod:`loopsym.schur` are minors of the
@@ -164,7 +165,10 @@ def _det_laplace(R: tuple, ring: Ring, C: tuple, entry, cache: dict):
         cache[key] = acc
         return acc
 
-    return rec(0, C)
+    try:
+        return rec(0, C)
+    finally:
+        del rec  # rec refers to itself; unbound, it leaves no cycle for the collector
 
 
 def _det_bareiss(rows, ring: Ring):
@@ -198,12 +202,22 @@ def _minor(M, I, J, bareiss: bool = False):
     rows I and columns J, in any order: the one checked entry into
     :func:`_det_laplace`, run on the cache kept with M.
 
-    Raises :class:`MinorShapeError` when the sizes differ, then
-    ``IndexError`` for labels outside a :class:`Matrix`, then
-    :class:`NeedsSubtraction` in the min-plus domain.  With ``bareiss``,
-    a minor above size four runs :func:`_det_bareiss` instead.
+    A minor already in the cache is returned at once: its labels were
+    checked when it was stored.  Otherwise it raises
+    :class:`MinorShapeError` when the sizes differ, then ``IndexError`` for
+    labels outside a :class:`Matrix`, then :class:`NeedsSubtraction` in the
+    min-plus domain.  With ``bareiss``, a minor above size four runs
+    :func:`_det_bareiss` instead.
     """
     I, J = tuple(sorted(I)), tuple(sorted(J))
+    try:
+        cache = M._minors
+    except AttributeError:
+        cache = None
+    else:
+        value = cache.get((I, J))
+        if value is not None:
+            return value
     if len(I) != len(J):
         raise MinorShapeError()
     if not I:
@@ -213,9 +227,7 @@ def _minor(M, I, J, bareiss: bool = False):
     M.ring.require_subtraction()
     if bareiss and len(I) > _LAPLACE_MAX:
         return _det_bareiss(M.submatrix(I, J).rows, M.ring)
-    try:
-        cache = M._minors
-    except AttributeError:
+    if cache is None:
         cache = M._minors = {}
     return _det_laplace(I, M.ring, J, M.entry, cache)
 

@@ -13,12 +13,11 @@ time; :func:`ssyt_columns` lists the tableaux themselves, as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, combinations
 from operator import add, ge
 
-from loopsym.semifield import PolyFraction, SparseLoopPoly, TropNumber
+from loopsym.semifield import PolyFraction, Rational, SparseLoopPoly, TropNumber
 
 
 def partition(parts) -> tuple[int, ...]:
@@ -313,7 +312,7 @@ def evaluate_weights(table, x, r: int) -> object:
     cells = sum(len(column[0][0]) for column in table)
     if x.ring.name == "rational":
         ints, D = entries
-        return Fraction(_transfer_products(table, ints.__getitem__, 1), D ** cells)
+        return Rational(_transfer_products(table, ints.__getitem__, 1), D ** cells)
     return _transfer_monomials(table, *entries, cells)
 
 

@@ -31,6 +31,7 @@ from loopsym.semifield import (
     RATIONAL,
     TROPICAL,
     PolyFraction,
+    Rational,
     TropNumber,
     random_rational,
 )
@@ -46,7 +47,7 @@ class VarMatrix(Matrix):
 
     @classmethod
     def rationals(cls, rows) -> "VarMatrix":
-        return cls(rows, RATIONAL)
+        return cls([[Rational(v) for v in r] for r in rows], RATIONAL)
 
     @classmethod
     def tropical(cls, rows) -> "VarMatrix":

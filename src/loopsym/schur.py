@@ -278,8 +278,16 @@ def _reduced_entry(x: VarMatrix, k: int, i: int):
 
 def reduced_unfolded_matrix(x: VarMatrix) -> PeriodicMatrix:
     """Periodic matrix with the signed shape-invariant block on top and
-    reduced Q-invariants below; shares all corner minors with the plain one."""
+    reduced Q-invariants below; shares all corner minors with the plain one.
+
+    Like :func:`unfolded_matrix`, it is built once per point and kept in
+    ``x.memo("reduced_unfolded_matrix")``, so every reduced determinant at
+    the point shares the matrix's one sub-minor cache.
+    """
     x.ring.require_subtraction("reduced periodic matrix")
+    memo = x.memo("reduced_unfolded_matrix")
+    if "matrix" in memo:
+        return memo["matrix"]
     m, n, ring = x.m, x.n, x.ring
     top = [[ring.zero] * n for _ in range(n)]
     for i in range(1, n + 1):
@@ -297,7 +305,8 @@ def reduced_unfolded_matrix(x: VarMatrix) -> PeriodicMatrix:
             for i in range(1, n + 1)
         ]
         blocks.append(Matrix(rows, ring))
-    return PeriodicMatrix(n, blocks)
+    memo["matrix"] = PeriodicMatrix(n, blocks)
+    return memo["matrix"]
 
 
 def reduced_folded_matrix(x: VarMatrix) -> Matrix:

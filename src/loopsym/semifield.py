@@ -1,17 +1,20 @@
 """Exact arithmetic in the three evaluation domains.
 
-Values are either exact rationals (``fractions.Fraction``), integers of the
-min-plus semiring (:class:`TropNumber`), or sparse integer polynomials in
-the matrix variables with formal quotients (:class:`PolyFraction`).  All
-three expose ``+``, ``*``, ``/`` and exact ``==``; only the first and last
-support ``-``.  Nothing in this package ever touches floating point.
+Values are either exact rationals (:class:`Rational`, a lean
+``fractions.Fraction``), integers of the min-plus semiring
+(:class:`TropNumber`), or sparse integer polynomials in the matrix variables
+with formal quotients (:class:`PolyFraction`).  All three expose ``+``,
+``*``, ``/`` and exact ``==``; only the first and last support ``-``.
+Nothing in this package ever touches floating point.  This is the one
+module that imports ``fractions``: every rational the library makes is a
+:class:`Rational`.
 
 A fourth descriptor, :data:`INTEGER`, is no evaluation domain: it is the
 ring of Python ints in which a rational point is read after its
 denominators are cleared (see :func:`loopsym.gt.grsk`).  Ints have ``+``,
 ``-``, ``*`` and ``==`` but no exact ``/``, so its determinants never divide
 (:func:`loopsym.linalg.minor`) and a quotient of two of its values is formed
-as a ``Fraction``.
+as a ``Rational(a, b)``.
 
 A monomial of :class:`SparseLoopPoly` is one packed int: the exponent of
 x_i^j sits in a 16-bit field (FIELD_BITS) at slot ``d(d+1)/2 + j - 1``,
@@ -31,9 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
+from math import gcd
 from operator import itemgetter
-
-Rational = Fraction
 
 
 class SemifieldError(Exception):
@@ -49,6 +51,159 @@ class NeedsSubtraction(SemifieldError):
 
 class DegeneratePoint(SemifieldError):
     """A minor that must be nonzero vanished at the sample point."""
+
+
+# ---------------------------------------------------------------------------
+# exact rationals
+
+
+class Rational(Fraction):
+    """An exact rational: a ``fractions.Fraction`` whose hot operators build
+    their results directly.
+
+    ``+``, ``-``, ``*``, ``/`` and their reflected forms, unary ``-``, ``**``
+    with an int exponent and ``==`` read the two slots that Fraction declares,
+    ``_numerator`` and ``_denominator``, and make each result in lowest terms
+    by Fraction's own algorithms (a product takes two gcds).  Every result is
+    made by :func:`_q`, without Fraction's generic operand dispatch and the
+    checks of its constructor.  An int or any Fraction on either side gives
+    a Rational (a subclass's reflected operator runs first, so ``Fraction(1,
+    2) * r`` is one too); any other operand goes to Fraction's operator.
+    Everything else is Fraction's: ``bool`` (which reads the slot already),
+    hashing, ordering, ``str``, parsing (``Rational("3/4")``), copying and
+    pickling.
+    """
+
+    __slots__ = ()
+
+    def __add__(a, b):
+        if type(b) is not Rational:
+            q = _operand(b)
+            if q is None:
+                return Fraction.__add__(a, b)
+            b = q
+        na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+        g = gcd(da, db)
+        if g == 1:
+            return _q(na * db + da * nb, da * db)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = gcd(t, g)
+        if g2 == 1:
+            return _q(t, s * db)
+        return _q(t // g2, s * (db // g2))
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        if type(b) is not Rational:
+            q = _operand(b)
+            if q is None:
+                return Fraction.__sub__(a, b)
+            b = q
+        na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+        g = gcd(da, db)
+        if g == 1:
+            return _q(na * db - da * nb, da * db)
+        s = da // g
+        t = na * (db // g) - nb * s
+        g2 = gcd(t, g)
+        if g2 == 1:
+            return _q(t, s * db)
+        return _q(t // g2, s * (db // g2))
+
+    def __rsub__(a, b):
+        q = _operand(b)
+        return Fraction.__rsub__(a, b) if q is None else Rational.__sub__(q, a)
+
+    def __mul__(a, b):
+        if type(b) is not Rational:
+            q = _operand(b)
+            if q is None:
+                return Fraction.__mul__(a, b)
+            b = q
+        na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+        g1 = gcd(na, db)
+        if g1 > 1:
+            na //= g1
+            db //= g1
+        g2 = gcd(nb, da)
+        if g2 > 1:
+            nb //= g2
+            da //= g2
+        return _q(na * nb, db * da)
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        if type(b) is not Rational:
+            q = _operand(b)
+            if q is None:
+                return Fraction.__truediv__(a, b)
+            b = q
+        na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+        if not nb:
+            raise ZeroDivisionError(f"Rational({na}, 0)")
+        g1 = gcd(na, nb)
+        if g1 > 1:
+            na //= g1
+            nb //= g1
+        g2 = gcd(db, da)
+        if g2 > 1:
+            da //= g2
+            db //= g2
+        if nb < 0:
+            return _q(-na * db, -nb * da)
+        return _q(na * db, nb * da)
+
+    def __rtruediv__(a, b):
+        q = _operand(b)
+        return Fraction.__rtruediv__(a, b) if q is None else Rational.__truediv__(q, a)
+
+    def __neg__(a):
+        return _q(-a._numerator, a._denominator)
+
+    def __pow__(a, b):
+        if type(b) is not int:
+            return Fraction.__pow__(a, b)
+        n, d = a._numerator, a._denominator
+        if b >= 0:
+            return _q(n**b, d**b)
+        if not n:
+            raise ZeroDivisionError(f"Rational({d}, 0)")
+        if n < 0:
+            n, d = -n, -d
+        return _q(d**-b, n**-b)
+
+    def __eq__(a, b):
+        if type(b) is Rational or isinstance(b, Fraction):
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if isinstance(b, int):
+            return a._numerator == b and a._denominator == 1
+        return Fraction.__eq__(a, b)
+
+    __hash__ = Fraction.__hash__  # a class that defines __eq__ loses the inherited hash
+
+
+_new_rational = object.__new__
+
+
+def _q(n: int, d: int) -> Rational:
+    """The Rational n / d of two ints already in lowest terms, d > 0."""
+    q = _new_rational(Rational)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _operand(b):
+    """An int or a Fraction as something with Fraction's two slots; None
+    for any other operand."""
+    if isinstance(b, int):
+        return _q(int(b), 1)
+    if isinstance(b, Fraction):
+        return b
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +565,7 @@ class Ring:
             raise NeedsSubtraction(what)
 
 
-RATIONAL = Ring("rational", Fraction(0), Fraction(1), True)
+RATIONAL = Ring("rational", Rational(0), Rational(1), True)
 TROPICAL = Ring("tropical", TROP_INF, TropNumber(0), False)
 POLYNOMIAL = Ring("polynomial", PolyFraction.const(0), PolyFraction.const(1), True)
 INTEGER = Ring("integer", 0, 1, True)  # the integer form of a rational point; see the module docstring
@@ -424,10 +579,10 @@ def format_rational(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
+def parse_rational(s: str) -> Rational:
     """"p", "p/q" or a decimal; ValueError when malformed, q = 0 included."""
     try:
-        return Fraction(s)
+        return Rational(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
 
@@ -437,6 +592,6 @@ def trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(seed * 1_000_003 + trial)
 
 
-def random_rational(rng: random.Random) -> Fraction:
+def random_rational(rng: random.Random) -> Rational:
     """Random positive rational p/q with p, q uniform in [1, 20]."""
-    return Fraction(rng.randint(1, 20), rng.randint(1, 20))
+    return Rational(rng.randint(1, 20), rng.randint(1, 20))

@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from operator import eq
@@ -269,7 +268,7 @@ def _kb_valid(p: dict, k: int) -> bool:
 
 
 def suite_crystal_axioms(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
-    one = Fraction(1)
+    one = RATIONAL.one
 
     def point(t, rng, x):
         mm, nn = x.m, x.n

@@ -111,6 +111,26 @@ def test_readout_rejects_a_vanishing_subdiagonal_entry():
         readout(M, 1)
 
 
+def test_readouts_from_the_recurrence_equal_the_whirl_product_readout():
+    """product_readout and bar_readout read the running recurrence; the
+    m x m product of the column whirls gives the same readout, at rational
+    and min-plus points."""
+    rng = trial_rng(2, 14)
+    for m in range(1, 5):
+        for n in range(1, 5):
+            tropical = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            for x in (VarMatrix.random(m, n, rng), VarMatrix.tropical(tropical)):
+                for i in range(1, m):
+                    assert product_readout(x, i) == readout(col_whirl_matrix(x), i)
+                for j in range(1, n):
+                    assert bar_readout(x, j) == readout(col_whirl_matrix(x.transpose()), j)
+
+
+def test_product_readout_rejects_a_vanishing_subdiagonal_entry():
+    with pytest.raises(DegeneratePoint, match="^degenerate-point: vanishing subdiagonal entry$"):
+        product_readout(VarMatrix.rationals([[1, 0], [0, 1]]), 1)
+
+
 def test_product_readout_matches_two_factor_recursion():
     """epsilon and phi against the closed two-factor combination rule."""
     rng = trial_rng(2, 3)

@@ -20,7 +20,7 @@ from loopsym.gt import (
 )
 from loopsym.points import VarMatrix
 from loopsym.schur import window_matrix
-from loopsym.semifield import RATIONAL, DegeneratePoint, random_rational, trial_rng
+from loopsym.semifield import RATIONAL, DegeneratePoint, Rational, random_rational, trial_rng
 
 
 def rand_pattern(m, n, rng):
@@ -112,7 +112,7 @@ def test_rational_grsk_equals_the_fraction_route():
             x = VarMatrix.random(m, n, rng)
             P, Q = grsk(x)
             assert P == psi_pattern(window_matrix(x), m, n, RATIONAL)
-            assert all(type(v) is Fraction for z in (P, Q) for v in z.entries.values())
+            assert all(type(v) is Rational for z in (P, Q) for v in z.entries.values())
 
 
 def test_grsk_vanishing_flag_minor_is_degenerate():

@@ -1,5 +1,6 @@
 """Exact dense/periodic matrix operations against brute-force oracles."""
 
+import gc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -233,6 +234,44 @@ def test_minor_memo_never_crosses_matrices():
             assert minor(M, I, J) == det_cofactor(sub), (I, J)
     for M, src in ((A, rows), (B, other), (A2, rows)):
         assert M.det() == det_cofactor(src)
+
+
+def test_a_dropped_matrix_leaves_no_garbage_cycle():
+    """The Laplace recursion refers to itself; unbound when the expansion
+    returns, it leaves no cycle, so a matrix and its minor cache are freed
+    with their last reference, without the cyclic collector."""
+    rng = trial_rng(1, 12)
+    gc.collect()
+    gc.disable()
+    try:
+        A = Matrix(rand_matrix(4, rng), RATIONAL)
+        A.det()
+        minor(A, [1, 3], [2, 4])
+        del A
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_cached_minor_is_returned_without_a_new_expansion(monkeypatch):
+    from loopsym import linalg
+
+    expanded = []
+
+    def counted(R, ring, C, entry, cache):
+        expanded.append((R, C))
+        return _det_laplace(R, ring, C, entry, cache)
+
+    monkeypatch.setattr(linalg, "_det_laplace", counted)
+    rows = rand_matrix(4, trial_rng(1, 13))
+    A = Matrix(rows, RATIONAL)
+    first = minor(A, [2, 1], [3, 1])
+    assert minor(A, [1, 2], [1, 3]) == first == det_cofactor([[rows[0][0], rows[0][2]], [rows[1][0], rows[1][2]]])
+    assert expanded == [((1, 2), (1, 3))]
+    # a sub-minor stored by an earlier expansion is returned at once too
+    A.det()
+    assert minor(A, [4, 3], [1, 2]) == det_cofactor([row[:2] for row in rows[2:]])
+    assert expanded == [((1, 2), (1, 3)), ((1, 2, 3, 4), (1, 2, 3, 4))]
 
 
 def dense_product(A, B):

@@ -7,7 +7,9 @@ change without looking beyond it.  Only ``linalg.Matrix`` sets a matrix's
 ``rows``, so every matrix, a point included, is built by its one
 constructor.  No module asserts or names ``AssertionError``: the library
 computes, and every comparison is a ``verify.Check.expect`` that records
-its outcome, which ``python -O`` cannot strip as it strips an ``assert``."""
+its outcome, which ``python -O`` cannot strip as it strips an ``assert``.
+Only ``semifield`` imports ``fractions``, so the library has one rational
+type, ``semifield.Rational``."""
 
 import ast
 from pathlib import Path
@@ -196,3 +198,31 @@ def test_assertions_are_found():
 def test_no_module_asserts():
     found = {p.stem: assertions(p.read_text()) for p in SRC.glob("*.py")}
     assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def fractions_imports(source: str) -> list:
+    """``line`` for each statement that imports ``fractions`` or a name
+    from it."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+    )
+
+
+def test_fractions_imports_are_found():
+    source = (
+        "import math, fractions as fr\n"
+        "from fractions import Fraction\n"
+        "from decimal import Decimal\n"
+        "def half():\n"
+        "    import fractions\n"
+        "    return fractions.Fraction(1, 2)\n"
+    )
+    assert fractions_imports(source) == [1, 2, 5]
+
+
+def test_only_semifield_imports_fractions():
+    found = {p.stem: fractions_imports(p.read_text()) for p in SRC.glob("*.py")}
+    assert {module for module, lines in found.items() if lines} == {"semifield"}

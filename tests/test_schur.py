@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from loopsym.crystal import apply_e_bar
-from loopsym.linalg import Matrix
+from loopsym.linalg import Matrix, PeriodicMatrix
 from loopsym.partitions import ColoredSkewShape, conjugate, partitions_in_box, sub_partitions
 from loopsym.points import VarMatrix
 from loopsym.schur import (
@@ -33,7 +33,7 @@ from loopsym.schur import (
     window_matrix,
 )
 from loopsym.semifield import POLYNOMIAL, RATIONAL, NeedsSubtraction, random_rational, trial_rng
-from loopsym.verify import skew_corpus
+from loopsym.verify import corner_corpus, skew_corpus
 
 
 def test_single_color_is_classical():
@@ -270,6 +270,28 @@ def test_theorem_det_formula_worked_value_and_errors():
     assert val == rq12 * rq22 * s3 * s3 - rq12 * s2
     with pytest.raises(NotPseudoEnergy):
         theorem_det_formula(ColoredSkewShape((2,), (), 1, 3), x)
+
+
+def test_reduced_determinants_build_one_reduced_matrix_per_point(monkeypatch):
+    """Every reduced determinant at a point is a minor of one reduced
+    periodic matrix, built on first use; an equal but distinct point builds
+    its own."""
+    from loopsym import schur
+
+    builds = []
+
+    def counted(n, blocks):
+        builds.append(n)
+        return PeriodicMatrix(n, blocks)
+
+    monkeypatch.setattr(schur, "PeriodicMatrix", counted)
+    a = VarMatrix.random(3, 3, trial_rng(4, 21))
+    a_again = VarMatrix(a.rows, RATIONAL)
+    shapes = corner_corpus(3, 3)
+    for point in (a, a_again, a):
+        assert [theorem_det_formula(s, point) for s in shapes] == [ssyt_sum(s, point) for s in shapes]
+    assert builds == [3, 3]
+    assert reduced_unfolded_matrix(a) is not reduced_unfolded_matrix(a_again)
 
 
 def test_every_q_invariant_reproduces_through_the_theorem():
