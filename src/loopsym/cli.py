@@ -229,8 +229,7 @@ def cmd_eval(args) -> int:
         else:
             y = apply_e_bar(x, _int(data["j"], "j"), _value(data["c"], mode, "c"))
         out["result"] = _matrix_to_json(y)
-    json.dump(out, sys.stdout, indent=2, sort_keys=True)
-    print()
+    sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
     return 0
 
 

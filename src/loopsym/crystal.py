@@ -9,20 +9,18 @@ unbarred structure of the transpose throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from loopsym.linalg import Matrix
 from loopsym.points import VarMatrix
-from loopsym.semifield import DegeneratePoint, Ring
+from loopsym.semifield import DegeneratePoint, Record, Ring
 
 
-@dataclass(frozen=True)
-class CrystalReadout:
+class CrystalReadout(Record):
     """The torus-valued map gamma and the pair (epsilon_i, phi_i)."""
 
-    gamma: tuple
-    eps: object
-    phi: object
+    __slots__ = ("gamma", "eps", "phi")
+
+    def __init__(self, gamma: tuple, eps, phi):
+        self._init(gamma, eps, phi)
 
 
 def whirl(vec, ring: Ring, below=None) -> Matrix:

@@ -26,7 +26,6 @@ ladder outcomes) lives in the point's memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -52,12 +51,11 @@ def is_k_cylindric(lam, k: int, n: int) -> bool:
     return lamc[0] - lamc[k - 1] <= n - k
 
 
-@dataclass(frozen=True)
 class CylShape(ColoredSkewShape):
     """k-cylindric skew shape lam/mu with an anchor color mod n: a colored
     skew shape of two k-cylindric partitions, with its width k."""
 
-    k: int
+    __slots__ = ("k",)
 
     def __init__(self, k, lam, mu, r, n):
         super().__init__(lam, mu, r, n)

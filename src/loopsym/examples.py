@@ -4,15 +4,15 @@ Each check replays one concrete computation with explicitly stated
 expected values (small matrices of rational-function entries, index sets,
 weight tables, insertion outputs).  All comparisons are exact; random
 points, where used, come from the given seed.  Every check is one
-``Check.expect``.  ``check_reduced_determinant`` is the one comparison of
-the reduced determinantal formula with the tableau sum; the det-formula
-suite uses it too.
+``Check.expect`` (``loopsym.verify.Check``, named in annotations only).
+``check_reduced_determinant`` is the one comparison of the reduced
+determinantal formula with the tableau sum; the det-formula suite uses it
+too.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import TYPE_CHECKING
 
 from loopsym import comb, cylindric, energy, gt, paths, schur
 from loopsym.linalg import Matrix, minor, tpoly_minor
@@ -28,9 +28,6 @@ from loopsym.semifield import (
     random_rational,
     trial_rng,
 )
-
-if TYPE_CHECKING:
-    from loopsym.verify import Check
 
 
 def check_reduced_determinant(ck: Check, label: str, shape: ColoredSkewShape, x: VarMatrix) -> bool:

@@ -12,12 +12,11 @@ time; :func:`ssyt_columns` lists the tableaux themselves, as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, combinations
 from operator import add, ge
 
-from loopsym.semifield import PolyFraction, Rational, SparseLoopPoly, TropNumber
+from loopsym.semifield import PolyFraction, Rational, Record, SparseLoopPoly, TropNumber
 
 
 def partition(parts) -> tuple[int, ...]:
@@ -73,24 +72,17 @@ def sub_partitions(lam: tuple[int, ...]):
     return [mu for mu in partitions_in_box(len(lam), lam[0] if lam else 0) if contains(lam, mu)]
 
 
-@dataclass(frozen=True)
-class ColoredSkewShape:
+class ColoredSkewShape(Record):
     """Skew shape lam/mu with anchor color r modulo n."""
 
-    lam: tuple[int, ...]
-    mu: tuple[int, ...]
-    r: int
-    n: int
+    __slots__ = ("lam", "mu", "r", "n")
 
     def __init__(self, lam, mu, r, n):
         lam = partition(lam)
         mu = partition(mu)
         if not contains(lam, mu):
             raise ValueError(f"{mu} not contained in {lam}")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "r", ((r - 1) % n) + 1)
-        object.__setattr__(self, "n", n)
+        self._init(lam, mu, ((r - 1) % n) + 1, n)
 
     # -- geometry ------------------------------------------------------------
 

@@ -14,7 +14,8 @@ ring of Python ints in which a rational point is read after its
 denominators are cleared (see :func:`loopsym.gt.grsk`).  Ints have ``+``,
 ``-``, ``*`` and ``==`` but no exact ``/``, so its determinants never divide
 (:func:`loopsym.linalg.minor`) and a quotient of two of its values is formed
-as a ``Rational(a, b)``.
+as a ``Rational(a, b)``.  Each descriptor is a :class:`Record`, the
+``__slots__`` value class that the package's other records share.
 
 A monomial of :class:`SparseLoopPoly` is one packed int: the exponent of
 x_i^j sits in a 16-bit field (FIELD_BITS) at slot ``d(d+1)/2 + j - 1``,
@@ -30,12 +31,11 @@ from __future__ import annotations
 import math
 import random
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 
 class SemifieldError(Exception):
@@ -548,17 +548,57 @@ def _times(p: SparseLoopPoly, q: SparseLoopPoly) -> SparseLoopPoly:
 
 
 # ---------------------------------------------------------------------------
-# value-domain descriptors
+# value records and value-domain descriptors
 
 
-@dataclass(frozen=True)
-class Ring:
+class Record:
+    """A value record whose fields are the ``__slots__`` of its classes,
+    base first.  Its ``__init__`` sets them with :meth:`_init`; assignment
+    raises ``AttributeError`` afterwards.  Two records are equal when they
+    are of one class with equal fields, and the hash and the repr
+    ``Name(field=value, ...)`` are over the fields."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        cls._fields += cls.__dict__.get("__slots__", ())
+        cls._key = staticmethod(attrgetter(*cls._fields))  # self -> the tuple of fields
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self._key(self) == other._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key(self)))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return self._key(self)
+
+    def __setstate__(self, state):  # pickle and copy restore the fields here
+        self._init(*state)
+
+
+class Ring(Record):
     """Descriptor for one of the three evaluation domains."""
 
-    name: str
-    zero: object
-    one: object
-    has_subtraction: bool
+    __slots__ = ("name", "zero", "one", "has_subtraction")
+
+    def __init__(self, name: str, zero, one, has_subtraction: bool):
+        self._init(name, zero, one, has_subtraction)
 
     def require_subtraction(self, what: str = "determinant") -> None:
         if not self.has_subtraction:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 from operator import eq
@@ -53,6 +52,7 @@ from loopsym.points import VarMatrix
 from loopsym.semifield import (
     DegeneratePoint,
     RATIONAL,
+    Record,
     random_rational,
     trial_rng,
 )
@@ -60,15 +60,20 @@ from loopsym.semifield import (
 RESAMPLE_CAP = 10
 
 
-@dataclass
-class VerifyReport:
-    suite: str
-    params: dict
-    trials: int
-    seed: int
-    failures: list = field(default_factory=list)
-    checks: dict = field(default_factory=dict)
-    elapsed_ms: int = 0
+class VerifyReport(Record):
+    """One suite's run: its parameters, its failures and its check count
+    per label.  Unlike the other records it is assignable, so unhashable."""
+
+    __slots__ = ("suite", "params", "trials", "seed", "failures", "checks", "elapsed_ms")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, suite: str, params: dict, trials: int, seed: int,
+                 failures: list | None = None, checks: dict | None = None, elapsed_ms: int = 0):
+        failures = [] if failures is None else failures
+        checks = {} if checks is None else checks
+        self._init(suite, params, trials, seed, failures, checks, elapsed_ms)
 
     @property
     def passed(self) -> bool:
