@@ -14,9 +14,11 @@ Cylindric tableau sums therefore use the column transfers of
 :mod:`loopsym.partitions`: one cached transfer per shape, colored at anchor
 1, with the one constraint across that boundary (a wrap from the last
 column to the first), evaluated per ring by
-:func:`loopsym.partitions.evaluate_weights`.  The folded identities compare
-the signed t-coefficients of a folded minor with the strip ladder
-``[shape, R(shape), ...]`` of :func:`strip_ladder`, in one loop.
+:func:`loopsym.partitions.evaluate_weights`; without a binding wrap it is
+the interned skew transfer.  :func:`d_max` and :func:`shortest_diagonal_length`
+read lam and the base cells alone.  The folded identities compare the signed
+t-coefficients of a folded minor with the strip ladder ``[shape, R(shape),
+...]`` of :func:`strip_ladder`, in one loop.
 Each ``*_check`` returns True when its identity holds and otherwise its
 first disagreement, as a dict with the message under ``error`` (the form
 that ``verify.Check.expect`` records).  The work of :func:`cyl_jt_check`
@@ -141,21 +143,22 @@ def strip_ladder(shape: CylShape) -> list:
 
 
 def d_max(shape: CylShape) -> int:
-    """Largest iterate of strip removal that stays defined."""
-    return len(strip_ladder(shape)) - 1
+    """Largest iterate of strip removal that stays defined: the number of
+    rungs after the first in :func:`strip_ladder`, counted on lam alone."""
+    lam, d = shape.lam, 0
+    while (lam := border_strip_removed(lam, shape.k, shape.n)) is not None and contains(lam, shape.mu):
+        d += 1
+    return d
 
 
 def shortest_diagonal_length(shape: CylShape) -> int:
-    """Shortest diagonal of the infinite extension (diagonals repeat mod n)."""
-    base = shape.cells()
-    if not base:
-        return 0
-    diag = [j - i for i, j in base]
-    lo, hi = min(diag), max(diag)
-    t_lo = (0 - hi) // shape.n - 1
-    t_hi = (shape.n - lo) // shape.n + 1
-    cells = shape.extension_cells(range(t_lo, t_hi + 1))
-    return min(sum(1 for (i, j) in cells if j - i == c0) for c0 in range(shape.n))
+    """Shortest diagonal of the infinite extension.  A translate moves a
+    cell n diagonals on, so an extension diagonal holds one translate of
+    each base cell whose diagonal is congruent to it mod n."""
+    counts = [0] * shape.n
+    for i, j in shape.cells():
+        counts[(j - i) % shape.n] += 1
+    return min(counts)
 
 
 def detached_component(shape: CylShape):

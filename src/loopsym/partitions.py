@@ -8,6 +8,8 @@ anchor color r in [1, n]; the cell in row i, column j has color
 Tableau sums run on column transfers (one cached per shape and entry
 bound), evaluated column by column in each ring, never one tableau at a
 time; :func:`ssyt_columns` lists the tableaux themselves, as an oracle.
+Diagonal translates keep every cell color, so they share one interned
+transfer, and a point keeps the sum of a transfer asked for twice.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from itertools import chain, combinations
 from operator import add, ge
 
 from loopsym.semifield import PolyFraction, Rational, Record, SparseLoopPoly, TropNumber
+
+_TABLES: dict = {}  # each distinct column transfer, as the first one made
 
 
 def partition(parts) -> tuple[int, ...]:
@@ -236,6 +240,7 @@ def column_transfer(shape: ColoredSkewShape, max_entry: int, wrap=()) -> tuple:
     exceed row i of the first.  Then each later state is pinned to the
     first-column state it descends from (one copy per pin), and the last
     column keeps the states that respect the wrap against their pin.
+    Equal tables are one object, whatever shape or wrap made them.
     """
     columns = shape.columns()
     first_lo = columns[0][0] if columns else 0
@@ -262,7 +267,8 @@ def column_transfer(shape: ColoredSkewShape, max_entry: int, wrap=()) -> tuple:
             states = [s for s in states if all(s[1][i2 - lo - 1] <= s[0][i - first_lo - 1] for i, i2 in wrap)]
         table.append(tuple((items, preds) for _, _, items, preds in states))
         prev, plo = [(pin, f) for pin, f, _, _ in states], lo
-    return tuple(table)
+    table = tuple(table)
+    return _TABLES.setdefault(table, table)
 
 
 @lru_cache(maxsize=None)
@@ -291,11 +297,26 @@ def evaluate_weights(table, x, r: int) -> object:
       (a product of monomials adds their keys), and the result counts the
       keys of the last column;
     * otherwise: ring products and sums.
+
+    ``x.memo("tableau_sums")`` maps ``(id(table), r)`` to None on the first
+    request and to ``(table, value)`` on the second; later ones return that
+    value.  Only repeated sums are kept, and each pins its table's id.
     """
     if not table:
         return x.ring.one
     if not table[-1]:
         return x.ring.zero
+    memo = x.memo("tableau_sums")
+    key = (id(table), r)
+    kept = memo.get(key)
+    if kept is not None:
+        return kept[1]
+    value = _evaluate(table, x, r)
+    memo[key] = (table, value) if key in memo else None
+    return value
+
+
+def _evaluate(table, x, r: int):
     entries = _weight_entries(x, r)
     if entries is None:
         return _transfer_products(table, lambda v: x.xc(v[0], v[1] + r - 1), x.ring.one)

@@ -5,11 +5,13 @@ determinantal formula for corner-color shapes.
 
 Colors of row variables live mod n (superscripts); the barred world puts
 colors mod m on column variables and is obtained by transposing the
-variable matrix throughout.
+variable matrix throughout.  The Maya sets of a shape shift two supports
+cached per (partition, ell); its tableau sum is kept per point and table.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import ceil
 
@@ -173,19 +175,22 @@ def maya_sets(lam, mu, r: int, m: int, ell: int | None = None):
 
     With conjugates padded to length ell, I collects mu'_a - a + 1 + r and
     J collects lam'_a - a + 1 + r - m, both listed for a = ell..1 and
-    returned ascending.
+    returned ascending: the supports of :func:`_support`, shifted.
     """
     lam, mu = partition(lam), partition(mu)
-    lamc, muc = conjugate(lam), conjugate(mu)
+    columns = lam[0] if lam else 0
     if ell is None:
-        ell = len(lamc)
-    if ell < len(lamc):
+        ell = columns
+    if ell < columns:
         raise ValueError("ell shorter than the number of columns")
-    lamc = lamc + (0,) * (ell - len(lamc))
-    muc = muc + (0,) * (ell - len(muc))
-    I = tuple(sorted(muc[a - 1] - a + 1 + r for a in range(1, ell + 1)))
-    J = tuple(sorted(lamc[a - 1] - a + 1 + r - m for a in range(1, ell + 1)))
-    return I, J
+    return tuple([s + r for s in _support(mu, ell)]), tuple([s + r - m for s in _support(lam, ell)])
+
+
+@lru_cache(maxsize=None)
+def _support(lam: tuple, ell: int) -> tuple:
+    """sorted(lam'_a - a + 1 for a = 1..ell), lam' padded with zeros."""
+    lamc = conjugate(lam) + (0,) * ell
+    return tuple(sorted(lamc[a] - a for a in range(ell)))
 
 
 def n_final(I, n: int) -> bool:

@@ -23,6 +23,7 @@ from loopsym.partitions import contains, partitions_in_box
 from loopsym.points import VarMatrix
 from loopsym.schur import loop_e, ssyt_sum
 from loopsym.semifield import trial_rng
+from loopsym.verify import cylindric_corpus
 
 
 def test_cylindric_predicate():
@@ -111,6 +112,31 @@ def test_dmax_equals_shortest_diagonal_on_random_shapes():
         assert shape_after_strip(rungs[-1]) is None
         count += 1
     assert count == 100
+
+
+def window_diagonal_length(shape):
+    """The shortest diagonal counted on the cells of the translates that
+    reach the diagonals 0..n-1 of the infinite extension."""
+    base = shape.cells()
+    if not base:
+        return 0
+    diag = [j - i for i, j in base]
+    lo, hi = min(diag), max(diag)
+    steps = range((0 - hi) // shape.n - 1, (shape.n - lo) // shape.n + 2)
+    cells = shape.extension_cells(steps)
+    return min(sum(1 for (i, j) in cells if j - i == c0) for c0 in range(shape.n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_shape_facts_match_the_extension_and_ladder_oracles(n):
+    """shortest_diagonal_length counts base cells per diagonal class and
+    d_max strips lam alone; both agree with the definitions on the
+    extension and on the ladder of shapes."""
+    corpus = cylindric_corpus(n, 12)
+    for shape in corpus:
+        assert shortest_diagonal_length(shape) == window_diagonal_length(shape), shape
+        assert d_max(shape) == len(strip_ladder(shape)) - 1, shape
+    assert len(corpus) > 90
 
 
 def test_cyl_maya_worked_example_and_roundtrip():

@@ -2,6 +2,7 @@
 index sets, invariants."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -156,6 +157,39 @@ def test_jacobi_trudi_matches_fresh_determinant_symbolically(m, n):
 
 def test_maya_sets_worked_example():
     assert maya_sets((4, 4, 4, 1), (2, 2), 6, 5) == ((3, 4, 7, 8), (1, 2, 3, 5))
+
+
+def padded_maya_sets(lam, mu, r, m, ell=None):
+    """Maya sets from the conjugates padded to length ell."""
+    lamc, muc = conjugate(lam), conjugate(mu)
+    if ell is None:
+        ell = len(lamc)
+    if ell < len(lamc):
+        raise ValueError("ell shorter than the number of columns")
+    lamc = lamc + (0,) * (ell - len(lamc))
+    muc = muc + (0,) * (ell - len(muc))
+    I = tuple(sorted(muc[a - 1] - a + 1 + r for a in range(1, ell + 1)))
+    J = tuple(sorted(lamc[a - 1] - a + 1 + r - m for a in range(1, ell + 1)))
+    return I, J
+
+
+def test_maya_sets_match_the_padded_conjugates():
+    """Every (lam, mu) of the box corpus, color r and m up to 4, and every
+    ell from -1 to 6 or none: the same sets, or the same ValueError when ell
+    is shorter than lam's columns."""
+    raised = 0
+    for lam in partitions_in_box(3, 4):
+        for mu in sub_partitions(lam):
+            for r, m, ell in product(range(1, 5), range(1, 5), (None, *range(-1, 7))):
+                try:
+                    want = padded_maya_sets(lam, mu, r, m, ell)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=str(exc)):
+                        maya_sets(lam, mu, r, m, ell)
+                    raised += 1
+                else:
+                    assert maya_sets(lam, mu, r, m, ell) == want, (lam, mu, r, m, ell)
+    assert raised > 0
 
 
 def test_initial_final_predicates():

@@ -24,7 +24,7 @@ from loopsym.partitions import (
 )
 from loopsym.points import VarMatrix
 from loopsym.semifield import POLYNOMIAL, PolyFraction, SparseLoopPoly, trial_rng
-from loopsym.verify import cylindric_corpus, skew_corpus
+from loopsym.verify import cylindric_corpus, run_suite, skew_corpus
 
 SIZES = [(m, n) for m in range(1, 5) for n in range(1, 5)]
 POLY_SIZES = [(m, n) for m, n in SIZES if max(m, n) <= 3]
@@ -140,12 +140,76 @@ def test_point_entries_are_made_once_per_anchor_color(monkeypatch):
     assert x.memo("weight_entries") == {1: None, 2: None, 3: None}
 
 
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (4, 3)])
+def test_equal_transfers_are_one_object(m, n):
+    """Diagonal translates in the box corpus, and cylindric shapes whose wrap
+    does not bind, have equal transfers; each distinct transfer is one
+    object."""
+    clear_transfers()
+    transfers = [table(shape, m) for shape in skew_corpus(n)]
+    transfers += [cylindric.cyl_weight_vectors(s.k, s.lam, s.mu, s.n, m) for s in cylindric_corpus(n)]
+    assert len({id(t) for t in transfers}) == len(set(transfers)) < len(transfers) / 2
+    translate = ColoredSkewShape((3, 3, 2), (3, 1, 1), 1, n)  # (2, 1) moved one step down and right
+    assert table(translate, m) is table(ColoredSkewShape((2, 1), (), 1, n), m)
+    narrow = [s for s in cylindric_corpus(n) if s.lam and s.lam[0] < s.k]  # no wrap binds
+    assert narrow and all(
+        cylindric.cyl_weight_vectors(s.k, s.lam, s.mu, n, m) is table(ColoredSkewShape(s.lam, s.mu, 1, n), m)
+        for s in narrow
+    )
+
+
+def test_rebuilt_tables_never_receive_another_tables_value():
+    """Tables built by hand, equal to a transfer but not interned, each
+    asked one to three times at one point and then dropped: a new table can
+    take a dropped one's id, and it still gets its own value."""
+    x = VarMatrix.random(3, 3, trial_rng(5, 33))
+    y = VarMatrix(x.rows, x.ring)  # an equal point with its own memo
+    memo = x.memo("tableau_sums")
+    reused = 0
+    for i, shape in enumerate(s for s in skew_corpus(3) if table(s, 3)):
+        copy = tuple(list(table(shape, 3)))
+        assert copy is not table(shape, 3)
+        reused += memo.get((id(copy), 1), 0) is None
+        want = evaluate_weights(table(shape, 3), y, 1)
+        for _ in range(1 + i % 3):
+            assert evaluate_weights(copy, x, 1) == want, shape
+        del copy
+    assert reused > 0
+
+
+def test_a_planted_fault_in_the_tableau_route_still_fails_jacobi_trudi(monkeypatch):
+    """An off-by-one in the transfer recursion of the rational point is
+    caught by the periodic minor, which shares no sum with it."""
+    original = partitions._transfer_products
+    monkeypatch.setattr(partitions, "_transfer_products", lambda *args: original(*args) + 1)
+    report = run_suite("jacobi-trudi", 2, 2, 1, 0)
+    labels = {f["check"] for f in report.failures}
+    assert "periodic-minor" in labels and "minor-translation" not in labels
+
+
 SMALL_POINTS = (
     VarMatrix.rationals([[1, 2], [3, 4]]),
     VarMatrix.tropical([[1, 2], [3, 4]]),
     VarMatrix.symbolic(2, 2),
     symbolic_with_corner(2, 2, SparseLoopPoly.variable(1, 1) + SparseLoopPoly.const(2)),
 )
+
+
+def test_a_sum_is_kept_from_its_second_request_on():
+    """The first request at a point records the key alone; the second keeps
+    the table and its value, and later requests return that same object."""
+    shape = ColoredSkewShape((3, 2), (1,), 2, 2)
+    transfer = table(shape, 2)
+    for x in (VarMatrix(p.rows, p.ring) for p in SMALL_POINTS):  # fresh memos
+        memo, key = x.memo("tableau_sums"), (id(transfer), 2)
+        first = evaluate_weights(transfer, x, 2)
+        assert memo == {key: None}
+        second = evaluate_weights(transfer, x, 2)
+        assert second == first == oracle(shape, x)
+        assert memo == {key: (transfer, second)} and memo[key][0] is transfer
+        assert evaluate_weights(transfer, x, 2) is memo[key][1]
+        assert evaluate_weights(transfer, x, 1) == oracle(ColoredSkewShape((3, 2), (1,), 1, 2), x)
+        assert memo[(id(transfer), 1)] is None
 
 
 def test_empty_table_is_zero():
@@ -209,11 +273,19 @@ def test_no_library_route_enumerates_tableaux(monkeypatch):
     assert sums() == want
 
 
+def clear_transfers():
+    """Empty the transfer caches and the interned tables together, so that
+    every cached transfer stays interned."""
+    ssyt_weight_vectors.cache_clear()
+    cylindric.cyl_weight_vectors.cache_clear()
+    partitions._TABLES.clear()
+
+
 def test_skew_tables_of_the_corpora_stay_under_10_mb():
     """The cached transfers of skew_corpus(n), n <= 4, at m = 4, as
     tracemalloc counts them."""
     corpora = [skew_corpus(n) for n in range(1, 5)]  # built before tracing
-    ssyt_weight_vectors.cache_clear()
+    clear_transfers()
     partitions._column_fillings.cache_clear()
     tracemalloc.start()
     try:
