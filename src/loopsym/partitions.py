@@ -7,16 +7,17 @@ anchor color r in [1, n]; the cell in row i, column j has color
 
 Tableau sums run on column transfers (one cached per shape and entry
 bound), evaluated column by column in each ring, never one tableau at a
-time; :func:`ssyt_columns` lists the tableaux themselves, as an oracle.
-Diagonal translates keep every cell color, so they share one interned
-transfer, and a point keeps the sum of a transfer asked for twice.
+time; :func:`ssyt_columns` lists the tableaux by their definition, as
+an oracle for small shapes.  Diagonal translates keep every cell color, so
+they share one interned transfer, and a point keeps the sum of a transfer
+asked for twice.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import chain, combinations
-from operator import add, ge
+from itertools import chain, combinations, combinations_with_replacement, product
+from operator import add, ge, le
 
 from loopsym.semifield import PolyFraction, Rational, Record, SparseLoopPoly, TropNumber
 
@@ -59,16 +60,13 @@ def contains(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
 
 
 def partitions_in_box(rows: int, cols: int):
-    """All partitions fitting in a rows x cols box (including the empty one)."""
-    out = [()]
-    def rec(prefix, maxpart, left):
-        for p in range(min(maxpart, cols), 0, -1):
-            cur = prefix + (p,)
-            out.append(cur)
-            if left > 1:
-                rec(cur, p, left - 1)
-    rec((), cols, rows)
-    return out
+    """All partitions fitting in a rows x cols box: the multisets of at most
+    rows parts from 1..cols, each prefix before its extensions and larger
+    parts first (the empty partition leads)."""
+    return sorted(
+        (p for k in range(rows + 1) for p in combinations_with_replacement(range(cols, 0, -1), k)),
+        key=lambda p: [-v for v in p],
+    )
 
 
 def sub_partitions(lam: tuple[int, ...]):
@@ -159,58 +157,20 @@ class ColoredSkewShape(Record):
 
 @lru_cache(maxsize=None)
 def ssyt_columns(lam: tuple, mu: tuple, max_entry: int):
-    """All semistandard fillings, column by column: the tableau list that
-    the tests and the worked examples check the column transfers against.
-
-    Returns a list of fillings; a filling is a tuple of columns, each column
-    a tuple of entries for rows ``mu'_c + 1 .. lam'_c``.  Enumeration goes
-    column by column (left to right), pruning by the row-weakness against
-    the previous column.
+    """All semistandard fillings of lam/mu, entries at most max_entry: the
+    oracle that the tests and the worked examples check the column transfers
+    against.  A filling is a tuple of columns, each a tuple of entries for
+    rows ``mu'_c + 1 .. lam'_c``: a strictly increasing filling per column,
+    kept when each row that adjacent columns share weakly increases.  That
+    product is exponential in the shape, so this serves small shapes only.
     """
-    shape = ColoredSkewShape(lam, mu, 1, 1)
-    cols = shape.columns()
-    results: list[tuple] = []
-
-    def strict_columns(lo, hi, lower_bounds):
-        """Strictly increasing fillings of rows (lo, hi] with per-row minima."""
-        h = hi - lo
-        out = []
-
-        def rec(idx, prev, acc):
-            if idx == h:
-                out.append(tuple(acc))
-                return
-            start = max(prev + 1, lower_bounds[idx])
-            for v in range(start, max_entry + 1):
-                acc.append(v)
-                rec(idx + 1, v, acc)
-                acc.pop()
-
-        rec(0, 0, [])
-        return out
-
-    def rec(c, prev_cols):
-        if c == len(cols):
-            results.append(tuple(prev_cols))
-            return
-        lo, hi = cols[c]
-        if hi - lo > max_entry:
-            return
-        bounds = []
-        for row in range(lo + 1, hi + 1):
-            left = 1
-            if c > 0:
-                plo, phi = cols[c - 1]
-                if plo < row <= phi:
-                    left = prev_cols[-1][row - plo - 1]
-            bounds.append(left)
-        for col in strict_columns(lo, hi, bounds):
-            prev_cols.append(col)
-            rec(c + 1, prev_cols)
-            prev_cols.pop()
-
-    rec(0, [])
-    return tuple(results)
+    cols = ColoredSkewShape(lam, mu, 1, 1).columns()
+    return tuple(
+        filling
+        for filling in product(*(combinations(range(1, max_entry + 1), hi - lo) for lo, hi in cols))
+        # column c starts at row plo + 1, column c + 1 at lo + 1 <= plo + 1
+        if all(all(map(le, a, b[plo - lo:])) for (plo, _), (lo, _), a, b in zip(cols, cols[1:], filling, filling[1:]))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ cached per (partition, ell); its tableau sum is kept per point and table.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import ceil
 
 from loopsym.crystal import col_whirl_matrix, row_whirl_matrix
@@ -76,16 +76,11 @@ def loop_h(x: VarMatrix, k: int, r: int):
     if k < 0:
         return x.ring.zero
     total = x.ring.zero
-
-    def rec(start: int, depth: int, term):
-        nonlocal total
-        if depth == k:
-            total = total + term
-            return
-        for i in range(start, x.m + 1):
-            rec(i, depth + 1, term * x.xc(i, r - depth))
-
-    rec(1, 0, x.ring.one)
+    for rows in combinations_with_replacement(range(1, x.m + 1), k):
+        term = x.ring.one
+        for t, i in enumerate(rows):
+            term = term * x.xc(i, r - t)
+        total = total + term
     return total
 
 

@@ -5,9 +5,11 @@ Values are either exact rationals (:class:`Rational`, a lean
 (:class:`TropNumber`), or sparse integer polynomials in the matrix variables
 with formal quotients (:class:`PolyFraction`).  All three expose ``+``,
 ``*``, ``/`` and exact ``==``; only the first and last support ``-``.
-Nothing in this package ever touches floating point.  This is the one
-module that imports ``fractions``: every rational the library makes is a
-:class:`Rational`.
+Only rationals hash: tropical and polynomial-domain values are
+unhashable, :class:`PolyFraction` included, since the library keys no dict
+or set by them.  Nothing in this package ever touches floating point.  This
+is the one module that imports ``fractions``: every rational the library
+makes is a :class:`Rational`.
 
 A fourth descriptor, :data:`INTEGER`, is no evaluation domain: it is the
 ring of Python ints in which a rational point is read after its
@@ -262,9 +264,6 @@ class TropNumber:
     def __eq__(self, other) -> bool:
         return isinstance(other, TropNumber) and self.value == other.value
 
-    def __hash__(self) -> int:
-        return hash(("trop", self.value))
-
     def __bool__(self) -> bool:
         return not self.is_inf
 
@@ -371,7 +370,7 @@ class SparseLoopPoly:
 
     @classmethod
     def variable(cls, i: int, j: int) -> "SparseLoopPoly":
-        return cls({1 << FIELD_BITS * slot(i, j): 1}, 1)
+        return cls.monomial({(i, j): 1})
 
     @classmethod
     def monomial(cls, exponents: dict, coeff: int = 1) -> "SparseLoopPoly":
@@ -427,17 +426,8 @@ class SparseLoopPoly:
             out = {k: c for k, c in out.items() if c}
         return SparseLoopPoly(out, degree)
 
-    def __pow__(self, k: int) -> "SparseLoopPoly":
-        result = SparseLoopPoly.const(1)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SparseLoopPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def trop_min(self, values: dict) -> int | float:
         """min-plus value of this polynomial at integer variable values,
@@ -516,9 +506,10 @@ class PolyFraction:
         return PolyFraction(self.num * other.den, self.den * other.num)
 
     def __pow__(self, k: int) -> "PolyFraction":
+        base = self if k >= 0 else PolyFraction.const(1) / self
         result = PolyFraction.const(1)
-        for _ in range(k):
-            result = result * self
+        for _ in range(abs(k)):
+            result = result * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -554,8 +545,9 @@ def _times(p: SparseLoopPoly, q: SparseLoopPoly) -> SparseLoopPoly:
 class Record:
     """A value record whose fields are the ``__slots__`` of its classes,
     base first.  Its ``__init__`` sets them with :meth:`_init`; assignment
-    raises ``AttributeError`` afterwards.  Two records are equal when they
-    are of one class with equal fields, and the hash and the repr
+    raises ``AttributeError`` afterwards, and so do ``copy`` and ``pickle``,
+    which restore fields by assignment.  Two records are equal when they are
+    of one class with equal fields, and the hash and the repr
     ``Name(field=value, ...)`` are over the fields."""
 
     __slots__ = ()
@@ -584,12 +576,6 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __getstate__(self):
-        return self._key(self)
-
-    def __setstate__(self, state):  # pickle and copy restore the fields here
-        self._init(*state)
 
 
 class Ring(Record):

@@ -61,18 +61,13 @@ RESAMPLE_CAP = 10
 
 
 class VerifyReport(Record):
-    """One suite's run: its parameters, its failures and its check count
-    per label.  Unlike the other records it is assignable, so unhashable."""
+    """One suite's run, made by :func:`run_suite` as it ends: parameters,
+    failures, check count per label and time.  Its dict and list fields make
+    its hash raise ``TypeError``."""
 
     __slots__ = ("suite", "params", "trials", "seed", "failures", "checks", "elapsed_ms")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
-    def __init__(self, suite: str, params: dict, trials: int, seed: int,
-                 failures: list | None = None, checks: dict | None = None, elapsed_ms: int = 0):
-        failures = [] if failures is None else failures
-        checks = {} if checks is None else checks
+    def __init__(self, suite: str, params: dict, trials: int, seed: int, failures: list, checks: dict, elapsed_ms: int):
         self._init(suite, params, trials, seed, failures, checks, elapsed_ms)
 
     @property

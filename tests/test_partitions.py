@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from loopsym import partitions, verify
 from loopsym.partitions import (
     ColoredSkewShape,
     conjugate,
@@ -54,6 +55,44 @@ def test_box_and_subpartitions():
     box = partitions_in_box(2, 2)
     assert sorted(box) == sorted([(), (1,), (2,), (1, 1), (2, 1), (2, 2)])
     assert sorted(sub_partitions((2, 1))) == sorted([(), (1,), (2,), (1, 1), (2, 1)])
+
+
+def recursive_partitions_in_box(rows: int, cols: int):
+    """The depth-first recursion that ``partitions_in_box`` replaced, kept
+    as the oracle of its order for rows >= 1: each prefix before its
+    extensions, larger parts first.  (At 0 rows it wrongly lists the
+    one-part partitions too.)"""
+    out = [()]
+
+    def rec(prefix, maxpart, left):
+        for p in range(min(maxpart, cols), 0, -1):
+            cur = prefix + (p,)
+            out.append(cur)
+            if left > 1:
+                rec(cur, p, left - 1)
+
+    rec((), cols, rows)
+    return out
+
+
+@pytest.mark.parametrize("cols", range(6))
+def test_box_keeps_the_recursive_order(cols):
+    assert partitions_in_box(0, cols) == [()]
+    for rows in range(1, 11):
+        assert partitions_in_box(rows, cols) == recursive_partitions_in_box(rows, cols)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_corpora_keep_the_recursive_order(n, monkeypatch):
+    """The verify corpora, rebuilt on the recursion, come out element for
+    element the same: a check that reads a prefix of a corpus sees the
+    same shapes."""
+    want_skew = verify.skew_corpus(n)
+    want_cyl = verify.cylindric_corpus(n)
+    monkeypatch.setattr(partitions, "partitions_in_box", recursive_partitions_in_box)
+    monkeypatch.setattr(verify, "partitions_in_box", recursive_partitions_in_box)
+    assert verify.skew_corpus.__wrapped__(n) == want_skew
+    assert verify.cylindric_corpus.__wrapped__(n) == want_cyl
 
 
 def test_shape_colors_and_corners():

@@ -3,9 +3,6 @@
 ``verify.VerifyReport``.  Verify witnesses are built from their reprs, so
 the reprs are pinned literally."""
 
-import copy
-import pickle
-
 import pytest
 
 from loopsym.crystal import CrystalReadout
@@ -37,13 +34,6 @@ def test_equal_fields_give_equal_values_and_hashes(cls, args):
     assert a is not b and a == b and not a != b and hash(a) == hash(b)
 
 
-@pytest.mark.parametrize("cls, args", FROZEN)
-def test_copies_and_pickles_are_equal(cls, args):
-    value = cls(*args)
-    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-        assert type(twin) is cls and twin == value and repr(twin) == repr(value)
-
-
 def test_fields_enter_equality_and_hash():
     assert Ring("integer", 0, 1, False) != INTEGER
     assert ColoredSkewShape((2, 1), (1,), 5, 3) == ColoredSkewShape((2, 1), (1,), 2, 3)  # r is read mod n
@@ -70,12 +60,11 @@ def test_frozen_records_refuse_assignment(cls, args):
     assert cls(*args) == value
 
 
-def test_verify_report_is_assignable_and_keeps_its_json():
-    report = VerifyReport("grsk", {"m": 2, "n": 2}, 1, 0)
-    assert report.failures == [] and report.checks == {} and report.elapsed_ms == 0
-    assert VerifyReport("grsk", {}, 1, 0).failures is not report.failures
-    report.elapsed_ms = 5
+def test_verify_report_is_frozen_and_keeps_its_json():
+    report = VerifyReport("grsk", {"m": 2, "n": 2}, 1, 0, [], {}, 5)
     assert report == VerifyReport("grsk", {"m": 2, "n": 2}, 1, 0, [], {}, 5)
+    with pytest.raises(AttributeError):
+        report.elapsed_ms = 6
     with pytest.raises(TypeError):
         hash(report)
     assert list(report.to_json()) == [

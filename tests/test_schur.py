@@ -74,6 +74,19 @@ def test_homogeneous_is_one_row_schur():
             assert loop_h(x, k, r) == ssyt_sum(ColoredSkewShape((k,), (), r, 2), x)
 
 
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
+def test_homogeneous_is_the_one_row_tableau_sum(m, n):
+    """h_k at color r against the tableau sum of the one-row shape (k) at
+    anchor r, at a rational point and, for m * n <= 9, a symbolic one."""
+    points = [VarMatrix.random(m, n, trial_rng(m, n))]
+    if m * n <= 9:
+        points.append(VarMatrix.symbolic(m, n))
+    for x in points:
+        for k in range(5):
+            for r in range(1, n + 1):
+                assert loop_h(x, k, r) == ssyt_sum(ColoredSkewShape((k,), (), r, n), x)
+
+
 def test_explicit_two_color_generator():
     xs = VarMatrix.symbolic(3, 2)
     from loopsym.semifield import PolyFraction

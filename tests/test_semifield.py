@@ -78,7 +78,6 @@ def test_sparse_poly_ring():
     y = SparseLoopPoly.variable(2, 1)
     assert (x + y) * (x + y) == x * x + SparseLoopPoly.const(2) * x * y + y * y
     assert not (x - x)
-    assert x ** 3 == x * x * x
 
 
 # The tuple-keyed polynomial kernel that packed monomials replaced, kept as
@@ -177,7 +176,7 @@ def test_packed_poly_matches_tuple_keyed_oracle(a, b, ints):
     check_against_oracle(p - q, o_diff, values)
     check_against_oracle(p * q, oracle_mul(oa, ob), values)
     check_against_oracle((p + q) * (p - q), oracle_mul(o_sum, o_diff), values)
-    assert (p * q == q * p) and hash(p * q) == hash(q * p)
+    assert p * q == q * p
     assert (p == q) == (oa == ob)
 
 
@@ -187,7 +186,8 @@ def test_monomial_slots_do_not_collide_and_decode():
     exponents = {v: k % 4 + 1 for k, v in enumerate(GRID)}
     p = SparseLoopPoly.const(1)
     for v, e in exponents.items():
-        p = p * SparseLoopPoly.variable(*v) ** e
+        for _ in range(e):
+            p = p * SparseLoopPoly.variable(*v)
     assert p == SparseLoopPoly.monomial(exponents)
     assert list(p.items()) == [(tuple(sorted(exponents.items())), 1)]
     assert p.degree == sum(exponents.values())
@@ -243,6 +243,26 @@ def test_poly_fraction_cross_equality():
     assert x / y == (x * x) / (x * y)
     assert x + y == (x * x - y * y) / (x - y)
     assert (x / y) * (y / x) == PolyFraction.const(1)
+
+
+def test_poly_fraction_negative_powers_invert():
+    """As for Rational and TropNumber, a negative power is the inverse of
+    the positive one."""
+    one = PolyFraction.const(1)
+    x = PolyFraction.variable(1, 1)
+    y = PolyFraction.variable(1, 2)
+    assert x ** 0 == one and x ** 2 == x * x
+    assert x ** -1 == one / x and x ** -1 != one
+    assert x ** -2 == one / (x * x)
+    assert (x / (x + y)) ** -3 == ((x + y) * (x + y) * (x + y)) / (x * x * x)
+    with pytest.raises(ZeroDivisionError):
+        PolyFraction.const(0) ** -1
+
+
+@pytest.mark.parametrize("value", [TropNumber(1), TROPICAL.zero, SparseLoopPoly.variable(1, 1), PolyFraction.variable(1, 1)])
+def test_tropical_and_polynomial_values_are_unhashable(value):
+    with pytest.raises(TypeError):
+        hash(value)
 
 
 def test_tropicalization_is_a_homomorphism():
