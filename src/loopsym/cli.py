@@ -36,7 +36,6 @@ from loopsym.semifield import (
     TROPICAL,
     SemifieldError,
     TropNumber,
-    format_rational,
     parse_rational,
 )
 from loopsym.verify import SUITES, run_suite
@@ -149,7 +148,7 @@ def _value_to_json(v):
     for the tropical zero."""
     if isinstance(v, TropNumber):
         return v.value if v else None
-    return format_rational(v)
+    return str(v)
 
 
 def _pattern_to_json(z: gt.GTPattern) -> dict:

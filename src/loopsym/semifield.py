@@ -70,7 +70,8 @@ class Rational(Fraction):
     made by :func:`_q`, without Fraction's generic operand dispatch and the
     checks of its constructor.  An int or any Fraction on either side gives
     a Rational (a subclass's reflected operator runs first, so ``Fraction(1,
-    2) * r`` is one too); any other operand goes to Fraction's operator.
+    2) * r`` is one too); any other operand, a float or a complex among
+    them, is a ``TypeError``, and so is any exponent but an int.
     Everything else is Fraction's: ``bool`` (which reads the slot already),
     hashing, ordering, ``str``, parsing (``Rational("3/4")``), copying and
     pickling.
@@ -82,7 +83,7 @@ class Rational(Fraction):
         if type(b) is not Rational:
             q = _operand(b)
             if q is None:
-                return Fraction.__add__(a, b)
+                return NotImplemented
             b = q
         na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
         g = gcd(da, db)
@@ -101,7 +102,7 @@ class Rational(Fraction):
         if type(b) is not Rational:
             q = _operand(b)
             if q is None:
-                return Fraction.__sub__(a, b)
+                return NotImplemented
             b = q
         na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
         g = gcd(da, db)
@@ -116,13 +117,13 @@ class Rational(Fraction):
 
     def __rsub__(a, b):
         q = _operand(b)
-        return Fraction.__rsub__(a, b) if q is None else Rational.__sub__(q, a)
+        return NotImplemented if q is None else Rational.__sub__(q, a)
 
     def __mul__(a, b):
         if type(b) is not Rational:
             q = _operand(b)
             if q is None:
-                return Fraction.__mul__(a, b)
+                return NotImplemented
             b = q
         na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
         g1 = gcd(na, db)
@@ -141,7 +142,7 @@ class Rational(Fraction):
         if type(b) is not Rational:
             q = _operand(b)
             if q is None:
-                return Fraction.__truediv__(a, b)
+                return NotImplemented
             b = q
         na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
         if not nb:
@@ -160,14 +161,14 @@ class Rational(Fraction):
 
     def __rtruediv__(a, b):
         q = _operand(b)
-        return Fraction.__rtruediv__(a, b) if q is None else Rational.__truediv__(q, a)
+        return NotImplemented if q is None else Rational.__truediv__(q, a)
 
     def __neg__(a):
         return _q(-a._numerator, a._denominator)
 
     def __pow__(a, b):
-        if type(b) is not int:
-            return Fraction.__pow__(a, b)
+        if not isinstance(b, int):
+            raise TypeError(f"Rational ** {type(b).__name__}: the exponent must be an int")
         n, d = a._numerator, a._denominator
         if b >= 0:
             return _q(n**b, d**b)
@@ -599,10 +600,6 @@ INTEGER = Ring("integer", 0, 1, True)  # the integer form of a rational point; s
 
 # ---------------------------------------------------------------------------
 # serialization of rationals and deterministic sampling
-
-
-def format_rational(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def parse_rational(s: str) -> Rational:

@@ -14,21 +14,22 @@ rational points draw them in ``Check.points``, at every size
   ``trial_rng(seed, mm * salt + nn)`` with the suite's own salt, whatever
   ``trials`` is.
 
-The suite may draw more from the point's stream.  While a point is checked
-its witness (m, n, and the trial where there is one) is in ``Check.where``,
-and every failure recorded then carries it.
+The suite may draw more from the point's stream.  The cocharge suite draws
+patterns and the tropical suite integer matrices from streams of their own.
 
 Every check is one ``Check.expect(label, test, **witness)``: ``test()``
 runs inside the check and returns True when the identity holds, otherwise
 False or the failed identity's own witness as a dict (its message under
-``error``).  ``Check.checks`` counts the checks run under each label.  An
-exception is recorded under the innermost check, sample point or suite that
-encloses it, with the witness in force there (under the check's label, or
-``exception`` for a point or a suite), and the run goes on with the next
-one.  Where a
-random parameter c makes a move degenerate (a vanishing minor),
-``_resample_move`` draws a new c, at most ten times, and records a failure
-with its witness when every draw is degenerate.
+``error``).  ``Check.checks`` counts the checks run under each label.  Each
+draw (a point, a pattern or a matrix) and the suite itself run in one
+``Check.at(where, body)``, and every failure recorded inside it carries its
+witness ``where``: m, n and the trial where there is one for a point, m and
+trial for a pattern, a for a matrix, none for the suite.  An exception is
+recorded under the innermost check, else draw, else suite that encloses it
+(under the check's label, or ``exception``), and the run goes on with the
+next one.  Every draw is positive, and at a positive point no minor that a
+formula divides by vanishes, so each is used as drawn; a ``DegeneratePoint``
+there is a fault, recorded like any other exception.
 """
 
 from __future__ import annotations
@@ -49,15 +50,7 @@ from loopsym.partitions import (
     sub_partitions,
 )
 from loopsym.points import VarMatrix
-from loopsym.semifield import (
-    DegeneratePoint,
-    RATIONAL,
-    Record,
-    random_rational,
-    trial_rng,
-)
-
-RESAMPLE_CAP = 10
+from loopsym.semifield import RATIONAL, Record, random_rational, trial_rng
 
 
 class VerifyReport(Record):
@@ -91,9 +84,9 @@ class Check:
     """Runs labelled checks and collects their failures with replayable
     witnesses.
 
-    ``where`` is the witness of the sample point under check; every failure
-    recorded while it is set carries it.  ``checks`` counts the checks run
-    under each label."""
+    ``where`` is the witness of the draw under check (see :meth:`at`);
+    every failure recorded while it is set carries it.  ``checks`` counts
+    the checks run under each label."""
 
     def __init__(self):
         self.failures: list = []
@@ -120,11 +113,21 @@ class Check:
         self.failures.append(record)
         return False
 
-    def fail(self, label: str, error: str, **witness) -> None:
-        self.failures.append({"check": label, "error": error, **self._witness(witness)})
+    def at(self, where: dict, body) -> None:
+        """``body()`` with ``where`` as the witness of every failure recorded
+        inside it.  An exception that escapes ``body()`` is recorded as
+        ``exception`` with that witness; the enclosing witness is restored
+        after."""
+        outer, self.where = self.where, where
+        try:
+            body()
+        except Exception as exc:
+            self.raised(exc)
+        finally:
+            self.where = outer
 
     def raised(self, exc: Exception, label: str = "exception", **witness) -> None:
-        self.fail(label, f"{type(exc).__name__}: {exc}", **witness)
+        self.failures.append({"check": label, "error": f"{type(exc).__name__}: {exc}", **self._witness(witness)})
 
     def _witness(self, witness: dict) -> dict:
         return {k: repr(v) for k, v in {**self.where, **witness}.items()}
@@ -136,26 +139,11 @@ class Check:
         for mm, nn in product(range(2, m + 1), range(2, n + 1)):
             draws = [(t, t) for t in range(trials)] if salt is None else [(None, mm * salt + nn)]
             for t, index in draws:
-                self.where = {"m": mm, "n": nn} if t is None else {"m": mm, "n": nn, "trial": t}
                 rng = trial_rng(seed, index)
-                try:
-                    body(t, rng, VarMatrix.random(mm, nn, rng))
-                except Exception as exc:
-                    self.raised(exc)
-        self.where = {}
-
-
-def _resample_move(ck: Check, move, rng, label: str, **witness):
-    """(c, move(c)) for the first of RESAMPLE_CAP random c that is not
-    degenerate; None, with a recorded failure, if every draw is."""
-    for _ in range(RESAMPLE_CAP):
-        c = random_rational(rng)
-        try:
-            return c, move(c)
-        except DegeneratePoint:
-            continue
-    ck.fail(label, f"no usable c after {RESAMPLE_CAP} resamples", **witness)
-    return None
+                self.at(
+                    {"m": mm, "n": nn} if t is None else {"m": mm, "n": nn, "trial": t},
+                    lambda: body(t, rng, VarMatrix.random(mm, nn, rng)),
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -397,17 +385,13 @@ def suite_grsk(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
         )
         ck.expect("psi-phi-roundtrip", lambda: gt.psi_pattern(gt.phi_matrix(P), P.m, P.n, P.ring) == P)
         for j in range(1, nn):
-            drawn = _resample_move(ck, lambda c: gt.gt_apply_e(P, j, c), rng, "intertwine-columns", j=j)
-            if drawn is None:
-                continue
-            c, moved = drawn
+            c = random_rational(rng)
+            moved = gt.gt_apply_e(P, j, c)
             ck.expect("intertwine-columns", lambda: gt.grsk(crystal.apply_e_bar(x, j, c)) == (moved, Q), j=j)
             ck.expect("shape-preserved", lambda: moved.shape() == shp, j=j)
         for i in range(1, mm):
-            drawn = _resample_move(ck, lambda c: gt.gt_apply_e(Q, i, c), rng, "intertwine-rows", i=i)
-            if drawn is None:
-                continue
-            c, moved = drawn
+            c = random_rational(rng)
+            moved = gt.gt_apply_e(Q, i, c)
             ck.expect("intertwine-rows", lambda: gt.grsk(crystal.apply_e(x, i, c)) == (P, moved), i=i)
 
     ck.points(m, n, trials, seed, point)
@@ -710,22 +694,21 @@ def suite_energy(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
 
 def suite_cocharge(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
     for k in range(2, 8):
-        patterns = energy.kb_patterns(k)
-        ck.expect("pattern-count", lambda: len(patterns) == math.factorial(k - 1), k=k)
-        ck.expect("patterns-equal-lattice-scan", lambda: patterns == kb_lattice_scan(k), k=k)
+        ck.expect("pattern-count", lambda: len(energy.kb_patterns(k)) == math.factorial(k - 1), k=k)
+        ck.expect("patterns-equal-lattice-scan", lambda: energy.kb_patterns(k) == kb_lattice_scan(k), k=k)
+
+    def draw(mm, rng):
+        z = _random_pattern(mm, rng)
+        for k in range(2, mm + 1):
+            ck.expect("pattern-sum-equals-minor-sum", lambda: energy.kb_sigma(z, k) == energy.sigma_k(z, k), k=k)
+        # dependence only on the first k rows
+        z2 = _perturb_deep_rows(z, 2, rng)
+        ck.expect("depends-on-top-rows", lambda: energy.sigma_k(z, 2) == energy.sigma_k(z2, 2))
+
     for mm in range(2, max(m, 5) + 1):
         for t in range(trials):
             rng = trial_rng(seed, t)
-            z = _random_pattern(mm, rng)
-            for k in range(2, mm + 1):
-                ck.expect(
-                    "pattern-sum-equals-minor-sum",
-                    lambda: energy.kb_sigma(z, k) == energy.sigma_k(z, k),
-                    m=mm, k=k, trial=t,
-                )
-            # dependence only on the first k rows
-            z2 = _perturb_deep_rows(z, 2, rng)
-            ck.expect("depends-on-top-rows", lambda: energy.sigma_k(z, 2) == energy.sigma_k(z2, 2), m=mm, trial=t)
+            ck.at({"m": mm, "trial": t}, lambda: draw(mm, rng))
 
 
 def _random_pattern(mm: int, rng) -> gt.GTPattern:
@@ -742,38 +725,38 @@ def _perturb_deep_rows(z: gt.GTPattern, keep: int, rng) -> gt.GTPattern:
 
 
 def suite_tropical(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
-    rng = trial_rng(seed, 1)
-    for t in range(200):
-        mm, nn = rng.randint(1, m), rng.randint(1, n)
-        a = [[rng.randint(0, 4) for _ in range(nn)] for _ in range(mm)]
+    def grsk_routes(a, mm, nn):
         P, Q = comb.rsk(a)
         ck.expect(
             "grsk-tropicalizes-to-rsk",
             lambda: comb.trop_grsk(a) == (comb.gt_of_tableau(P, nn, mm), comb.gt_of_tableau(Q, mm, nn)),
-            a=a,
         )
-    rng = trial_rng(seed, 2)
-    for _ in range(100):
-        mm, nn = rng.randint(1, m), rng.randint(2, n)
-        a = [[rng.randint(0, 4) for _ in range(nn)] for _ in range(mm)]
+
+    def cocharge_routes(a, mm, nn):
         a.sort(key=sum, reverse=True)
-        P, Q = comb.rsk(a)
+        _, Q = comb.rsk(a)
         g = comb.gt_of_tableau(Q, mm, mm)
-        ck.expect("cocharge-tropicalizes", lambda: energy.geometric_cocharge(g).value == comb.cocharge(Q), a=a)
-    rng = trial_rng(seed, 3)
-    for _ in range(100):
-        mm, nn = rng.randint(1, m), rng.randint(2, n)
-        a = [[rng.randint(0, 4) for _ in range(nn)] for _ in range(mm)]
+        ck.expect("cocharge-tropicalizes", lambda: energy.geometric_cocharge(g).value == comb.cocharge(Q))
+
+    def energy_routes(a, mm, nn):
         a.sort(key=sum)
-        Pp, Qp = comb.burge(a)
+        _, Qp = comb.burge(a)
         d = comb.trop_energy(a)
-        ck.expect("energy-tropicalizes-to-cocharge", lambda: d == comb.cocharge(Qp), a=a)
+        ck.expect("energy-tropicalizes-to-cocharge", lambda: d == comb.cocharge(Qp))
         x = VarMatrix.tropical(a)
         ck.expect(
             "energy-three-routes-min-plus",
             lambda: d == energy.energy_product(x).value == energy.energy_sigma_product(x).value,
-            a=a,
         )
+
+    # (stream, draws, least width, checks); each draw is an mm x nn matrix a
+    rows = ((1, 200, 1, grsk_routes), (2, 100, 2, cocharge_routes), (3, 100, 2, energy_routes))
+    for stream, draws, min_n, body in rows:
+        rng = trial_rng(seed, stream)
+        for _ in range(draws):
+            mm, nn = rng.randint(1, m), rng.randint(min_n, n)
+            a = [[rng.randint(0, 4) for _ in range(nn)] for _ in range(mm)]
+            ck.at({"a": a}, lambda: body(a, mm, nn))
 
 
 def suite_paper_examples(ck: Check, m: int, n: int, trials: int, seed: int) -> None:
@@ -807,10 +790,7 @@ def run_suite(name: str, m: int, n: int, trials: int, seed: int) -> VerifyReport
         raise ValueError(f"vacuous run: needs m, n >= 2 and trials >= 1, got m={m} n={n} trials={trials}")
     ck = Check()
     t0 = time.monotonic()
-    try:
-        SUITES[name](ck, m, n, trials, seed)
-    except Exception as exc:
-        ck.raised(exc)
+    ck.at({}, lambda: SUITES[name](ck, m, n, trials, seed))
     elapsed = int((time.monotonic() - t0) * 1000)
     return VerifyReport(
         suite=name,

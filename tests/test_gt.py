@@ -152,15 +152,36 @@ def test_decoration_routes_and_splitting():
         assert decoration_mat(x) == rhs
 
 
-def test_grsk_suite_records_exhausted_resampling(monkeypatch):
-    from loopsym import gt
-    from loopsym.verify import RESAMPLE_CAP, run_suite
+def test_a_degenerate_move_is_its_points_exception_and_later_points_run(monkeypatch):
+    """The grsk suite uses each drawn c as it comes: a DegeneratePoint from
+    a move ends that point, with the point's witness, and no other."""
+    from loopsym import gt, verify
+    from loopsym.verify import run_suite
 
-    def always_degenerate(z, k, c):
-        raise DegeneratePoint("forced")
+    clean = run_suite("grsk", 3, 3, 2, 0)
+    assert clean.passed
+    original = gt.gt_apply_e
+    drawn = []  # trial_rng calls so far: one per sample point
+    calls = []  # len(drawn) at each move
 
-    monkeypatch.setattr(gt, "gt_apply_e", always_degenerate)
-    failures = run_suite("grsk", 2, 2, 1, 0).failures
-    assert [f["check"] for f in failures] == ["intertwine-columns", "intertwine-rows"]
-    assert all(f["error"] == f"no usable c after {RESAMPLE_CAP} resamples" for f in failures)
-    assert all(f["trial"] == "0" and f["m"] == f["n"] == "2" for f in failures)
+    def counting_rng(seed, index):
+        drawn.append(index)
+        return trial_rng(seed, index)
+
+    def degenerate_at_third_point(z, k, c):
+        calls.append(len(drawn))
+        if len(drawn) == 3:
+            raise DegeneratePoint("forced")
+        return original(z, k, c)
+
+    monkeypatch.setattr(verify, "trial_rng", counting_rng)
+    monkeypatch.setattr(gt, "gt_apply_e", degenerate_at_third_point)
+    report = run_suite("grsk", 3, 3, 2, 0)
+    # the third point is 2 x 3, trial 0; its first move raised, so its two
+    # column moves and its one row move went unchecked
+    assert report.failures == [
+        {"check": "exception", "error": "DegeneratePoint: forced", "m": "2", "n": "3", "trial": "0"}
+    ]
+    lost = {"intertwine-columns": 2, "shape-preserved": 2, "intertwine-rows": 1}
+    assert report.checks == {label: count - lost.get(label, 0) for label, count in clean.checks.items()}
+    assert calls.count(3) == 1 and calls[-1] == len(drawn) == 8

@@ -9,7 +9,9 @@ constructor.  No module asserts or names ``AssertionError``: the library
 computes, and every comparison is a ``verify.Check.expect`` that records
 its outcome, which ``python -O`` cannot strip as it strips an ``assert``.
 Only ``semifield`` imports ``fractions``, so the library has one rational
-type, ``semifield.Rational``."""
+type, ``semifield.Rational``.  In ``verify`` only ``Check.expect`` and
+``Check.at`` hold a ``try``: an exception ends its check, else its draw,
+else its suite, and nothing else in the harness decides what it becomes."""
 
 import ast
 from pathlib import Path
@@ -226,3 +228,58 @@ def test_fractions_imports_are_found():
 def test_only_semifield_imports_fractions():
     found = {p.stem: fractions_imports(p.read_text()) for p in SRC.glob("*.py")}
     assert {module for module, lines in found.items() if lines} == {"semifield"}
+
+
+def try_holders(source: str) -> list:
+    """The dotted name of the innermost function, method or class that
+    holds each ``try`` statement (``<module>`` at the top level), sorted
+    and without repeats."""
+    found = set()
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path + [child.name])
+                continue
+            if isinstance(child, ast.Try):
+                found.add(".".join(path) or "<module>")
+            visit(child, path)
+
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+def test_try_holders_are_found():
+    source = (
+        "try:\n"
+        "    import json\n"
+        "except ImportError:\n"
+        "    json = None\n"
+        "class Box:\n"
+        "    def get(self, f):\n"
+        "        try:\n"
+        "            return f()\n"
+        "        finally:\n"
+        "            pass\n"
+        "    def put(self):\n"
+        "        def inner():\n"
+        "            try:\n"
+        "                pass\n"
+        "            except ValueError:\n"
+        "                pass\n"
+        "        return inner\n"
+        "def run(f):\n"
+        "    with open(f) as h:\n"
+        "        try:\n"
+        "            return h.read()\n"
+        "        except OSError:\n"
+        "            try:\n"
+        "                return ''\n"
+        "            except Exception:\n"
+        "                return None\n"
+    )
+    assert try_holders(source) == ["<module>", "Box.get", "Box.put.inner", "run"]
+
+
+def test_only_the_check_scopes_of_verify_catch():
+    assert try_holders((SRC / "verify.py").read_text()) == ["Check.at", "Check.expect"]

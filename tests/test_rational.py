@@ -79,6 +79,23 @@ def test_division_by_zero_raises():
         Rational(0) ** -1
 
 
+@pytest.mark.parametrize("other", [0.5, 1j, 2.0, 0j], ids=repr)
+def test_an_inexact_operand_is_a_type_error(other):
+    """No operator mixes a Rational with a float or a complex, on either
+    side: Fraction's own operators would return a float or a complex."""
+    half = Rational(1, 2)
+    for op in BINARY:
+        for left, right in ((half, other), (other, half)):
+            with pytest.raises(TypeError):
+                op(left, right)
+
+
+@pytest.mark.parametrize("exponent", [Rational(1, 2), Rational(2), Fraction(2), 0.5, 2.0], ids=repr)
+def test_a_power_takes_an_int_exponent_only(exponent):
+    with pytest.raises(TypeError):
+        Rational(1, 2) ** exponent
+
+
 def values_at_a_rational_point() -> dict:
     """Every value that the rational routes below return, by route."""
     rng = trial_rng(31, 0)

@@ -100,12 +100,47 @@ def test_an_exception_is_a_recorded_failure_and_the_run_goes_on(suite, monkeypat
     assert [(f["check"], f["error"]) for f in report.failures] == [(label, "ZeroDivisionError: injected")]
     failure = report.failures[0]
     if suite in UNSCAFFOLDED:
-        # after a check that raised the suite goes on; an exception outside every check ends it
+        # after a check that raised the suite goes on; an exception outside every check ends only
+        # its draw, or the suite in paper-examples, which has no draws
         assert (len(calls) > 1) == (label != "exception")
         return
     # raised at the first point, with its witness; a later point was checked
     assert (failure["m"], failure["n"], failure.get("trial", "0")) == ("2", "2", "0")
     assert calls[0] == 1 and calls[-1] > 1
+
+
+# a function that a suite calls outside every check, once per draw, and the checks of one draw
+DRAW_FAULTS = {
+    "tropical": (comb, "rsk", {"grsk-tropicalizes-to-rsk": 1}),
+    "cocharge": (verify, "_random_pattern", {"pattern-sum-equals-minor-sum": 1, "depends-on-top-rows": 1}),
+}
+
+
+@pytest.mark.parametrize("suite", list(DRAW_FAULTS))
+def test_an_exception_outside_every_check_ends_only_its_draw(suite, monkeypatch):
+    """An exception planted outside every check at the third draw is one
+    ``exception`` failure with that draw's witness (its matrix a, or its
+    pattern size m and trial); every check of every other draw runs."""
+    module, name, lost = DRAW_FAULTS[suite]
+    clean = run_suite(suite, 4, 4, 4, 0)
+    assert clean.passed
+    original = getattr(module, name)
+    calls = []
+
+    def raises_at_third_draw(*args):
+        calls.append(repr(args[0]))
+        if len(calls) == 3:
+            raise ZeroDivisionError("planted")
+        return original(*args)
+
+    monkeypatch.setattr(module, name, raises_at_third_draw)
+    report = run_suite(suite, 4, 4, 4, 0)
+    # cocharge draws trials 0..3 of each pattern size from 2 up, so its third draw is m = 2, trial 2
+    witness = {"a": calls[2]} if suite == "tropical" else {"m": calls[2], "trial": "2"}
+    assert report.failures == [{"check": "exception", "error": "ZeroDivisionError: planted", **witness}]
+    assert report.checks == {label: count - lost.get(label, 0) for label, count in clean.checks.items()}
+    if suite == "tropical":
+        assert (sum(clean.checks.values()), sum(report.checks.values())) == (500, 499)
 
 
 def test_worked_determinant_failure_keeps_its_label_and_witness(monkeypatch):
