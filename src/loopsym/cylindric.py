@@ -22,8 +22,8 @@ t-coefficients of a folded minor with the strip ladder ``[shape, R(shape),
 Each ``*_check`` returns True when its identity holds and otherwise its
 first disagreement, as a dict with the message under ``error`` (the form
 that ``verify.Check.expect`` records).  The work of :func:`cyl_jt_check`
-that depends only on the point (the folded matrix, its minors and the
-ladder outcomes) lives in the point's memo.
+that depends only on the point (the folded matrix, which keeps its own
+minors, and the ladder outcomes) lives in the point's memo.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from loopsym.partitions import (
 )
 from loopsym.paths import underway_minor
 from loopsym.points import VarMatrix
-from loopsym.schur import folded_matrix, maya_sets, reduced_folded_matrix
+from loopsym.schur import folded_matrix, maya_sets, reduced_folded_matrix, require_summable
 
 
 def is_k_cylindric(lam, k: int, n: int) -> bool:
@@ -101,8 +101,7 @@ def cyl_weight_vectors(k: int, lam: tuple, mu: tuple, n: int, max_entry: int):
 
 def cyl_schur(shape: CylShape, x: VarMatrix):
     """Generating function of cylindric tableaux with entries at most m."""
-    if shape.n != x.n:
-        raise ValueError("color modulus of shape and point disagree")
+    require_summable(shape, x)
     table = cyl_weight_vectors(shape.k, shape.lam, shape.mu, shape.n, x.m)
     return evaluate_weights(table, x, shape.r)
 
@@ -254,20 +253,17 @@ def cyl_jt_check(shape: CylShape, x: VarMatrix):
     Part 1: the tableau sum equals the signed t-coefficient of the reduced
     index minor.  Part 2: the full t-expansion of that minor lists the
     border-strip ladder of the widest shape with the same index data.
-    Part 1 runs for every shape.  The folded matrix, the minor per reduced
-    index pair (I, J) and the outcome of part 2 per (I, J, k) depend only on
-    the point and that key, so they are kept in the point's memo; many
-    shapes share their reduced index data, and each of them returns the
-    one outcome of part 2 for its key.
+    Part 1 runs for every shape.  The folded matrix, which keeps its own
+    minors, and the outcome of part 2 per (I, J, k) depend only on the
+    point and that key, so they are kept in the point's memo; many shapes
+    share their reduced index data, and each returns its key's outcome.
     """
     k = shape.k
     Ihat, Jhat, dstar = cyl_maya(shape.lam, shape.mu, shape.r, k, x.m, shape.n)
     memo = x.memo("cyl_jt_check")
-    poly = memo.get((Ihat, Jhat))
-    if poly is None:
-        if "folded" not in memo:
-            memo["folded"] = folded_matrix(x)
-        poly = memo[(Ihat, Jhat)] = tpoly_minor(memo["folded"], Ihat, Jhat)
+    if "folded" not in memo:
+        memo["folded"] = folded_matrix(x)
+    poly = tpoly_minor(memo["folded"], Ihat, Jhat)
     want = _signed_coeff(poly, k, dstar, x.ring)
     direct = cyl_schur(shape, x)
     if direct != want:

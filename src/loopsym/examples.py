@@ -6,8 +6,8 @@ weight tables, insertion outputs).  All comparisons are exact; random
 points, where used, come from the given seed.  Every check is one
 ``Check.expect`` (``loopsym.verify.Check``, named in annotations only).
 ``check_reduced_determinant`` is the one comparison of the reduced
-determinantal formula with the tableau sum; the det-formula suite uses it
-too.
+determinantal formula with the tableau sum, and ``check_worked_determinant``
+the one check of the worked 5 x 3 case; the det-formula suite uses both.
 """
 
 from __future__ import annotations
@@ -40,6 +40,21 @@ def check_reduced_determinant(ck: Check, label: str, shape: ColoredSkewShape, x:
         return det == tableaux or disagree
 
     return ck.expect(label, test, shape=shape)
+
+
+def check_worked_determinant(ck: Check, label: str, x: VarMatrix) -> None:
+    """Under ``label``, the worked 4 x 4 reduced determinant at a 5 x 3 point
+    against the tableau sum, then, if that holds, against its closed form
+    rq12 rq22 s3^2 - rq12 s2 in reduced Q- and shape invariants."""
+    shape = ColoredSkewShape((4, 3, 3, 1), (2,), 2, 3)
+
+    def closed_form():
+        rq12, rq22 = schur.reduced_q_invariant(x, 1, 2), schur.reduced_q_invariant(x, 2, 2)
+        s2, s3 = schur.shape_invariant(x, 2), schur.shape_invariant(x, 3)
+        return schur.theorem_det_formula(shape, x) == rq12 * rq22 * s3 * s3 - rq12 * s2
+
+    if check_reduced_determinant(ck, label, shape, x):
+        ck.expect(label, closed_form, shape=shape)
 
 
 def check_energy_routes(ck: Check, x: VarMatrix, point: str):
@@ -225,16 +240,7 @@ def run_paper_examples(ck: Check, seed: int) -> None:
 
     # -- worked reduced determinant (five rows, three colors) -------------------
     x53b = VarMatrix.random(5, 3, rng)
-    shape53 = ColoredSkewShape((4, 3, 3, 1), (2,), 2, 3)
-    rq12b = schur.reduced_q_invariant(x53b, 1, 2)
-    rq22b = schur.reduced_q_invariant(x53b, 2, 2)
-    s2, s3 = schur.shape_invariant(x53b, 2), schur.shape_invariant(x53b, 3)
-
-    if check_reduced_determinant(ck, "worked-reduced-determinant", shape53, x53b):
-        ck.expect(
-            "worked-reduced-determinant",
-            lambda: schur.theorem_det_formula(shape53, x53b) == rq12b * rq22b * s3 * s3 - rq12b * s2,
-        )
+    check_worked_determinant(ck, "worked-reduced-determinant", x53b)
 
     # -- full folded determinant lists elementary symmetric functions -----------
     F53 = schur.folded_matrix(x53b)
@@ -253,10 +259,10 @@ def run_paper_examples(ck: Check, seed: int) -> None:
 
     ck.expect("folded-determinant-elementary", lambda: all(poly.coeff(d) == esym(5 - d, pis) for d in range(0, 6)))
     e4 = esym(4, pis)
-    s1 = schur.shape_invariant(x53b, 1)
+    s1, s2, s3 = (schur.shape_invariant(x53b, i) for i in (1, 2, 3))
     rq41 = schur.reduced_q_invariant(x53b, 4, 1)
-    rq22c = schur.reduced_q_invariant(x53b, 2, 2)
-    ck.expect("elementary-from-invariants", lambda: e4 == s2 * rq41 - (s1 * s3 / s2) * rq22c + s1 / s3)
+    rq22 = schur.reduced_q_invariant(x53b, 2, 2)
+    ck.expect("elementary-from-invariants", lambda: e4 == s2 * rq41 - (s1 * s3 / s2) * rq22 + s1 / s3)
 
     # -- cylindric ladder and index data ----------------------------------------
     lad = cylindric.CylShape(5, (5, 5, 5, 5, 2, 1), (2,), 5, 7)
@@ -318,12 +324,11 @@ def run_paper_examples(ck: Check, seed: int) -> None:
     D3 = d45([4], [3])
     ck.expect("energy-three-factors", lambda: D == D1 * D2 * D3)
 
-    # six-row, two-color energy through the reduced determinant
+    # six-row, two-color energy through the reduced determinant: the energy
+    # is the tableau sum of the staircase
     x62 = VarMatrix.random(6, 2, rng)
-    stair = ColoredSkewShape((5, 4, 3, 2, 1), (), 2, 2)
-    D62 = check_energy_routes(ck, x62, "x62")
-    if check_reduced_determinant(ck, "staircase-reduced-determinant", stair, x62):
-        ck.expect("staircase-reduced-determinant", lambda: schur.theorem_det_formula(stair, x62) == D62)
+    check_energy_routes(ck, x62, "x62")
+    check_reduced_determinant(ck, "staircase-reduced-determinant", ColoredSkewShape((5, 4, 3, 2, 1), (), 2, 2), x62)
 
     # -- cocharge factor displays --------------------------------------------------
     z4 = gt.GTPattern(

@@ -174,12 +174,6 @@ def grsk(x: VarMatrix) -> tuple[GTPattern, GTPattern]:
     return P, Q
 
 
-def grsk_transposed(x: VarMatrix) -> tuple[GTPattern, GTPattern]:
-    """The same pair computed from column-product flag minors."""
-    Q, P = grsk(x.transpose())
-    return P, Q
-
-
 def glue(P: GTPattern, Q: GTPattern) -> Matrix:
     """Output matrix with P bottom-left and the transpose of Q top-right.
 

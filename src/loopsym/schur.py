@@ -92,12 +92,18 @@ def barred_h(x: VarMatrix, k: int, r: int):
 # skew Schur sums and Jacobi-Trudi determinants
 
 
-def ssyt_sum(shape: ColoredSkewShape, x: VarMatrix):
-    """Tableau generating function of the colored shape, entries <= m."""
+def require_summable(shape: ColoredSkewShape, x: VarMatrix) -> None:
+    """Refuse a tableau sum (skew or cylindric) whose color modulus is not
+    the point's, or a symbolic one over ``POLY_CELL_CAP`` cells."""
     if shape.n != x.n:
         raise ValueError("color modulus of shape and point disagree")
     if x.ring.name == "polynomial" and shape.size > POLY_CELL_CAP:
         raise ValueError(f"symbolic tableau sum capped at {POLY_CELL_CAP} cells")
+
+
+def ssyt_sum(shape: ColoredSkewShape, x: VarMatrix):
+    """Tableau generating function of the colored shape, entries <= m."""
+    require_summable(shape, x)
     transfer = ssyt_weight_vectors(shape.lam, shape.mu, shape.n, x.m)
     return evaluate_weights(transfer, x, shape.r)
 

@@ -71,13 +71,20 @@ class Rational(Fraction):
     checks of its constructor.  An int or any Fraction on either side gives
     a Rational (a subclass's reflected operator runs first, so ``Fraction(1,
     2) * r`` is one too); any other operand, a float or a complex among
-    them, is a ``TypeError``, and so is any exponent but an int.
+    them, is a ``TypeError``, and so is any exponent but an int.  ``abs``
+    and unary ``+`` give a Rational; a field has ``** int`` only, so ``//``,
+    ``%``, ``divmod`` and ``2 ** r`` are a ``TypeError`` either way round.
     Everything else is Fraction's: ``bool`` (which reads the slot already),
     hashing, ordering, ``str``, parsing (``Rational("3/4")``), copying and
     pickling.
     """
 
     __slots__ = ()
+
+    def _not_in_a_field(a, b):
+        raise TypeError(f"Rational is a field with ** int: no //, %, divmod or rational exponent ({b!r})")
+
+    __floordiv__ = __rfloordiv__ = __mod__ = __rmod__ = __divmod__ = __rdivmod__ = __rpow__ = _not_in_a_field
 
     def __add__(a, b):
         if type(b) is not Rational:
@@ -165,6 +172,12 @@ class Rational(Fraction):
 
     def __neg__(a):
         return _q(-a._numerator, a._denominator)
+
+    def __pos__(a):
+        return a
+
+    def __abs__(a):
+        return _q(abs(a._numerator), a._denominator)
 
     def __pow__(a, b):
         if not isinstance(b, int):

@@ -274,6 +274,21 @@ def test_eval_bad_input_is_usage_error(target, mode, data, message, capsys, monk
 
 
 @pytest.mark.parametrize(
+    "target, data",
+    [
+        ("loop-schur", {"lambda": [5, 5, 5, 5, 5], "r": 1, "m": 2, "n": 2}),
+        ("cyl-schur", {"lambda": [2] * 12 + [1], "r": 1, "k": 2, "m": 16, "n": 4}),
+    ],
+)
+def test_symbolic_tableau_sums_share_one_cell_cap(target, data, capsys, monkeypatch):
+    """Both targets with a symbolic route refuse a shape one cell past
+    ``schur.POLY_CELL_CAP`` at a polynomial point, with the same message."""
+    assert sum(data["lambda"]) == schur.POLY_CELL_CAP + 1
+    code, out, err = run_cli(["eval", target, "--mode", "polynomial"], json.dumps(data), capsys, monkeypatch)
+    assert (code, out, err) == (2, "", f"usage error: symbolic tableau sum capped at {schur.POLY_CELL_CAP} cells\n")
+
+
+@pytest.mark.parametrize(
     "mode, bad, message",
     [
         ("tropical", "1.5", "entry must be an integer, got '1.5'"),

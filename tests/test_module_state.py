@@ -11,7 +11,10 @@ its outcome, which ``python -O`` cannot strip as it strips an ``assert``.
 Only ``semifield`` imports ``fractions``, so the library has one rational
 type, ``semifield.Rational``.  In ``verify`` only ``Check.expect`` and
 ``Check.at`` hold a ``try``: an exception ends its check, else its draw,
-else its suite, and nothing else in the harness decides what it becomes."""
+else its suite, and nothing else in the harness decides what it becomes.
+No check of ``verify`` or ``examples`` counts an outcome computed before
+it: a test that only returns a stored name or a constant compares
+nothing where it is counted."""
 
 import ast
 from pathlib import Path
@@ -283,3 +286,39 @@ def test_try_holders_are_found():
 
 def test_only_the_check_scopes_of_verify_catch():
     assert try_holders((SRC / "verify.py").read_text()) == ["Check.at", "Check.expect"]
+
+
+def stored_outcomes(source: str) -> list:
+    """``line`` for each ``expect`` call whose test (its second argument, or
+    ``test=``) is a lambda whose body is a bare name or a constant."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "expect"
+        and any(
+            isinstance(test, ast.Lambda) and isinstance(test.body, (ast.Name, ast.Constant))
+            for test in node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "test"]
+        )
+    )
+
+
+def test_stored_outcomes_are_found():
+    source = (
+        "def suite(ck, x):\n"
+        "    ok = x == x\n"
+        "    ck.expect('stored', lambda: ok)\n"
+        "    ck.expect('constant', lambda: True, i=1)\n"
+        "    ck.expect('keyword', test=lambda: ok)\n"
+        "    ck.expect('computed', lambda: x == x)\n"
+        "    ck.expect('called', lambda: check(x))\n"
+        "    ck.expect('named', check)\n"
+        "    expect('plain', lambda: ok)\n"
+    )
+    assert stored_outcomes(source) == [3, 4, 5]
+
+
+def test_every_check_computes_its_comparison():
+    found = {name: stored_outcomes((SRC / f"{name}.py").read_text()) for name in ("verify", "examples")}
+    assert found == {"verify": [], "examples": []}

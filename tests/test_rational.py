@@ -96,6 +96,25 @@ def test_a_power_takes_an_int_exponent_only(exponent):
         Rational(1, 2) ** exponent
 
 
+def test_no_operator_leaves_the_field():
+    """``abs`` and unary ``+`` give a Rational; floor division, remainder,
+    ``divmod`` and a Rational exponent are a TypeError, where Fraction's own
+    would give a float or a plain Fraction."""
+    seven_halves = Rational(7, 2)
+    for value in (abs(-seven_halves), +seven_halves):
+        assert_same(value, Fraction(7, 2))
+    refused = (
+        lambda: 2 ** Rational(1, 2),
+        lambda: seven_halves // 1.5,
+        lambda: seven_halves % 0.5,
+        lambda: divmod(seven_halves, 2),
+        lambda: Fraction(1, 2) ** Rational(2),
+    )
+    for expression in refused:
+        with pytest.raises(TypeError):
+            expression()
+
+
 def values_at_a_rational_point() -> dict:
     """Every value that the rational routes below return, by route."""
     rng = trial_rng(31, 0)

@@ -56,7 +56,7 @@ def test_sampling_scheme_is_pinned(suite, monkeypatch):
 FAULTS = {
     "crystal-axioms": (crystal, "product_readout", "exception"),
     "r-matrix": (crystal, "weyl_reflection", "reflection-equals-r"),
-    "grsk": (gt, "grsk_transposed", "row-column-routes"),
+    "grsk": (gt, "psi_pattern", "psi-phi-roundtrip"),
     "jacobi-trudi": (schur, "jacobi_trudi", "jt-symbolic"),
     "pseudo-energy": (schur, "reduced_q_invariant", "exception"),
     "det-formula": (schur, "anti_diagonalizing_pair", "exception"),
@@ -143,6 +143,31 @@ def test_an_exception_outside_every_check_ends_only_its_draw(suite, monkeypatch)
         assert (sum(clean.checks.values()), sum(report.checks.values())) == (500, 499)
 
 
+@pytest.mark.parametrize("name", ["d_max", "detached_component"])
+def test_a_shape_fact_that_raises_is_one_failure_with_its_shape(name, monkeypatch):
+    """The cylindric suite checks the facts of each shape once, before any
+    point, with the shape as witness.  An exception planted in ``d_max`` at
+    one shape is that shape's one ``dmax-diagonal`` failure and every check
+    still runs; one planted in ``detached_component`` is that shape's one
+    ``exception``, which leaves the shape out of both points of its
+    modulus (m = 2, 3), and every other check runs."""
+    clean = run_suite("cylindric", 3, 3, 1, 0)
+    assert clean.passed
+    shape = next(s for s in verify.cylindric_corpus(3) if cylindric.detached_component(s) is not None)
+    original = getattr(cylindric, name)
+
+    def raises_at_one_shape(s):
+        if s is shape:
+            raise ZeroDivisionError("planted")
+        return original(s)
+
+    monkeypatch.setattr(cylindric, name, raises_at_one_shape)
+    report = run_suite("cylindric", 3, 3, 1, 0)
+    check, lost = ("dmax-diagonal", {}) if name == "d_max" else ("exception", {"cyl-jt": 2, "detached-component": 2})
+    assert report.failures == [{"check": check, "error": "ZeroDivisionError: planted", "shape": repr(shape)}]
+    assert report.checks == {label: count - lost.get(label, 0) for label, count in clean.checks.items()}
+
+
 def test_worked_determinant_failure_keeps_its_label_and_witness(monkeypatch):
     """det-formula checks its worked 5 x 3 case in a labelled check: a wrong
     tableau sum there is a labelled failure with the identity's witness."""
@@ -196,7 +221,7 @@ def test_paper_examples_record_each_checked_identity_under_its_label(monkeypatch
     assert [(f["check"], f["error"]) for f in report.failures] == [(w, "ValueError: injected") for w in wrapped]
     assert all("shape" in f for f in report.failures)
     # a worked reduced determinant is compared with its closed form only once it equals the tableau sum
-    skipped = {"worked-reduced-determinant": 1, "staircase-reduced-determinant": 1}
+    skipped = {"worked-reduced-determinant": 1}
     assert list(report.checks) == list(clean.checks)
     assert report.checks == {label: count - skipped.get(label, 0) for label, count in clean.checks.items()}
 
