@@ -17,7 +17,21 @@ a key that is not ``"i,j"`` (the message names the key), and a
 fields ``m`` (when given) and ``n``.
 ``--mode polynomial`` is a usage error for every target but ``loop-schur``
 and ``cyl-schur``, the only ones with a symbolic route.  A ``verify
---report`` path that cannot be written is a usage error as well.
+--report`` path that cannot be written is a usage error as well, and so is
+input nested too deeply for the JSON reader.
+
+A JSON number with a fraction or an exponent is read as written, never
+through a float: a rational field reads ``1.0000000000000001`` exactly, and
+an integer field rejects it.  An exact answer is printed at any size:
+Python's limit on the digits of an int-to-str conversion is lifted while
+the answer is written and restored after; input is still read under it.
+
+The argument parser is built once per process, and each distinct command
+line is parsed once per process; a rejected one is rejected, with
+argparse's message, on every call.  Answers and reports are the bytes of
+``json.dumps(..., indent=2, sort_keys=True)``, laid out here with each
+scalar written as the C encoder writes it, not by the pure-Python encoder
+that ``indent`` selects.
 """
 
 from __future__ import annotations
@@ -26,9 +40,11 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from loopsym import cylindric, energy, gt, schur
 from loopsym.crystal import apply_e, apply_e_bar, row_r
+from loopsym.linalg import Matrix
 from loopsym.partitions import ColoredSkewShape
 from loopsym.points import VarMatrix
 from loopsym.semifield import (
@@ -139,32 +155,61 @@ def _pattern_from_json(data, mode: str) -> gt.GTPattern:
     return gt.GTPattern(m, n, entries, ring)
 
 
-def _matrix_to_json(M) -> list:
-    return [[_value_to_json(v) for v in row] for row in M.rows]
-
-
-def _value_to_json(v):
-    """A ``Rational`` as its text; a ``TropNumber`` as its int, or ``null``
-    for the tropical zero."""
+def _to_json(v):
+    """A result as JSON: a pattern as its ``m``, ``n`` and entries keyed
+    ``"i,j"``, a matrix as its rows, a ``TropNumber`` as its int (``null``
+    for the tropical zero), a ``Rational`` as its text."""
     if isinstance(v, TropNumber):
         return v.value if v else None
-    return str(v)
+    if isinstance(v, gt.GTPattern):
+        entries = {f"{i},{j}": _to_json(x) for (i, j), x in sorted(v.entries.items())}
+        return {"m": v.m, "n": v.n, "entries": entries}
+    if isinstance(v, Matrix):
+        return [[_to_json(x) for x in row] for row in v.rows]
+    return v if isinstance(v, (str, int)) else str(v)
 
 
-def _pattern_to_json(z: gt.GTPattern) -> dict:
-    entries = {f"{i},{j}": _value_to_json(v) for (i, j), v in sorted(z.entries.items())}
-    return {"m": z.m, "n": z.n, "entries": entries}
+class _Literal(str):
+    """A JSON number with a fraction or an exponent, kept as it is written:
+    a rational field reads it exactly, an integer field rejects it, and a
+    message quotes it as written."""
+
+    __repr__ = str.__str__
 
 
-def _read_input(path: str) -> str:
-    """The text of the input file, or of stdin for ``-``; stdin stays open."""
+def _read_input(path: str):
+    """The JSON of the input file, or of stdin for ``-``; stdin stays open."""
     if path == "-":
-        return sys.stdin.read()
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read input {path}: {exc.strerror}") from None
     try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read input {path}: {exc.strerror}") from None
+        return json.loads(text, object_hook=_Fields, parse_float=_Literal)
+    except RecursionError:
+        raise ValueError("input nests too deeply") from None
+
+
+_ENCODE = json.JSONEncoder().encode
+# The writers that both standard encoders use for an exact str or int, the
+# common scalars; every other scalar goes through the C encoder whole.
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, without
+    the pure-Python encoder that ``indent`` selects."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [inner + encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [inner + _json_text(v, inner) for v in obj]
+        return "[" + ",".join(items) + indent + "]" if items else "[]"
+    return _SCALARS.get(type(obj), _ENCODE)(obj)
 
 
 def cmd_eval(args) -> int:
@@ -172,12 +217,11 @@ def cmd_eval(args) -> int:
     target = args.target
     if mode == "polynomial" and target not in POLYNOMIAL_TARGETS:
         raise ValueError(f"target {target} has no polynomial mode")
-    data = _object(json.loads(_read_input(args.input), object_hook=_Fields))
+    data = _object(_read_input(args.input))
     out: dict = {"target": target, "mode": mode}
     if target == "grsk":
         P, Q = gt.grsk(_matrix_from_json(data, mode))
-        out["P"], out["Q"] = _pattern_to_json(P), _pattern_to_json(Q)
-        out["glued"] = _matrix_to_json(gt.glue(P, Q))
+        out["P"], out["Q"], out["glued"] = P, Q, gt.glue(P, Q)
     elif target == "loop-schur":
         m, n = _int(data["m"], "m", 1), _int(data["n"], "n", 1)
         lam, mu = _parts(data["lambda"], "lambda"), _parts(data.get("mu", []), "mu")
@@ -188,7 +232,7 @@ def cmd_eval(args) -> int:
             out["monomials"] = len(val.num.terms)
         else:
             x = _point_of_size(data, mode, m, n)
-            out["value"] = _value_to_json(schur.ssyt_sum(shape, x))
+            out["value"] = schur.ssyt_sum(shape, x)
     elif target == "cyl-schur":
         n = _int(data["n"], "n", 1)
         shape = cylindric.CylShape(
@@ -204,21 +248,21 @@ def cmd_eval(args) -> int:
         else:
             m = _int(data["m"], "m", 1) if "m" in data else None
             x = _point_of_size(data, mode, m, n)
-            out["value"] = _value_to_json(cylindric.cyl_schur(shape, x))
+            out["value"] = cylindric.cyl_schur(shape, x)
     elif target == "energy":
-        out["value"] = _value_to_json(energy.energy_tableaux(_matrix_from_json(data, mode)))
+        out["value"] = energy.energy_tableaux(_matrix_from_json(data, mode))
     elif target == "cocharge":
-        out["value"] = _value_to_json(energy.geometric_cocharge(_pattern_from_json(data, mode)))
+        out["value"] = energy.geometric_cocharge(_pattern_from_json(data, mode))
     elif target == "central-charge":
-        out["value"] = _value_to_json(energy.central_charge_qinv(_matrix_from_json(data, mode)))
+        out["value"] = energy.central_charge_qinv(_matrix_from_json(data, mode))
     elif target == "q-invariant":
         x = _matrix_from_json(data["x"], mode)
         i, j = _int(data["i"], "i"), _int(data["j"], "j")
-        out["value"] = _value_to_json(schur.q_invariant(x, i, j))
-        out["reduced"] = _value_to_json(schur.reduced_q_invariant(x, i, j))
+        out["value"] = schur.q_invariant(x, i, j)
+        out["reduced"] = schur.reduced_q_invariant(x, i, j)
     elif target == "shape-invariant":
         x = _matrix_from_json(data["x"], mode)
-        out["value"] = _value_to_json(schur.shape_invariant(x, _int(data["i"], "i")))
+        out["value"] = schur.shape_invariant(x, _int(data["i"], "i"))
     elif target in ("R", "e", "ebar"):
         x = _matrix_from_json(data["x"], mode)
         if target == "R":
@@ -227,8 +271,13 @@ def cmd_eval(args) -> int:
             y = apply_e(x, _int(data["i"], "i"), _value(data["c"], mode, "c"))
         else:
             y = apply_e_bar(x, _int(data["j"], "j"), _value(data["c"], mode, "c"))
-        out["result"] = _matrix_to_json(y)
-    sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
+        out["result"] = y
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # an exact answer is printed at any size
+    try:
+        sys.stdout.write(_json_text({key: _to_json(v) for key, v in out.items()}) + "\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 
@@ -240,7 +289,7 @@ def cmd_verify(args) -> int:
         "passed": all(r.passed for r in reports),
         "seed": args.seed,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _json_text(payload)
     if args.report:
         try:
             with open(args.report, "w") as fh:
@@ -280,8 +329,17 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=64)
+def _arguments(argv: tuple) -> argparse.Namespace:
+    """The parse of one command line.  It depends on argv alone and no
+    caller changes it, so each distinct command line is parsed once per
+    process; a rejected one (or ``--help``) raises ``SystemExit`` and is
+    parsed, and reported, again on every call."""
+    return _parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _arguments(tuple(sys.argv[1:] if argv is None else argv))
     try:
         return cmd_eval(args) if args.command == "eval" else cmd_verify(args)
     except SemifieldError as exc:

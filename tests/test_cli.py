@@ -1,6 +1,7 @@
 """Command-line harness: evaluation targets, verification runs, exit codes."""
 
 import argparse
+import ast
 import contextlib
 import errno
 import functools
@@ -20,11 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsym import cli, cylindric, energy, schur
+from loopsym import cli, crystal, cylindric, energy, gt, schur
 from loopsym.cli import EVAL_TARGETS, POLYNOMIAL_TARGETS, main
 from loopsym.gt import GTPattern
 from loopsym.points import VarMatrix
-from loopsym.semifield import RATIONAL, TROPICAL, TropNumber, trial_rng
+from loopsym.semifield import RATIONAL, TROPICAL, TropNumber, parse_rational, trial_rng
 from loopsym.verify import cylindric_corpus, skew_corpus
 
 
@@ -314,7 +315,7 @@ def test_pattern_json_roundtrip(mode):
     for key in GTPattern.domain(3, 2):
         entries[key] = value(rng.randint(1, 9)) / value(rng.randint(1, 9))
     z = GTPattern(3, 2, entries, ring)
-    assert cli._pattern_from_json(json.loads(json.dumps(cli._pattern_to_json(z))), mode) == z
+    assert cli._pattern_from_json(json.loads(json.dumps(cli._to_json(z))), mode) == z
 
 
 def test_eval_tropical_e_reads_c_as_an_integer(capsys, monkeypatch):
@@ -389,10 +390,52 @@ def test_eval_missing_input_file_is_usage_error(tmp_path, capsys, monkeypatch):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_eval_too_deep_input_is_usage_error(capsys, monkeypatch):
+    deep = '{"entries":' + "[" * 100_000 + "]" * 100_000 + "}"
+    assert run_cli(["eval", "grsk"], deep, capsys, monkeypatch) == (2, "", "usage error: input nests too deeply\n")
+
+
+@pytest.mark.parametrize("literal", ["1.0000000000000001", "12345678901234567891.0", "25e-1"])
+def test_number_literals_are_read_exactly(literal, capsys, monkeypatch):
+    """A JSON number with a fraction or an exponent reads as its quoted
+    string does, with no rounding through float; an integer field still
+    rejects it, and the message quotes it as written."""
+    point = '{"entries": [[%s, "2"], ["3", "4"]]}'
+    got = run_cli(["eval", "grsk"], point % literal, capsys, monkeypatch)
+    assert got[0] == 0
+    assert got == run_cli(["eval", "grsk"], point % f'"{literal}"', capsys, monkeypatch)
+    code, out, err = run_cli(["eval", "energy", "--mode", "tropical"], point % literal, capsys, monkeypatch)
+    assert (code, out, err) == (2, "", f"usage error: entry must be an integer, got {literal}\n")
+
+
+def test_exact_answers_print_at_any_size(capsys, monkeypatch):
+    """An answer holding integers past Python's int-to-str digit limit is
+    printed in full; the limit is in force again after the call, and input
+    is still read under it."""
+    limit = sys.get_int_max_str_digits()
+    rows = [["3" * 2200, "7" * 2200], ["7" * 2200, "3" * 2200]]
+    code, out, err = run_cli(["eval", "grsk"], json.dumps({"entries": rows}), capsys, monkeypatch)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        P, Q = gt.grsk(VarMatrix([[parse_rational(v) for v in row] for row in rows], RATIONAL))
+        want = [[str(v) for v in row] for row in gt.glue(P, Q).rows]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    glued = json.loads(out)["glued"]
+    assert glued == want and max(len(v) for row in glued for v in row) > limit
+    code, out, err = run_cli(["eval", "grsk"], json.dumps({"entries": [["3" * 4400]]}), capsys, monkeypatch)
+    assert code == 2 and out == "" and "Exceeds the limit" in err and len(err.strip().splitlines()) == 1
+
+
 def test_shared_parser_carries_nothing_between_calls(tmp_path, capsys, monkeypatch):
-    """One parser serves every call in a process: a file input, a mode or a
-    rejected command line leaves nothing for the next call, and no call
-    after the first builds a parser."""
+    """One parser serves every call in a process, and each distinct command
+    line is parsed once: a file input, a mode or a rejected command line
+    leaves nothing for the next call, interleaved calls give what fresh
+    processes give, a file named again is read again, a rejected command
+    line is rejected again with the same message, and no call after the
+    first builds a parser."""
     path = tmp_path / "point.json"
     path.write_text(json.dumps({"entries": [["1", "2"], ["3", "4"]]}))
     point = json.dumps({"entries": [["2", "1"], ["1", "3"]]})
@@ -413,24 +456,50 @@ def test_shared_parser_carries_nothing_between_calls(tmp_path, capsys, monkeypat
     assert alone[0] != alone[1] and alone[2] != alone[3]
     assert [json.loads(out)["mode"] for _, out, _ in alone] == ["rational", "rational", "tropical", "rational"]
 
-    built = []
-    init = argparse.ArgumentParser.__init__
+    built, parsed = [], []
+    init, parse = argparse.ArgumentParser.__init__, argparse.ArgumentParser.parse_known_args
 
     def counting_init(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    shared = []
-    for k, (argv, stdin_data) in enumerate(calls):
-        shared.append(run_cli(argv, stdin_data, capsys, monkeypatch))
+    def counting_parse(self, args=None, namespace=None):
+        if self.prog == "loopsym":  # the top level, not a subcommand's parser
+            parsed.append(tuple(args))
+        return parse(self, args, namespace)
+
+    cli._arguments.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+    order = [0, 1, 2, 3, 2, 0, 3, 1, 1]
+    shared, rejected = [], []
+    for k, call in enumerate(order):
+        shared.append(run_cli(*calls[call], capsys, monkeypatch))
         if k == 0:  # the first call of the process may build the parser; no later one does
             monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         with pytest.raises(SystemExit) as exc:
             main(["verify", "definitely-not-a-suite"])
         assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
-    assert shared == alone
+        rejected.append(capsys.readouterr())
+    assert shared == [alone[call] for call in order]
     assert built == []
+    assert rejected == [rejected[0]] * len(order) and "invalid choice" in rejected[0].err
+    rejected_line = ("verify", "definitely-not-a-suite")
+    assert [line for line in parsed if line != rejected_line] == [tuple(argv) for argv, _ in calls]
+    assert parsed.count(rejected_line) == len(order)
+
+    path.write_text(point)  # the same command line reads the file's new contents
+    assert run_cli(calls[0][0], None, capsys, monkeypatch) == alone[1]
+    assert parsed.count(tuple(calls[0][0])) == 1
+
+
+def test_help_is_printed_on_every_call(capsys):
+    printed = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--help"])
+        assert exc.value.code == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1] and "--input" in printed[0].out
 
 
 def test_main_dispatches_to_cmd_eval_as_bound_at_call_time(capsys, monkeypatch):
@@ -456,6 +525,106 @@ def test_main_dispatches_to_cmd_eval_as_bound_at_call_time(capsys, monkeypatch):
 EVAL_PAIRS = [(target, "rational") for target in EVAL_TARGETS] + [
     (target, "tropical") for target in ("grsk", "loop-schur", "cyl-schur", "energy", "cocharge", "central-charge")
 ] + [(target, "polynomial") for target in POLYNOMIAL_TARGETS]
+
+RATIONAL_POINT = {"entries": [["1", "2", "3/2"], ["3", "1", "2"], ["1", "5/3", "1"]]}
+TROPICAL_POINT = {"entries": [[1, 4, 0], [2, -1, 3], [1, 0, 2]]}
+
+
+def in_domain(target, mode):
+    """One valid input of ``eval target --mode mode`` at a 3 x 3 point."""
+    point = TROPICAL_POINT if mode == "tropical" else RATIONAL_POINT
+    if target in ("grsk", "energy", "central-charge"):
+        return point
+    if target == "cocharge":
+        values = [0, 1, 2, 0, 1, 0] if mode == "tropical" else ["1", "2", "1/2", "3", "1", "2/3"]
+        cells = [f"{i},{j}" for i in range(1, 4) for j in range(i, 4)]
+        return {"m": 3, "n": 3, "entries": dict(zip(cells, values))}
+    data = {
+        "loop-schur": {"m": 3, "n": 3, "lambda": [2, 1], "mu": [], "r": 1},
+        "cyl-schur": {"m": 3, "n": 3, "k": 1, "lambda": [1, 1], "mu": [], "r": 1},
+        "q-invariant": {"i": 1, "j": 1},
+        "shape-invariant": {"i": 2},
+        "R": {"i": 1},
+        "e": {"i": 1, "c": "2"},
+        "ebar": {"j": 2, "c": "3/2"},
+    }[target]
+    return data if mode == "polynomial" else {**data, "x": point}
+
+
+@pytest.mark.parametrize("target, mode", EVAL_PAIRS, ids=[f"{t}-{m}" for t, m in EVAL_PAIRS])
+def test_eval_output_is_the_standard_layout(target, mode, capsys, monkeypatch):
+    """Every answer is ``json.dumps(..., indent=2, sort_keys=True)``, byte
+    for byte."""
+    code, out, err = run_cli(["eval", target, "--mode", mode], json.dumps(in_domain(target, mode)), capsys, monkeypatch)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_verify_report_is_the_standard_layout(tmp_path, capsys, monkeypatch):
+    """A report whose failure holds quotes, a backslash and non-ASCII text
+    is ``json.dumps(..., indent=2, sort_keys=True)``, byte for byte."""
+
+    def raises(*args):
+        raise ValueError('a "quoted" witness, a \\ backslash, ünïcödé — ✓')
+
+    monkeypatch.setattr(crystal, "weyl_reflection", raises)
+    rep = tmp_path / "r.json"
+    argv = ["verify", "r-matrix", "--m", "2", "--n", "3", "--trials", "2", "--report", str(rep)]
+    assert run_cli(argv, None, capsys, monkeypatch)[0] == 1
+    text = rep.read_text(encoding="ascii")
+    payload = json.loads(text)
+    assert 'ValueError: a "quoted" witness, a \\ backslash, ünïcödé — ✓' in [
+        f["error"] for f in payload["reports"][0]["failures"]
+    ]
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(obj=JSON_VALUES)
+def test_json_text_is_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def indented_encoders(source: str) -> list:
+    """``line`` of each ``dump``, ``dumps`` or ``JSONEncoder`` call, bare or
+    as an attribute, that passes ``indent=``: the standard library writes
+    those through its pure-Python encoder."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps", "JSONEncoder")
+        and any(kw.arg == "indent" for kw in node.keywords)
+    )
+
+
+def test_indented_encoders_are_found():
+    source = (
+        "import json\n"
+        "from json import dumps\n"
+        "json.dumps(x, indent=2)\n"
+        "json.dump(x, fh, sort_keys=True, indent=None)\n"
+        "dumps(x, indent=4)\n"
+        "json.JSONEncoder(indent=1).encode(x)\n"
+        "json.dumps(x, sort_keys=True)\n"
+        "json.JSONEncoder().encode(x)\n"
+        "print(x, indent=2)\n"
+    )
+    assert indented_encoders(source) == [3, 4, 5, 6]
+
+
+def test_the_cli_never_writes_through_the_pure_python_encoder():
+    assert indented_encoders(Path(cli.__file__).read_text()) == []
+
 
 JUNK = st.sampled_from([None, True, 1.5, "", "x", "1/0", "0", "-1", -1, 0, 4, [], {}, [[]]])
 
